@@ -18,16 +18,26 @@ assigned.  Found tensors are deduplicated by canonical form under the
 dimension-preserving permutations commuting with the involution, then
 confirmed pairwise with the isomorphism test.
 
-The inner DFS is an iterative loop over flat int64 arrays, compiled
-with numba when available.
+The inner DFS is an iterative loop over flat int64 arrays.  It runs as
+C (``_kernel.c``, built on first use with the system C compiler and
+loaded through ctypes), else as plain Python, which stays the
+reference for the C kernel.  ``KERNEL_BACKEND`` names the backend in
+use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import os
+import shutil
+import sys
+import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,17 +49,9 @@ from .errors import SearchTimeout, UnboundedSearch
 from .rings import FusionData, TypeSignature, are_isomorphic
 from .spectral import character_table
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# whether numba is importable, for callers that report it; the search
+# itself does not use numba
+_HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 __all__ = [
@@ -335,65 +337,27 @@ def _build_problem(dims, dual, max_mult=None, use_dims=True, prune_bounds=True):
             row_capacity[cell_row[t]] += caps[oi] * cell_wt[t]
 
     # associativity instances (i, j, k >= 1; t any), triggered at the orbit
-    # that completes their last free cell
-    eqs = []
-    for i in range(1, m):
-        for j in range(1, m):
-            for k in range(1, m):
-                for t in range(m):
-                    trig = 0
-                    for s in range(m):
-                        for cell in ((i, j, s), (s, k, t), (j, k, s), (i, s, t)):
-                            if min(cell) >= 1:
-                                trig = max(trig, order_index[orbit_of[cell]])
-                    eqs.append((trig, i, j, k, t))
-    eqs.sort()
+    # that completes their last free cell: the latest search position among
+    # the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t) over all s.  Cells
+    # with a unit index are fixed and count as position 0.
+    pos_of = np.zeros((m, m, m), dtype=np.int64)
+    for cell, o in orbit_of.items():
+        pos_of[cell] = order_index[o]
+    last_in_row = pos_of.max(axis=2)  # [a, b] -> max_s pos_of[a, b, s]
+    last_in_col = pos_of.max(axis=0)  # [b, c] -> max_s pos_of[s, b, c]
+    last_in_mid = pos_of.max(axis=1)  # [a, c] -> max_s pos_of[a, s, c]
+    trig = np.maximum(
+        np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, :]),
+        np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, :]),
+    )
+    # a stable sort keeps (i, j, k, t) order within each trigger
+    eq_order = np.argsort(trig, axis=None, kind="stable")
+    i, j, k, t = np.unravel_index(eq_order, trig.shape)
+    eq_data = np.stack([i + 1, j + 1, k + 1, t], axis=1).astype(np.int64)
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
-    eq_data = np.array(
-        [[i, j, k, t] for _, i, j, k, t in eqs], dtype=np.int64
-    ).reshape(-1, 4)
-    pos = 0
-    for oi in range(norb):
-        while pos < len(eqs) and eqs[pos][0] <= oi:
-            pos += 1
-        eq_by_orbit_ptr[oi + 1] = pos
-
-    # cross-row dot-product bounds: sum_s N[j1,j2,s] N[j3,j4,s] <= d_a d_b
-    # for one index a of the first row and one b of the second, triggered
-    # when the later of the two rows completes.  Dense large-dimension
-    # blocks (e.g. four dim-11 elements) are barely constrained by their
-    # own knapsacks; these pairwise bounds are what cuts them down.
-    pairs = []
-    if use_dims and prune_bounds:
-        row_list = [(j, k) for j in range(1, m) for k in range(1, m)]
-        comp = {}
-        for j, k in row_list:
-            comp[(j, k)] = max(order_index[orbit_of[(j, k, s)]] for s in range(1, m))
-        for a in range(len(row_list)):
-            j1, j2 = row_list[a]
-            for b in range(a, len(row_list)):
-                j3, j4 = row_list[b]
-                bound = min(
-                    d[j1] * d[j3], d[j1] * d[j4], d[j2] * d[j3], d[j2] * d[j4]
-                )
-                # skip pairs whose bound cannot bite (Cauchy-Schwarz cap)
-                cap_dot = math.isqrt(
-                    int(min(d[j1], d[j2]) ** 2) * int(min(d[j3], d[j4]) ** 2)
-                )
-                if bound >= cap_dot:
-                    continue
-                trig = max(comp[(j1, j2)], comp[(j3, j4)])
-                pairs.append((trig, j1 * m * m + j2 * m, j3 * m * m + j4 * m, bound))
-    pairs.sort()
-    pair_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
-    pair_data = np.array(
-        [[b1, b2, bd] for _, b1, b2, bd in pairs], dtype=np.int64
-    ).reshape(-1, 3)
-    pos = 0
-    for oi in range(norb):
-        while pos < len(pairs) and pairs[pos][0] <= oi:
-            pos += 1
-        pair_by_orbit_ptr[oi + 1] = pos
+    eq_by_orbit_ptr[1:] = np.searchsorted(
+        trig.ravel()[eq_order], np.arange(norb), side="right"
+    )
 
     # static symmetry breaking: involution-fixed basis elements of equal
     # dimension are interchangeable, so any solution can be relabeled to
@@ -447,8 +411,6 @@ def _build_problem(dims, dual, max_mult=None, use_dims=True, prune_bounds=True):
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
-        "pair_ptr": pair_by_orbit_ptr,
-        "pair_data": pair_data,
         "prec_ptr": prec_ptr,
         "prec_data": prec_data,
         "init_tensor": init_tensor,
@@ -492,7 +454,6 @@ def _greedy_assoc_order(m, orbits, orbit_of):
 # DFS kernel
 
 
-@njit(cache=True)
 def _dfs_kernel(
     m,
     norb,
@@ -507,22 +468,19 @@ def _dfs_kernel(
     row_capacity0,
     eq_ptr,
     eq_data,
-    pair_ptr,
-    pair_data,
     prec_ptr,
     prec_data,
     init_tensor,
     use_dims,
     node_budget,
     max_results,
-    pin_first_value,
-):  # pragma: no cover - compiled; exercised through the wrappers
-    """Iterative DFS over orbit values.
+):
+    """Iterative DFS over orbit values; the reference for every backend.
 
     Returns (status, nodes, knapsack prunes, associativity prunes,
     solutions as a flat 2d array).  status: 0 done, 1 node budget
-    exhausted, 2 result cap hit.  ``pin_first_value`` >= 0 restricts
-    orbit 0 to that single value (parallel split unit); -1 disables.
+    exhausted, 2 a solution beyond the first ``max_results`` exists
+    (exactly ``max_results`` are returned).
 
     Invariant: orbits 0..o-1 are applied, orbit o holds the candidate
     value v[o] not yet applied.
@@ -544,18 +502,12 @@ def _dfs_kernel(
     prune_assoc = 0
     status = 0
 
-    if pin_first_value >= 0:
-        v[0] = pin_first_value
-
     o = 0
     while True:
         if nodes >= node_budget:
             status = 1
             break
-        limit = caps[o]
-        if o == 0 and pin_first_value >= 0:
-            limit = pin_first_value
-        if v[o] > limit:
+        if v[o] > caps[o]:
             # depth exhausted: pop to previous orbit
             o -= 1
             if o < 0:
@@ -607,17 +559,6 @@ def _dfs_kernel(
             if not ok:
                 prune_knap += 1
         if ok:
-            for e in range(pair_ptr[o], pair_ptr[o + 1]):
-                b1 = pair_data[e, 0]
-                b2 = pair_data[e, 1]
-                dot = 0
-                for s in range(m):
-                    dot += N[b1 + s] * N[b2 + s]
-                if dot > pair_data[e, 2]:
-                    ok = False
-                    prune_knap += 1
-                    break
-        if ok:
             for e in range(eq_ptr[o], eq_ptr[o + 1]):
                 i_ = eq_data[e, 0]
                 j_ = eq_data[e, 1]
@@ -634,10 +575,10 @@ def _dfs_kernel(
                     break
 
         if ok and o == norb - 1:
+            if nfound == max_results:
+                status = 2
+                break
             if nfound == results.shape[0]:
-                if nfound >= max_results:
-                    status = 2
-                    break
                 grown = np.empty((results.shape[0] * 2, ncells), dtype=np.int64)
                 grown[: results.shape[0]] = results
                 results = grown
@@ -664,6 +605,174 @@ def _dfs_kernel(
     return status, nodes, prune_knap, prune_assoc, results[:nfound]
 
 
+# problem arrays in the order every backend takes them, after m and norb
+_KERNEL_ARRAYS = (
+    "orb_ptr", "cell_row", "cell_wt", "cell_idx", "caps", "row_target",
+    "row_sq_bound", "row_cnt", "row_capacity", "eq_ptr", "eq_data",
+    "prec_ptr", "prec_data", "init_tensor",
+)
+
+
+def _kernel_args(prob, node_budget, max_results) -> tuple:
+    """The positional arguments of every kernel backend for ``prob``."""
+    return (prob["m"], prob["norb"], *(prob[k] for k in _KERNEL_ARRAYS),
+            int(prob["use_dims"]), node_budget, max_results)
+
+
+def _run_kernel(prob, node_budget, max_results) -> tuple:
+    """Run the DFS on ``prob`` with the backend in use: (status, solutions,
+    stats of this run naming that backend).  The problem says whether the
+    dimension knapsack applies (``prob["use_dims"]``)."""
+    t0 = time.time()
+    backend, kernel = _kernel()
+    status, nodes, pk, pa, found = kernel(*_kernel_args(prob, node_budget, max_results))
+    st = SearchStats(nodes, pk, pa, len(found), time.time() - t0, status == 0,
+                     frozenset({backend}))
+    return status, found, st
+
+
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_C_COMMAND = ("cc", "-O2", "-shared", "-fPIC")
+# built kernels are kept here, or in a per-user temp directory when the
+# package directory cannot be written
+_C_CACHE_DIR = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
+_INT64_MAX = 2**63 - 1
+
+
+def _c_cache_dir() -> str:
+    """A directory for the built kernel that no other user can write into."""
+    private = os.path.join(tempfile.gettempdir(), f"fusionforge-{os.getuid()}")
+    for d in (_C_CACHE_DIR, private):
+        try:
+            os.makedirs(d, mode=0o700, exist_ok=True)
+            st = os.stat(d)
+        except OSError:
+            continue
+        if st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(d, os.W_OK):
+            return d
+    raise OSError(f"neither {_C_CACHE_DIR} nor {private} is a private writable directory")
+
+
+def _check_kernel_args(m, norb, a):
+    """The layout, sizes and index bounds the C kernel relies on without
+    checking."""
+    nrows = len(a["row_target"])
+
+    def within(x, hi):
+        return x.size == 0 or (x.min() >= 0 and x.max() < hi)
+
+    ok = (
+        all(x.dtype == np.int64 and x.flags.c_contiguous for x in a.values())
+        and norb >= 1
+        and len(a["caps"]) == norb
+        and len(a["init_tensor"]) == m**3
+        and all(len(a[k]) == nrows for k in ("row_sq_bound", "row_cnt", "row_capacity"))
+        and all(len(a[k]) == norb + 1 and a[k][0] == 0 and np.all(np.diff(a[k]) >= 0)
+                for k in ("orb_ptr", "eq_ptr", "prec_ptr"))
+        and a["orb_ptr"][-1] == len(a["cell_row"]) == len(a["cell_wt"]) == len(a["cell_idx"])
+        and a["eq_data"].shape == (a["eq_ptr"][-1], 4)
+        and a["prec_ptr"][-1] == len(a["prec_data"])
+        and within(a["cell_idx"], m**3)
+        and within(a["cell_row"], nrows)
+        and within(a["eq_data"], m)
+        and within(a["prec_data"], norb)
+    )
+    if not ok:
+        raise ValueError("malformed search problem arrays")
+
+
+def _load_c_kernel():
+    """Load ``_kernel.c``, building it first unless a build of the same
+    source with the same command is cached.  Raises OSError, with the
+    reason, when it cannot be built or loaded."""
+    if os.name != "posix":
+        raise OSError("the C kernel is built on POSIX systems only")
+    with open(_C_SOURCE, "rb") as f:
+        tag = hashlib.sha256(f.read() + " ".join(_C_COMMAND).encode()).hexdigest()[:16]
+    cache = _c_cache_dir()
+    path = os.path.join(cache, f"_kernel-{tag}.so")
+    if not os.path.exists(path):
+        cc = shutil.which(_C_COMMAND[0])
+        if cc is None:
+            raise OSError(f"no C compiler '{_C_COMMAND[0]}' on PATH")
+        import subprocess  # only a build needs it
+
+        # build under a private name, then rename: processes building at
+        # the same time never load a half-written library
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_C_COMMAND[1:], _C_SOURCE, "-o", tmp],
+                           check=True, capture_output=True, text=True)
+            os.replace(tmp, path)
+        except subprocess.CalledProcessError as exc:
+            last = exc.stderr.strip().splitlines()[-1:]
+            raise OSError("compiling _kernel.c failed" + "".join(f": {x}" for x in last)) from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(path)
+    i64, arr = ctypes.c_int64, ctypes.c_void_p
+    out_ptr = ctypes.POINTER(i64)
+    fn = lib.ff_dfs_kernel
+    # m, norb, orb_ptr..caps, nrows, row_target..init_tensor, use_dims,
+    # node_budget, max_results, counts, results; arrays go as bare data
+    # addresses (checked by _check_kernel_args, kept alive by the caller)
+    fn.argtypes = [i64, i64] + [arr] * 5 + [i64] + [arr] * 9 + [i64] * 3 + [
+        arr, ctypes.POINTER(out_ptr)]
+    fn.restype = i64
+    lib.ff_free.argtypes = [out_ptr]
+    lib.ff_free.restype = None
+
+    def c_kernel(m, norb, *args):
+        arrays, (use_dims, node_budget, max_results) = args[:-3], args[-3:]
+        _check_kernel_args(m, norb, dict(zip(_KERNEL_ARRAYS, arrays)))
+        counts = np.zeros(4, dtype=np.int64)
+        found = out_ptr()
+        addr = [x.ctypes.data for x in arrays]
+        status = fn(m, norb, *addr[:5], len(arrays[5]), *addr[5:], use_dims,
+                    min(int(node_budget), _INT64_MAX), min(int(max_results), _INT64_MAX),
+                    counts.ctypes.data, ctypes.byref(found))
+        try:
+            if status < 0:
+                raise MemoryError("the C search kernel ran out of memory")
+            nfound = int(counts[3])
+            solutions = (np.ctypeslib.as_array(found, shape=(nfound, m**3)).copy()
+                         if nfound else np.empty((0, m**3), dtype=np.int64))
+        finally:
+            lib.ff_free(found)
+        return int(status), int(counts[0]), int(counts[1]), int(counts[2]), solutions
+
+    return c_kernel
+
+
+_KERNEL = None  # (backend name, kernel), chosen on the first search
+_KERNEL_LOCK = threading.Lock()
+
+
+def _kernel() -> tuple:
+    """The C kernel when it loads here, else the plain-Python kernel.  The
+    fallback is announced once on stderr, with its reason."""
+    global _KERNEL
+    with _KERNEL_LOCK:
+        if _KERNEL is None:
+            try:
+                _KERNEL = ("c", _load_c_kernel())
+            except OSError as exc:
+                print(f"fusionforge: C search kernel unavailable ({exc}); "
+                      "using the Python kernel, which is much slower", file=sys.stderr)
+                _KERNEL = ("python", _dfs_kernel)
+        return _KERNEL
+
+
+def __getattr__(name):
+    # KERNEL_BACKEND ("c" or "python") is chosen on first use,
+    # which may build the C kernel
+    if name == "KERNEL_BACKEND":
+        return _kernel()[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # wrappers
 
@@ -676,6 +785,7 @@ class SearchStats:
     raw_solutions: int = 0
     wall_time: float = 0.0
     complete: bool = True
+    kernel_backends: frozenset = frozenset()  # the backends that ran
 
     def merge(self, other: "SearchStats"):
         self.nodes += other.nodes
@@ -684,6 +794,7 @@ class SearchStats:
         self.raw_solutions += other.raw_solutions
         self.wall_time += other.wall_time
         self.complete = self.complete and other.complete
+        self.kernel_backends |= other.kernel_backends
 
 
 def _dedup_group(dims, dual):
@@ -741,37 +852,12 @@ def enumerate_fusion_rings(
     prob = _build_problem(
         dims, dual, max_mult=max_mult, use_dims=True, prune_bounds=prune_bounds
     )
-    t0 = time.time()
     if prob["norb"] == 0:  # rank 1: only the unit-only ring, no free cells
         fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0], "exact")
         if stats is not None:
-            stats.merge(SearchStats(0, 0, 0, 1, time.time() - t0, True))
+            stats.merge(SearchStats(0, 0, 0, 1, 0.0, True))
         return [fd] if rings.verify_axioms(fd).all_ok else []
-    status, nodes, pk, pa, found = _dfs_kernel(
-        prob["m"],
-        prob["norb"],
-        prob["orb_ptr"],
-        prob["cell_row"],
-        prob["cell_wt"],
-        prob["cell_idx"],
-        prob["caps"],
-        prob["row_target"],
-        prob["row_sq_bound"],
-        prob["row_cnt"],
-        prob["row_capacity"],
-        prob["eq_ptr"],
-        prob["eq_data"],
-        prob["pair_ptr"],
-        prob["pair_data"],
-        prob["prec_ptr"],
-        prob["prec_data"],
-        prob["init_tensor"],
-        1,
-        node_budget,
-        max_results,
-        -1,
-    )
-    st = SearchStats(nodes, pk, pa, len(found), time.time() - t0, status == 0)
+    status, found, st = _run_kernel(prob, node_budget, max_results)
     if stats is not None:
         stats.merge(st)
     rings_out = _collect(found, dims, dual, sig)
@@ -898,32 +984,7 @@ def rank5_three_selfadjoint_family(
     """
     dual = list(RANK5_TEMPLATE_DUAL)
     prob = _build_problem(None, dual, max_mult=max_multiplicity, use_dims=False)
-    t0 = time.time()
-    status, nodes, pk, pa, found = _dfs_kernel(
-        prob["m"],
-        prob["norb"],
-        prob["orb_ptr"],
-        prob["cell_row"],
-        prob["cell_wt"],
-        prob["cell_idx"],
-        prob["caps"],
-        prob["row_target"],
-        prob["row_sq_bound"],
-        prob["row_cnt"],
-        prob["row_capacity"],
-        prob["eq_ptr"],
-        prob["eq_data"],
-        prob["pair_ptr"],
-        prob["pair_data"],
-        prob["prec_ptr"],
-        prob["prec_data"],
-        prob["init_tensor"],
-        0,
-        node_budget,
-        200_000,
-        -1,
-    )
-    st = SearchStats(nodes, pk, pa, len(found), time.time() - t0, status == 0)
+    status, found, st = _run_kernel(prob, node_budget, 200_000)
     if stats is not None:
         stats.merge(st)
     m = 5
@@ -979,6 +1040,14 @@ class ClassificationReport:
     def schur_rings(self) -> list:
         return [fd for tr in self.types for fd in tr.schur_pass]
 
+    @property
+    def kernel_backend(self) -> Optional[str]:
+        """The search kernel backend that produced these results ("c" or
+        "python"; "c+python" if units ran on both), or None when no kernel
+        ran, as when every unit was resumed from a checkpoint."""
+        ran = frozenset().union(*(tr.stats.kernel_backends for tr in self.types))
+        return "+".join(sorted(ran)) or None
+
     def to_dict(self) -> dict:
         return {
             "constraints": {
@@ -995,6 +1064,7 @@ class ClassificationReport:
             "filters": self.filters,
             "complete": self.complete,
             "wall_time": self.wall_time,
+            "kernel_backend": self.kernel_backend,
             "types": [
                 {
                     "type": str(tr.signature),

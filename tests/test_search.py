@@ -1,3 +1,8 @@
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -130,27 +135,133 @@ class TestEnumerateFusionRings:
         assert all(np.array_equal(x.tensor, y.tensor) for x, y in zip(a, b))
 
 
+def kernel_backends() -> dict:
+    """Every kernel backend that loads here, the Python reference first."""
+    found = {"python": search._dfs_kernel}
+    try:
+        found["c"] = search._load_c_kernel()
+    except OSError:
+        pass
+    return found
+
+
+def run_python(script, *args, **env):
+    """Run ``script`` in a fresh interpreter that imports this fusionforge."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src, **env),
+    )
+
+
 class TestKernelFallback:
     def test_python_kernel_matches_compiled(self):
-        """The uncompiled kernel (numba-free fallback) agrees with the jit."""
-        from fusionforge.search import _build_problem, _dfs_kernel
+        """Every backend found agrees exactly with the Python kernel: status,
+        nodes, both prune counts and the solutions in order."""
+        from fusionforge.search import _build_problem, _dfs_kernel, _kernel_args
 
-        sig = TypeSignature(((1, 1), (3, 2), (4, 1), (5, 1)), True)
-        prob = _build_problem(list(sig.dims), list(range(5)))
-        args = (
-            prob["m"], prob["norb"], prob["orb_ptr"], prob["cell_row"],
-            prob["cell_wt"], prob["cell_idx"], prob["caps"], prob["row_target"],
-            prob["row_sq_bound"], prob["row_cnt"], prob["row_capacity"],
-            prob["eq_ptr"], prob["eq_data"], prob["pair_ptr"], prob["pair_data"],
-            prob["prec_ptr"], prob["prec_data"],
-            prob["init_tensor"], 1, 10**9, 1000, -1,
+        dims_unit = _build_problem([1, 3, 3, 4, 5], list(range(5)))
+        rank5 = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2,
+                               use_dims=False)
+        cases = [  # (problem, node budget, max results, expected status)
+            (dims_unit, 10**9, 1000, 0),
+            (rank5, 10**9, 1000, 0),
+            (rank5, 1000, 1000, 1),
+            (rank5, 10**9, 5, 2),
+        ]
+        backends = kernel_backends()
+        assert "c" in backends or shutil.which("cc") is None
+        for prob, budget, cap, status in cases:
+            ref = _dfs_kernel(*_kernel_args(prob, budget, cap))
+            assert ref[0] == status
+            for name, kernel in backends.items():
+                got = kernel(*_kernel_args(prob, budget, cap))
+                assert got[:4] == ref[:4], name
+                assert np.array_equal(got[4], ref[4]), name
+
+    def test_max_results_is_exact(self):
+        """A cap of n returns exactly n solutions, with status 2 only when
+        one more exists."""
+        from fusionforge.search import _build_problem, _kernel_args
+
+        prob = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2,
+                              use_dims=False)
+        for name, kernel in kernel_backends().items():
+            every = kernel(*_kernel_args(prob, 10**9, 10**9))[4]
+            n = len(every)
+            at = kernel(*_kernel_args(prob, 10**9, n))
+            below = kernel(*_kernel_args(prob, 10**9, n - 1))
+            assert at[0] == 0 and np.array_equal(at[4], every), name
+            assert below[0] == 2 and np.array_equal(below[4], every[: n - 1]), name
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_concurrent_builds_share_one_cache(self, tmp_path):
+        """Two processes building into one empty cache both load the C kernel."""
+        script = ("import sys; from fusionforge import search; "
+                  "search._C_CACHE_DIR = sys.argv[1]; print(search.KERNEL_BACKEND)")
+        procs = [run_python(script, str(tmp_path)) for _ in range(2)]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outs
+        assert [out.strip() for out, _ in outs] == ["c", "c"], outs
+        built = [f.name for f in tmp_path.iterdir()]
+        assert len(built) == 1 and built[0].endswith(".so"), built
+
+    def test_no_compiler_falls_back_with_one_warning(self, tmp_path):
+        script = (
+            "import sys; from fusionforge import search; "
+            "search._C_CACHE_DIR = sys.argv[1]; "
+            "c = search.SearchConstraints(fpdim=6, rank=3); "
+            "reps = [search.classify(c) for _ in range(2)]; "
+            "print(search.KERNEL_BACKEND, *[len(r.all_rings) for r in reps], "
+            "reps[0].to_dict()['kernel_backend'])"
         )
-        kernel_py = getattr(_dfs_kernel, "py_func", _dfs_kernel)
-        res_a = _dfs_kernel(*args)
-        res_b = kernel_py(*args)
-        assert res_a[0] == res_b[0] == 0
-        assert res_a[1] == res_b[1]  # identical node counts
-        assert np.array_equal(res_a[4], res_b[4])
+        (tmp_path / "bin").mkdir()
+        proc = run_python(script, str(tmp_path / "cache"), PATH=str(tmp_path / "bin"))
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        backend, *rest = out.split()
+        assert backend == "python" and rest == ["1", "1", "python"]
+        assert err.count("C search kernel unavailable (no C compiler 'cc' on PATH)") == 1, err
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_failed_compile_is_announced(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(search, "_KERNEL", None)
+        monkeypatch.setattr(search, "_C_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(search, "_C_COMMAND", ("cc", "--no-such-option"))
+        assert search.KERNEL_BACKEND == "python"
+        assert "C search kernel unavailable (compiling _kernel.c failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no half-built library left behind
+
+    def test_associativity_triggers_match_loop(self):
+        """The vectorized trigger table equals the direct O(m^5) loop: each
+        instance (i, j, k, t) fires at the last search position among its
+        free cells, and instances are sorted by (trigger, i, j, k, t)."""
+        from fusionforge.search import _build_problem
+
+        for dims, dual in [([1, 3, 3, 4, 5], [0, 2, 1, 3, 4]),
+                           ([1, 5, 5, 5, 6, 7, 7], [0, 1, 2, 3, 4, 6, 5]),
+                           (None, list(search.RANK5_TEMPLATE_DUAL))]:
+            prob = _build_problem(dims, dual, max_mult=2, use_dims=dims is not None)
+            m = prob["m"]
+            pos = {}
+            for o in range(prob["norb"]):
+                for t in range(prob["orb_ptr"][o], prob["orb_ptr"][o + 1]):
+                    pos[np.unravel_index(prob["cell_idx"][t], (m, m, m))] = o
+            eqs = []
+            for i in range(1, m):
+                for j in range(1, m):
+                    for k in range(1, m):
+                        for t in range(m):
+                            trig = 0
+                            for s in range(m):
+                                for cell in ((i, j, s), (s, k, t), (j, k, s), (i, s, t)):
+                                    if min(cell) >= 1:
+                                        trig = max(trig, pos[cell])
+                            eqs.append((trig, i, j, k, t))
+            eqs.sort()
+            assert prob["eq_data"].tolist() == [list(e[1:]) for e in eqs]
+            ptr = [sum(e[0] <= o for e in eqs) for o in range(prob["norb"])]
+            assert prob["eq_ptr"].tolist() == [0] + ptr
 
 
 class TestRank5Family:
@@ -224,6 +335,23 @@ class TestClassify:
         d = report.to_dict()
         assert d["types"][0]["rings_found"] == 1
         assert d["types"][0]["nodes"] > 0
+        assert d["kernel_backend"] == search.KERNEL_BACKEND
+
+    def test_resumed_report_names_no_backend(self, tmp_path, monkeypatch):
+        """A report names the backend that ran its searches; writing a report
+        whose units all came from a checkpoint runs and loads no kernel."""
+        c = SearchConstraints(fpdim=6, rank=3)
+        path = str(tmp_path / "ck.jsonl")
+        first = classify(c, checkpoint=path)
+        assert first.to_dict()["kernel_backend"] == search.KERNEL_BACKEND
+
+        def no_kernel():
+            raise AssertionError("kernel loaded")
+
+        monkeypatch.setattr(search, "_kernel", no_kernel)
+        resumed = classify(c, checkpoint=path)
+        assert len(resumed.all_rings) == len(first.all_rings)
+        assert resumed.to_dict()["kernel_backend"] is None
 
     def test_partial_report_on_budget(self):
         c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
