@@ -234,6 +234,8 @@ def cmd_ineq_suite(args) -> int:
             kind = "falsifier" if c.is_falsifier else "theorem"
             print(f"  {c.name:22s} worst slack {c.worst_slack:+.3e} "
                   f"violations {c.violations:4d}  [{kind}]")
+        if rep.probes_skipped:
+            print(f"targeted dual-projection probes skipped: {rep.probes_skipped}")
         print(f"theorem-backed violations: {rep.theorem_violations}")
     if args.gate and rep.theorem_violations:
         return EXIT_NEGATIVE

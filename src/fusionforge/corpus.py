@@ -28,6 +28,7 @@ files; they are appended to the corpus with their stem as id.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -231,19 +232,27 @@ def verify_checksums() -> bool:
     return True
 
 
+@functools.cache
+def _paper_corpus() -> tuple:
+    """The embedded paper entries, parsed once per process.
+
+    They are checksum-pinned package data and ``FusionData`` arrays are
+    read-only, so every caller can share them.
+    """
+    return tuple(
+        CorpusEntry(eid, parse_fusion_ring(_data_text(f"{eid}.frt"), label=eid),
+                    "printed fusion matrices", typ, simple, schur, group, aliases)
+        for eid, typ, simple, schur, group, aliases in _PAPER_ENTRIES
+    )
+
+
 def corpus(include_groups: bool = True) -> list:
-    """Every embedded corpus entry, paper fixtures first.
+    """Every embedded corpus entry, paper fixtures first, as a new list.
 
     Cyclic group rings Z/n (n <= 12) are generated; extra entries are
-    loaded from ``FUSIONFORGE_CORPUS_DIR`` when set.
+    loaded from ``FUSIONFORGE_CORPUS_DIR`` when set, on every call.
     """
-    out = []
-    for eid, typ, simple, schur, group, aliases in _PAPER_ENTRIES:
-        fd = parse_fusion_ring(_data_text(f"{eid}.frt"), label=eid)
-        out.append(
-            CorpusEntry(eid, fd, "printed fusion matrices", typ, simple, schur,
-                        group, aliases)
-        )
+    out = list(_paper_corpus())
     if include_groups:
         for n in range(2, 13):
             fd = cyclic_group_ring(n)

@@ -385,6 +385,7 @@ def fp_dimensions(fd: FusionData) -> np.ndarray:
         # fallback: spectral radius of each fusion matrix
         dims = np.array([np.max(np.linalg.eigvals(N[i]).real) for i in range(m)])
     dims[0] = 1.0
+    dims.setflags(write=False)  # cached on fd, shared by every caller
     fd._fp_dims = dims
     return dims
 

@@ -153,7 +153,10 @@ def _column_order(lam: np.ndarray, d: np.ndarray) -> list:
 
     def key(j):
         col = lam[:, j]
-        return tuple((round(float(x.real), 6), round(float(x.imag), 6)) for x in col)
+        # built from a list: tuple(generator) starts at a guessed size and
+        # resizes, which strands one tuple per call in CPython's free list for
+        # size m, so memory crept up over repeated calls
+        return tuple([(round(float(x.real), 6), round(float(x.imag), 6)) for x in col])
 
     rest.sort(key=key)
     return [perron] + rest
@@ -210,18 +213,19 @@ def dual_projections(fd: FusionData, ct: CharacterTable, tol: float = RESIDUAL_T
         coeffs = raw / c
         out.append(DualProjection(j, coeffs, float(coeffs[0].real), c))
 
-    # verification: idempotency, orthogonality, partition of unity
+    # verification: idempotency, orthogonality, partition of unity, all
+    # pairs in one contraction; the first failing pair a <= b is reported
+    P = np.array([p.coeffs for p in out])
+    prod = np.einsum("aj,bk,jks->abs", P, P, N, optimize=True)
+    prod[np.arange(m), np.arange(m)] -= P
+    err = np.max(np.abs(prod), axis=2)
     scale = 1.0 + float(np.max(np.abs(ct.lam)))
-    for a in range(m):
-        Pa = out[a].coeffs
-        for b in range(a, m):
-            prod = np.einsum("j,k,jks->s", Pa, out[b].coeffs, N)
-            want = Pa if a == b else np.zeros(m)
-            err = float(np.max(np.abs(prod - want)))
-            if err > tol * scale:
-                raise NormalizationFailure(
-                    f"P_{a + 1} * P_{b + 1} deviates from a projection system by {err:.3g}"
-                )
+    bad = np.argwhere(np.triu(err > tol * scale))
+    if len(bad):
+        a, b = bad[0]
+        raise NormalizationFailure(
+            f"P_{a + 1} * P_{b + 1} deviates from a projection system by {err[a, b]:.3g}"
+        )
     total = sum(p.coeffs for p in out)
     unit = np.zeros(m, dtype=complex)
     unit[0] = 1.0
@@ -242,14 +246,11 @@ def dual_fusion_coefficients(
     product property on the dual.
     """
     projs = dual_projections(fd, ct, tol)
-    m = fd.rank
     d = ct.fp_column
-    nhat = np.empty((m, m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            conv = projs[j].coeffs * projs[k].coeffs / d
-            # chi_s(conv) = coefficient of P_s
-            nhat[j, k] = conv @ ct.lam
+    P = np.array([p.coeffs for p in projs])
+    # conv[j, k] = P_j ._B P_k; chi_s(conv[j, k]) = coefficient of P_s
+    conv = P[:, None, :] * P[None, :, :] / d
+    nhat = conv @ ct.lam
     imag = float(np.max(np.abs(nhat.imag)))
     if imag > tol * (1 + float(np.max(np.abs(nhat)))):
         raise NormalizationFailure(f"dual coefficients have imaginary mass {imag:.3g}")

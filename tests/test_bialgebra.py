@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from fusionforge import rings
 from fusionforge.bialgebra import (
+    INV_P_GRID,
+    SUITE_CHUNK,
+    CheckResult,
     Rank3Type1Params,
+    _fold,
+    _k_table,
     biprojections,
     canonical_from_fusion_data,
     inequality_suite,
@@ -19,7 +25,9 @@ from fusionforge.bialgebra import (
 )
 from fusionforge.errors import (
     BadExponent,
+    DegenerateSpectrum,
     InfeasibleParams,
+    NotCommutative,
     SideMismatch,
 )
 from fusionforge.rings import cyclic_group_ring
@@ -199,6 +207,15 @@ class TestKConstant:
             for dip, diq in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
                 assert k_constant(ip + dip, iq + diq, mu) == pytest.approx(base, rel=1e-6)
 
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 60.0, 7980.0])
+    def test_table_matches_k_constant(self, mu):
+        # the grid holds the region boundaries, where k_constant takes a minimum
+        K = _k_table(mu)
+        assert K.shape == (11, 11)
+        for i, ip in enumerate(INV_P_GRID):
+            for j, iq in enumerate(INV_P_GRID):
+                assert K[i, j] == k_constant(ip, iq, mu), (ip, iq)
+
 
 class TestFamilies:
     def test_rank2(self):
@@ -340,6 +357,39 @@ class TestInequalitySuite:
         assert payload["num_samples"] == 5
         assert len(payload["checks"]) == 13
 
+    def test_probes_skipped_names_the_reason(self, B60, monkeypatch):
+        from fusionforge import spectral
+
+        assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
+
+        def degenerate(fd, *args, **kwargs):
+            raise DegenerateSpectrum("forced collapse")
+
+        monkeypatch.setattr(spectral, "character_table", degenerate)
+        rep = inequality_suite(B60, num_samples=3, seed=1)
+        assert rep.probes_skipped == "DegenerateSpectrum: forced collapse"
+        assert rep.to_dict()["probes_skipped"] == rep.probes_skipped
+        assert rep["dual_young_falsify"].n_evals == 3 + 5  # samples + basis/Perron pairs
+
+        def broken(fd, *args, **kwargs):
+            raise TypeError("a bug, not a spectral failure")
+
+        monkeypatch.setattr(spectral, "character_table", broken)
+        with pytest.raises(TypeError):
+            inequality_suite(B60, num_samples=3, seed=1)
+
+    def test_memory_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        B = canonical_from_fusion_data(cyclic_group_ring(12))
+        peaks = []
+        for n in (SUITE_CHUNK, 8 * SUITE_CHUNK):
+            tracemalloc.start()
+            inequality_suite(B, num_samples=n, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
     def test_conv_b_one_norm_factorizes_on_schur_rings(self, B60, Bz6, f210):
         # on a Schur-passing ring, ||x *_B y||_1 = ||x||_1 ||y||_1 for x, y >= 0
         from fusionforge.bialgebra import canonical_from_fusion_data
@@ -354,3 +404,249 @@ class TestInequalitySuite:
                 lhs = B.norm(B.conv_b(x, y), 1)
                 rhs = B.norm(x, 1) * B.norm(y, 1)
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-sample inequality loop the batched suite replaced, with
+# its own per-element eigh norms, supports and entropies
+
+
+def _p_of(ip):
+    return np.inf if ip == 0 else 1.0 / ip
+
+
+def _ref_spectrum_b(B, x):
+    X = B.rep(x)
+    w, U = np.linalg.eigh(np.conj(X.T) @ X)
+    return np.maximum(w, 0.0), np.abs(U[0, :]) ** 2
+
+
+def _ref_norm(B, x, p):
+    if x.side == "A":
+        t = np.abs(x.coeffs / B.dims)
+        if p == np.inf:
+            return float(t.max())
+        return float(np.sum((t**p) * B.dims**2) ** (1.0 / p))
+    w, omega = _ref_spectrum_b(B, x)
+    if p == np.inf:
+        return float(np.sqrt(w.max()))
+    return float(np.sum(omega * w ** (p / 2.0)) ** (1.0 / p))
+
+
+def _ref_support(B, x, rank_tol=1e-8):
+    if x.side == "A":
+        t = np.abs(x.coeffs / B.dims)
+        if t.max() == 0.0:
+            return 0.0
+        return float(np.sum((B.dims**2)[t > rank_tol * t.max()]))
+    w, omega = _ref_spectrum_b(B, x)
+    s = np.sqrt(w)
+    if s.max() == 0.0:
+        return 0.0
+    return float(np.sum(omega[s > rank_tol * s.max()]))
+
+
+def _ref_entropy(B, x):
+    if x.side == "A":
+        t = np.abs(x.coeffs / B.dims) ** 2
+        w = B.dims**2
+        mask = t > 0
+        return float(-np.sum(w[mask] * t[mask] * np.log(t[mask])))
+    w, omega = _ref_spectrum_b(B, x)
+    mask = w > 0
+    return float(-np.sum(omega[mask] * w[mask] * np.log(w[mask])))
+
+
+class _RefTracker:
+    """One check of the reference loop; also keeps the second-best slack."""
+
+    def __init__(self, name, is_falsifier=False):
+        self.name, self.is_falsifier = name, is_falsifier
+        self.worst_slack = self.second = math.inf
+        self.n_evals = self.violations = 0
+        self.worst_detail = {}
+
+    def add(self, slack, tol, **detail):
+        self.n_evals += 1
+        if slack < self.worst_slack:
+            self.second = self.worst_slack
+            self.worst_slack, self.worst_detail = slack, detail
+        elif slack < self.second:
+            self.second = slack
+        if slack < -tol:
+            self.violations += 1
+
+
+def reference_inequality_suite(B, num_samples, seed, tol=1e-8):
+    from fusionforge import spectral
+    from fusionforge.bialgebra import INV_P_GRID, Element
+
+    rng = np.random.default_rng(seed)
+    m, mu, grid = B.rank, B.mu, INV_P_GRID
+    names = ["plancherel", "hausdorff_young_A", "hausdorff_young_B", "norm_bounds_K",
+             "donoho_stark_A", "donoho_stark_B", "hirschman_beckner", "renyi", "young_A",
+             "conv_norm_identity", "sumset", "dual_young_positive", "dual_young_falsify"]
+    (plancherel, hy_a, hy_b, kb, ds_a, ds_b, hb, ren, yg, cni, ss, dyp, dyf) = trackers = [
+        _RefTracker(n, n == "dual_young_falsify") for n in names]
+    hy_grid = [ip for ip in grid if 0.5 <= ip <= 1.0]
+    young_pairs = [(ip, iq) for ip in grid for iq in grid if ip + iq >= 1.0]
+    norm, support, entropy = (lambda x, p: _ref_norm(B, x, p),
+                              lambda x: _ref_support(B, x), lambda x: _ref_entropy(B, x))
+
+    def rand_elem(side):
+        return Element(rng.standard_normal(m) + 1j * rng.standard_normal(m), side)
+
+    targeted = [(B.basis(j, "B"), Element(B.dims.astype(complex), "B")) for j in range(m)]
+    try:
+        ct = spectral.character_table(B.fd)
+        projs = [Element(p.coeffs, "B") for p in spectral.dual_projections(B.fd, ct)]
+        nhat = spectral.dual_fusion_coefficients(B.fd, ct)
+        for a in range(m):
+            for b in range(a, m):
+                targeted.append((projs[a], projs[b]))
+        a, b, _ = np.unravel_index(int(np.argmin(nhat)), nhat.shape)
+        sgn = np.sign(nhat[a, b])
+        sgn[sgn == 0] = 1.0
+        u = Element(sum(s * p.coeffs for s, p in zip(sgn, projs)), "B")
+        targeted += [(u, p) for p in projs]
+    except NotCommutative:
+        pass
+
+    for it in range(num_samples):
+        x_a, y_a, x_b, y_b = rand_elem("A"), rand_elem("A"), rand_elem("B"), rand_elem("B")
+        norms_a_x = {ip: norm(x_a, _p_of(ip)) for ip in grid}
+        norms_a_y = {ip: norm(y_a, _p_of(ip)) for ip in grid}
+        fx = B.fourier(x_a)
+        norms_b_fx = {ip: norm(fx, _p_of(ip)) for ip in grid}
+        dev = abs(norms_b_fx[0.5] - norms_a_x[0.5])
+        plancherel.add(-dev, 1e-10 * max(1.0, norms_a_x[0.5]), sample=it)
+        for ip in hy_grid:
+            hy_a.add(norms_a_x[ip] - norms_b_fx[round(1.0 - ip, 1)], tol, ip=ip, sample=it)
+        ftx = B.fourier_tilde(x_b)
+        norms_b_x = {ip: norm(x_b, _p_of(ip)) for ip in grid}
+        norms_a_ftx = {ip: norm(ftx, _p_of(ip)) for ip in grid}
+        for ip in hy_grid:
+            hy_b.add(norms_b_x[ip] - norms_a_ftx[round(1.0 - ip, 1)], tol, ip=ip, sample=it)
+        for ip in grid:
+            np_b = norms_b_x[ip]
+            for iq in grid:
+                K_up = k_constant(ip, iq, mu)
+                K_lo = k_constant(round(1.0 - ip, 1), round(1.0 - iq, 1), mu)
+                nq_a = norms_a_ftx[iq]
+                kb.add(K_up * np_b - nq_a, tol * max(1.0, K_up * np_b),
+                       ip=ip, iq=iq, side="ub", sample=it)
+                kb.add(nq_a - np_b / K_lo, tol * max(1.0, nq_a),
+                       ip=ip, iq=iq, side="lb", sample=it)
+        ds_a.add(support(x_a) * support(fx) - 1.0, tol, sample=it)
+        ds_b.add(support(x_b) * support(ftx) - 1.0, tol, sample=it)
+        n2 = norms_a_x[0.5]
+        hb.add(entropy(x_a) + entropy(fx) + 4.0 * n2 * n2 * math.log(n2),
+               tol * max(1.0, n2 * n2), sample=it)
+        xn = Element(x_a.coeffs / n2, "A")
+        fxn = Element(xn.coeffs, "B")
+        log_b = {ip: math.log(norm(fxn, _p_of(ip))) for ip in grid}
+        log_a = {ip: math.log(norm(xn, _p_of(ip))) for ip in grid}
+        for it_ in grid:
+            for is_ in grid:
+                ren.add(log_b[it_] - log_a[is_] + math.log(k_constant(it_, is_, mu)), tol,
+                        inv_t=it_, inv_s=is_, sample=it)
+        xy = B.conv(x_a, y_a)
+        for ip, iq in young_pairs:
+            lhs = norm(xy, _p_of(round(ip + iq - 1.0, 10)))
+            rhs = norms_a_x[ip] * norms_a_y[iq]
+            yg.add(rhs - lhs, tol * max(1.0, rhs), ip=ip, iq=iq, sample=it)
+        xp, yp = Element(np.abs(x_a.coeffs), "A"), Element(np.abs(y_a.coeffs), "A")
+        lhs = norm(B.conv(xp, yp), 1)
+        rhs = norm(xp, 1) * norm(yp, 1)
+        cni.add(-abs(lhs - rhs), tol * max(1.0, rhs), sample=it)
+        s_conv = support(B.conv(B.range_projection(x_a), B.range_projection(y_a)))
+        ss.add(s_conv - max(support(x_a), support(y_a)), tol * max(1.0, s_conv), sample=it)
+        xbp = Element(np.abs(x_b.coeffs), "B")
+        rhs = norm(xbp, np.inf) * norm(y_b, 1)
+        dyp.add(rhs - norm(B.conv_b(xbp, y_b), np.inf), tol * max(1.0, rhs), sample=it)
+        rhs = norm(x_b, np.inf) * norm(y_b, 1)
+        dyf.add(rhs - norm(B.conv_b(x_b, y_b), np.inf), tol * max(1.0, rhs), sample=it)
+
+    for x_b, y_b in targeted:
+        rhs = norm(x_b, np.inf) * norm(y_b, 1)
+        dyf.add(rhs - norm(B.conv_b(x_b, y_b), np.inf), tol * max(1.0, rhs), sample=-1)
+    return trackers
+
+
+def _s3_group_ring():
+    perms = sorted(itertools.permutations(range(3)))  # identity first
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(g[h[k]] for k in range(3))] for h in perms] for g in perms]
+    return rings.group_ring(np.array(table), label="S3")
+
+
+# the two identity checks: their slack is rounding noise, not a bound
+_NOISE_CHECKS = ("plancherel", "conv_norm_identity")
+
+
+def assert_matches_reference(B, num_samples, seed, tol=1e-8):
+    rep = inequality_suite(B, num_samples=num_samples, seed=seed, tol=tol)
+    ref = reference_inequality_suite(B, num_samples, seed, tol)
+    assert [c.name for c in rep.checks] == [r.name for r in ref]
+    for c, r in zip(rep.checks, ref):
+        where = (B.fd.label, seed, c.name)
+        assert (c.n_evals, c.violations, c.is_falsifier) == (
+            r.n_evals, r.violations, r.is_falsifier), where
+        if tol < 0:
+            continue
+        if c.name in _NOISE_CHECKS:
+            assert c.violations == 0, where
+            continue
+        s = r.worst_slack
+        assert c.worst_slack == s or abs(c.worst_slack - s) <= 1e-12 * (1 + abs(s)), where
+        if r.second - s > 1e-12:
+            assert c.worst_detail == r.worst_detail, where
+    return rep
+
+
+class TestBatchedSuiteMatchesLoop:
+    """The batched suite against the per-sample reference loop: equal counts,
+    worst slacks to 1e-12 relative, and the same worst evaluation wherever
+    the reference's best two slacks are apart."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpus(self, corpus_entries, seed):
+        for e in corpus_entries:
+            assert_matches_reference(canonical_from_fusion_data(e.fd), 10, seed)
+
+    def test_noncommutative_group_ring(self):
+        rep = assert_matches_reference(canonical_from_fusion_data(_s3_group_ring()), 20, 3)
+        assert rep.probes_skipped.startswith("NotCommutative")
+        assert rep["dual_young_falsify"].n_evals == 20 + 6  # samples + basis/Perron pairs
+
+    def test_rank3_falsifier(self):
+        B = rank3_type1(Rank3Type1Params(1000.0, 500.0, 0.750001))
+        rep = assert_matches_reference(B, 50, 7)
+        assert rep["dual_young_falsify"].violations > 0
+
+    def test_no_samples(self, B60):
+        rep = assert_matches_reference(B60, 0, 5)
+        assert all(c.n_evals == 0 and c.worst_slack == math.inf and c.worst_detail == {}
+                   for c in rep.checks if not c.is_falsifier)
+        assert rep["dual_young_falsify"].n_evals == 5 + 15 + 5  # targeted probes only
+
+    @pytest.mark.parametrize("tol", [-0.03, -0.4])
+    def test_slack_distribution(self, B60, Bz6, f210, tol):
+        # a negative tolerance counts the slacks below |tol| (times each
+        # check's scale), so equal counts compare more than the minimum
+        for B in (B60, Bz6, canonical_from_fusion_data(f210)):
+            assert_matches_reference(B, 15, 9, tol)
+
+    def test_fold_keeps_the_first_worst(self):
+        res = CheckResult("c", math.inf, 0, 0, {})
+        detail = lambda s, k: {"k": k, "sample": s}  # noqa: E731
+        _fold(res, np.array([[2.0, -1.0], [-1.0, 0.5]]), 0.5, detail)
+        _fold(res, np.array([[-1.0, 3.0]]), 0.5, lambda s, k: {"later": True})
+        assert (res.worst_slack, res.worst_detail) == (-1.0, {"k": 1, "sample": 0})
+        assert (res.n_evals, res.violations) == (6, 3)
+        _fold(res, np.array([[-1.5]]), 0.5, lambda s, k: {"later": True})
+        assert res.worst_detail == {"later": True}
+
+    def test_one_past_a_chunk(self, Bz6):
+        rep = assert_matches_reference(Bz6, SUITE_CHUNK + 1, 11)
+        assert rep.num_samples == SUITE_CHUNK + 1

@@ -95,6 +95,24 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "ineq-suite", "z5", "--samples", "20")
         assert code == EXIT_OK
         assert "theorem-backed violations: 0" in out
+        assert "probes skipped" not in out
+
+    def test_ineq_suite_reports_skipped_probes(self, capsys, tmp_path):
+        import itertools
+
+        import numpy as np
+
+        from fusionforge import rings
+
+        perms = sorted(itertools.permutations(range(3)))
+        table = [[perms.index(tuple(g[h[k]] for k in range(3))) for h in perms] for g in perms]
+        path = tmp_path / "s3.frt"
+        path.write_text(corpus.serialize_fusion_ring(rings.group_ring(np.array(table))))
+        code, out, _ = run(capsys, "ineq-suite", str(path), "--samples", "5")
+        assert code == EXIT_OK
+        assert "targeted dual-projection probes skipped: NotCommutative" in out
+        code, out, _ = run(capsys, "ineq-suite", "--json", str(path), "--samples", "5")
+        assert json.loads(out)["probes_skipped"].startswith("NotCommutative")
 
 
 class TestCorpusCommands:

@@ -111,3 +111,19 @@ class TestCorpus:
             if e.expected_schur is not None and rings.is_commutative(e.fd):
                 rep = criteria.schur_commutative(character_table(e.fd))
                 assert rep.holds == e.expected_schur, e.id
+
+
+class TestCache:
+    def test_paper_entries_parsed_once_env_dir_read_each_call(
+        self, tmp_path, monkeypatch, psl25
+    ):
+        monkeypatch.setenv("FUSIONFORGE_CORPUS_DIR", str(tmp_path))
+        first = corpus.corpus()
+        (tmp_path / "late.frt").write_text(serialize_fusion_ring(psl25))
+        second = corpus.corpus()
+        assert first is not second
+        assert first[0] is second[0] and first[0].fd is second[0].fd
+        assert "late" not in [e.id for e in first]
+        assert second[-1].id == "late" and second[-1].fd == psl25
+        first.clear()  # each caller owns its list
+        assert len(corpus.corpus()) == len(second)
