@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import spectral
+from . import criteria, spectral
 from .errors import (
     BadExponent,
     ConvergenceFailure,
@@ -471,24 +471,15 @@ def rank3_dual_schur(params: Rank3Type1Params, tol: Optional[float] = None) -> d
     property fails on the dual of this rank-3 fusion algebra.
     """
     data = rank3_dual_data(params)
-    bialg = rank3_type1(params)
-    d = bialg.dims
-    if tol is None:
-        tol = 1e-9 * (1 + bialg.mu)
-    qs = [
-        bialg.mu * data.q1.coeffs.real,
+    # the scaled projections are the columns of the character table
+    lam = np.column_stack([
+        rank3_type1(params).mu * data.q1.coeffs.real,
         data.nu2 * data.q2.coeffs.real,
         data.nu3 * data.q3.coeffs.real,
-    ]
-    worst = math.inf
-    arg = None
-    for i in range(3):
-        for j in range(i, 3):
-            for k in range(j, 3):
-                val = float(np.sum(qs[i] * qs[j] * qs[k] / d))
-                if val < worst:
-                    worst, arg = val, (i + 1, j + 1, k + 1)
-    return {"min_value": worst, "holds": worst >= -tol, "worst_triple": arg, "data": data}
+    ])
+    rep = criteria._schur_report(lam, tol)
+    return {"min_value": rep.worst_value, "holds": rep.holds,
+            "worst_triple": rep.worst_triple, "data": data}
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,9 @@ def cmd_schur(args) -> int:
         rep = criteria.schur_commutative(ct)
         print(rep)
         if args.all_triples:
-            m = ct.rank
-            for a in range(m):
-                for b in range(a, m):
-                    for c in range(b, m):
-                        v = criteria.schur_triple_sum(ct, a, b, c)
-                        print(f"  ({a + 1},{b + 1},{c + 1}) -> {v.real:.12g}")
+            sums = criteria._triple_sums(ct.lam).real
+            for a, b, c in criteria._sorted_triples(ct.rank):
+                print(f"  ({a + 1},{b + 1},{c + 1}) -> {sums[a, b, c]:.12g}")
         ok = rep.holds
     else:
         print("noncommutative ring: sampling falsifier "

@@ -14,6 +14,8 @@ all u_1, u_2, u_3; sampling can only falsify it, never certify it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,7 +52,6 @@ class SchurReport:
     n_triples: int
     max_imag: float
     inconclusive: bool = False
-    all_sums: Optional[np.ndarray] = None  # full m^3 survey on request
 
     def __str__(self):
         verdict = "holds" if self.holds else "FAILS"
@@ -61,72 +62,63 @@ class SchurReport:
         )
 
 
+def _triple_sums(lam: np.ndarray) -> np.ndarray:
+    """All Schur triple sums of a character table, as an (m, m, m) array.
+
+    ``S[a, b, c] = sum_i lam[i,a] lam[i,b] lam[i,c] / lam[i,0]``, with
+    the Frobenius-Perron column first; S is symmetric in a, b, c.
+    """
+    w = lam / lam[:, 0].real[:, None]  # w[i,j] = lam[i,j]/d_i
+    return np.einsum("ia,ib,ic->abc", lam, lam, w)
+
+
+@functools.cache
+def _sorted_triples(m: int) -> np.ndarray:
+    """The triples a <= b <= c as a read-only (n, 3) array, in nested-loop
+    order."""
+    out = np.array(list(itertools.combinations_with_replacement(range(m), 3)))
+    out.flags.writeable = False
+    return out
+
+
 def schur_triple_sum(ct: CharacterTable, j1: int, j2: int, j3: int) -> complex:
     """sum_i lam[i,j1] lam[i,j2] lam[i,j3] / lam[i,1] for 0-based columns.
 
     The imaginary part is returned for diagnostics; on a genuine
     character table it vanishes up to numerical noise.
     """
-    lam = ct.lam
-    return complex(np.sum(lam[:, j1] * lam[:, j2] * lam[:, j3] / lam[:, 0].real))
+    return complex(_triple_sums(ct.lam)[j1, j2, j3])
 
 
-def _all_triple_sums(ct: CharacterTable) -> np.ndarray:
-    w = ct.lam / ct.lam[:, 0].real[:, None]  # w[i,j] = lam[i,j]/d_i
-    return np.einsum("ia,ib,ic->abc", ct.lam, ct.lam, w)
-
-
-def schur_commutative(
-    ct: CharacterTable,
-    tol: Optional[float] = None,
-    decide_only: bool = False,
-    keep_sums: bool = False,
-) -> SchurReport:
-    """Scan all column triples j1 <= j2 <= j3 (the sum is symmetric).
-
-    Values in (-tol, 0) are flagged inconclusive rather than failed.
-    With ``decide_only`` the scan stops at the first decisive negative;
-    otherwise the minimum over all triples is reported, and
-    ``keep_sums`` attaches the full m^3 survey array.
-    """
-    m = ct.rank
-    mu = float(np.sum(ct.fp_column**2))
+def _schur_report(lam: np.ndarray, tol: Optional[float] = None) -> SchurReport:
+    """The Schur verdict on the character table ``lam`` (Perron column
+    first); the worst triple is the first minimum in a <= b <= c order."""
     if tol is None:
-        tol = decision_tol(mu)
-
-    if decide_only:
-        worst = np.inf
-        arg = (1, 1, 1)
-        max_imag = 0.0
-        for a in range(m):
-            for b in range(a, m):
-                for c in range(b, m):
-                    v = schur_triple_sum(ct, a, b, c)
-                    max_imag = max(max_imag, abs(v.imag))
-                    if v.real < worst:
-                        worst, arg = v.real, (a + 1, b + 1, c + 1)
-                    if v.real < -tol:
-                        return SchurReport(False, arg, worst, tol, -1, max_imag)
-        n = m * (m + 1) * (m + 2) // 6
-        return SchurReport(worst >= -tol, arg, worst, tol, n, max_imag,
-                           inconclusive=-tol <= worst < 0)
-
-    sums = _all_triple_sums(ct)
-    max_imag = float(np.max(np.abs(sums.imag)))
-    re = sums.real
-    idx = np.unravel_index(int(np.argmin(re)), re.shape)
-    worst = float(re[idx])
-    n = m * (m + 1) * (m + 2) // 6
+        tol = decision_tol(float(np.sum(lam[:, 0].real ** 2)))
+    sums = _triple_sums(lam)
+    triples = _sorted_triples(lam.shape[0])
+    values = sums.real[tuple(triples.T)]
+    k = int(np.argmin(values))
+    worst = float(values[k])
     return SchurReport(
         worst >= -tol,
-        tuple(sorted(int(i) + 1 for i in idx)),
+        tuple(int(i) + 1 for i in triples[k]),
         worst,
         tol,
-        n,
-        max_imag,
+        len(triples),
+        float(np.max(np.abs(sums.imag))),
         inconclusive=-tol <= worst < 0,
-        all_sums=re if keep_sums else None,
     )
+
+
+def schur_commutative(ct: CharacterTable, tol: Optional[float] = None) -> SchurReport:
+    """Scan all column triples j1 <= j2 <= j3 (the sum is symmetric).
+
+    Every triple sum comes from one contraction of the table; the report
+    names the smallest, the first in loop order on a tie.  Values in
+    (-tol, 0) are flagged inconclusive rather than failed.
+    """
+    return _schur_report(ct.lam, tol)
 
 
 @dataclass(frozen=True)
@@ -164,16 +156,16 @@ def schur_noncommutative_falsify(
         q3 = np.einsum("k,ikl,l->i", np.conj(u3), N, u3)
         return float(np.sum(q1 * q2 * q3 / d).real)
 
-    counter = 0
     if rings.is_commutative(fd):
+        # the first triple a <= b <= c whose sum fails transfers to a witness
         ct = character_table(fd)
-        V = ct.vectors
-        for a in range(m):
-            for b in range(a, m):
-                for c in range(b, m):
-                    val = evaluate(V[:, a], V[:, b], V[:, c])
-                    if val < -tol:
-                        return FalsifierWitness((V[:, a], V[:, b], V[:, c]), val, -1)
+        triples = _sorted_triples(m)
+        failing = _triple_sums(ct.lam).real[tuple(triples.T)] < -tol
+        if failing.any():
+            u = tuple(ct.vectors[:, j] for j in triples[np.argmax(failing)])
+            val = evaluate(*u)
+            if val < -tol:
+                return FalsifierWitness(u, val, -1)
     rng = np.random.default_rng(seed)
     for counter in range(num_samples):
         u = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))

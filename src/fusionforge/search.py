@@ -14,9 +14,12 @@ on three facts:
   sum_s N[j,k,s]^2 <= min(d_j^2, d_k^2) cap the domains.
 
 Associativity instances are checked the moment their last cell is
-assigned.  Found tensors are deduplicated by canonical form under the
-dimension-preserving permutations commuting with the involution, then
-confirmed pairwise with the isomorphism test.
+assigned.  Found tensors are deduplicated by canonical form: the least
+tensor over the permutations that fix the unit, commute with the
+involution and preserve dimensions (all equal when unknown, as in the
+rank-5 family).  Every isomorphism between two rings with the same
+dimensions and involution is such a permutation, so equal keys are
+exactly isomorphic rings and no pairwise test is needed.
 
 The inner DFS is an iterative loop over flat int64 arrays.  It runs as
 C (``_kernel.c``, built on first use with the system C compiler and
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import criteria, rings
 from .errors import SearchTimeout, UnboundedSearch
-from .rings import FusionData, TypeSignature, are_isomorphic
+from .rings import FusionData, TypeSignature
 from .spectral import character_table
 
 # whether numba is importable, for callers that report it; the search
@@ -62,7 +65,6 @@ __all__ = [
     "enumerate_types",
     "enumerate_involutions",
     "enumerate_fusion_rings",
-    "naive_enumerate_fusion_rings",
     "classify",
     "rank5_three_selfadjoint_family",
     "RANK5_TEMPLATE_DUAL",
@@ -857,19 +859,25 @@ def enumerate_fusion_rings(
         if stats is not None:
             stats.merge(SearchStats(0, 0, 0, 1, 0.0, True))
         return [fd] if rings.verify_axioms(fd).all_ok else []
+    return _search(prob, dual, "found", node_budget, max_results, stats)
+
+
+def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
+    """Run the kernel on ``prob`` and return the rings it found, up to
+    isomorphism; SearchTimeout carries them when the kernel stopped early."""
     status, found, st = _run_kernel(prob, node_budget, max_results)
     if stats is not None:
         stats.merge(st)
-    rings_out = _collect(found, dims, dual, sig)
+    out = _collect(found, prob["d"], dual, label_prefix)
     if status == 1:
-        raise SearchTimeout(f"node budget {node_budget} exhausted", partial=rings_out)
+        raise SearchTimeout(f"node budget {node_budget} exhausted", partial=out)
     if status == 2:
-        raise SearchTimeout(f"result buffer {max_results} exhausted", partial=rings_out)
-    return rings_out
+        raise SearchTimeout(f"result buffer {max_results} exhausted", partial=out)
+    return out
 
 
-def _collect(found, dims, dual, sig, label_prefix="found") -> list:
-    """Canonical dedup + isomorphism confirmation + final axiom check."""
+def _collect(found, dims, dual, label_prefix) -> list:
+    """Canonical dedup + final axiom check."""
     m = len(dual)
     group = _dedup_group(dims, dual)
     by_key = {}
@@ -881,85 +889,8 @@ def _collect(found, dims, dual, sig, label_prefix="found") -> list:
     for i, (key, N) in enumerate(sorted(by_key.items())):
         fd = FusionData(N.copy(), np.asarray(dual), "exact", label=f"{label_prefix}-{i + 1}")
         assert rings.verify_axioms(fd).all_ok, "search emitted an invalid ring"
-        if any(are_isomorphic(fd, other) is not None for other in out):
-            continue
         out.append(fd)
     return out
-
-
-def naive_enumerate_fusion_rings(sig: TypeSignature, involution: Sequence[int]) -> list:
-    """Brute-force oracle for small instances.
-
-    Rows are enumerated independently as solutions of the dimension
-    equation with the trivial cap N[j,k,s] <= d_j d_k / d_s, combined
-    row by row with Frobenius reciprocity used only as a consistency
-    filter between already-placed rows, and all axioms re-verified at
-    the leaves.  No coefficient bounds, no orbit compression, no partial
-    associativity -- deliberately none of the machinery the fast search
-    relies on.  Only viable for tiny ranks.
-    """
-    dims = list(sig.dims)
-    dual = list(involution)
-    m = len(dims)
-
-    def row_solutions(j, k):
-        target = dims[j] * dims[k] - (1 if dual[j] == k else 0)
-        sols = []
-
-        def rec(s, remaining, acc):
-            if s == m:
-                if remaining == 0:
-                    sols.append(tuple(acc))
-                return
-            cap = (dims[j] * dims[k]) // dims[s]
-            for v in range(min(cap, remaining // dims[s]) + 1):
-                rec(s + 1, remaining - v * dims[s], acc + [v])
-
-        rec(1, target, [])
-        return sols
-
-    rows = [(j, k) for j in range(1, m) for k in range(1, m)]
-    per_row = [row_solutions(j, k) for j, k in rows]
-    N = np.zeros((m, m, m), dtype=np.int64)
-    for k in range(m):
-        N[0, k, k] = 1
-    for j in range(1, m):
-        N[j, 0, j] = 1
-        N[j, dual[j], 0] = 1
-
-    out = []
-
-    def consistent(upto):
-        """Reciprocity between every pair of placed rows (rows 0..upto)."""
-        placed = {rows[t] for t in range(upto + 1)}
-        j, k = rows[upto]
-        for s in range(1, m):
-            v = N[j, k, s]
-            for a, b, c in ((dual[k], dual[j], dual[s]), (dual[j], s, k)):
-                if (a, b) in placed and N[a, b, c] != v:
-                    return False
-        return True
-
-    def rec(t):
-        if t == len(rows):
-            fd = FusionData(N.copy(), np.asarray(dual), "exact")
-            if rings.verify_axioms(fd).all_ok:
-                if np.max(np.abs(rings.fp_dimensions(fd) - np.asarray(dims, float))) < 1e-6:
-                    out.append(fd)
-            return
-        j, k = rows[t]
-        for vals in per_row[t]:
-            N[j, k, 1:] = vals
-            if consistent(t):
-                rec(t + 1)
-        N[j, k, 1:] = 0
-
-    rec(0)
-    dedup = []
-    for fd in out:
-        if not any(are_isomorphic(fd, g) is not None for g in dedup):
-            dedup.append(fd)
-    return dedup
 
 
 # ---------------------------------------------------------------------------
@@ -984,26 +915,7 @@ def rank5_three_selfadjoint_family(
     """
     dual = list(RANK5_TEMPLATE_DUAL)
     prob = _build_problem(None, dual, max_mult=max_multiplicity, use_dims=False)
-    status, found, st = _run_kernel(prob, node_budget, 200_000)
-    if stats is not None:
-        stats.merge(st)
-    m = 5
-    # dims are unknown; the admissible relabelings are exactly the
-    # permutations preserving the duality pattern: swap 2<->3 and/or 4<->5
-    group = [(0, 1, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 4, 3)]
-    by_key = {}
-    for flat in found:
-        key = _canonical_key(np.asarray(flat), m, group)
-        if key not in by_key:
-            by_key[key] = np.asarray(flat).reshape(m, m, m)
-    out = []
-    for i, (key, N) in enumerate(sorted(by_key.items())):
-        fd = FusionData(N.copy(), np.asarray(dual), "exact", label=f"r5sa-{i + 1}")
-        assert rings.verify_axioms(fd).all_ok
-        out.append(fd)
-    if status != 0:
-        raise SearchTimeout(f"budget exhausted ({status})", partial=out)
-    return out
+    return _search(prob, dual, "r5sa", node_budget, 200_000, stats)
 
 
 # ---------------------------------------------------------------------------

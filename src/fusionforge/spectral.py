@@ -94,40 +94,24 @@ def character_table(fd: FusionData, tol: float = RESIDUAL_TOL, seed: int = _SEED
     scale = float(np.max(np.abs(N))) * m + 1.0
     rng = np.random.default_rng(seed)
 
-    last_residual = np.inf
     for _ in range(REDRAWS):
         c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
         c = c + np.conj(c[dual])  # makes sum_i c_i M_i Hermitian (M_i^T = M_{i*})
         T = np.einsum("i,ikl->kl", c, N.astype(complex))
         _, V = np.linalg.eigh(T)
-
-        lam = np.empty((m, m), dtype=complex)
-        ok = True
-        worst = 0.0
-        for j in range(m):
-            v = V[:, j]
-            for i in range(m):
-                Mv = N[i] @ v
-                lam[i, j] = np.vdot(v, Mv)
-                worst = max(worst, float(np.linalg.norm(Mv - lam[i, j] * v)))
-            if worst > tol * scale:
-                ok = False
-                break
-        last_residual = worst
-        if not ok:
+        lam, last_residual = _eigen_residual(N, V)
+        if last_residual > tol * scale:
             continue
 
         # phase fix: largest-magnitude component real positive
-        for j in range(m):
-            v = V[:, j]
-            k = int(np.argmax(np.abs(v)))
-            V[:, j] = v / (v[k] / abs(v[k]))
+        top = V[np.argmax(np.abs(V), axis=0), np.arange(m)]
+        V = V / (top / np.abs(top))
 
         order = _column_order(lam, d)
         lam = lam[:, order]
         V = V[:, order]
         lam[:, 0] = lam[:, 0].real
-        return CharacterTable(lam, V, worst, tol, tuple(order))
+        return CharacterTable(lam, V, last_residual, tol, tuple(order))
 
     raise DegenerateSpectrum(
         f"joint eigenvector validation failed after {REDRAWS} draws "
@@ -162,15 +146,21 @@ def _column_order(lam: np.ndarray, d: np.ndarray) -> list:
     return [perron] + rest
 
 
+def _eigen_residual(N: np.ndarray, V: np.ndarray, lam=None) -> tuple:
+    """(lam, max_{i,j} ||M_i v_j - lam[i,j] v_j||) for the columns v_j of V.
+
+    All products M_i v_j come from one stacked product; without ``lam``
+    the Rayleigh quotients lam[i,j] = <v_j, M_i v_j> are used.
+    """
+    MV = np.swapaxes(N @ V, 1, 2)  # MV[i, j] = M_i v_j
+    if lam is None:
+        lam = np.einsum("jk,ijk->ij", V.T.conj(), MV)
+    return lam, float(np.max(np.linalg.norm(MV - lam[:, :, None] * V.T, axis=-1)))
+
+
 def verify_character_table(fd: FusionData, ct: CharacterTable) -> float:
     """Recompute max_{i,j} ||M_i v_j - lam[i,j] v_j|| from scratch."""
-    N = np.asarray(fd.tensor, dtype=float)
-    worst = 0.0
-    for j in range(ct.rank):
-        v = ct.vectors[:, j]
-        for i in range(ct.rank):
-            worst = max(worst, float(np.linalg.norm(N[i] @ v - ct.lam[i, j] * v)))
-    return worst
+    return _eigen_residual(np.asarray(fd.tensor, dtype=float), ct.vectors, ct.lam)[1]
 
 
 # ---------------------------------------------------------------------------

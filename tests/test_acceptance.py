@@ -23,11 +23,11 @@ from fusionforge.search import (
     enumerate_fusion_rings,
     enumerate_involutions,
     enumerate_types,
-    naive_enumerate_fusion_rings,
     rank5_three_selfadjoint_family,
 )
 from fusionforge.spectral import character_table
 
+from oracles import naive_enumerate_fusion_rings
 from test_spectral import f210_paper_table, match_columns, rank3_closed_form_table
 
 PAPER_FLAGS = dict(

@@ -32,6 +32,8 @@ from fusionforge.errors import (
 )
 from fusionforge.rings import cyclic_group_ring
 
+from test_criteria import assert_same_worst
+
 
 @pytest.fixture(scope="module")
 def B60(psl25):
@@ -260,6 +262,52 @@ class TestFamilies:
             Rank3Type1Params(2.0, 2.0, 1.5).validate()
 
 
+def sign_agreement_points():
+    """15 random admissible rank-3 points, each with the results of
+    rank3_dual_schur and of the character-table criterion."""
+    from fusionforge.criteria import schur_commutative
+    from fusionforge.spectral import character_table
+
+    rng = np.random.default_rng(20)
+    out = []
+    while len(out) < 15:
+        d2 = float(rng.uniform(1, 6))
+        d3 = float(rng.uniform(1, 6))
+        a = float(rng.uniform(0, 1))
+        p = Rank3Type1Params(d2, d3, a)
+        try:
+            p.validate()
+            r1 = rank3_dual_schur(p)
+            r2 = schur_commutative(character_table(rank3_type1(p).fd))
+        except Exception:
+            continue
+        out.append((p, r1, r2))
+    return out
+
+
+def reference_rank3_dual_schur(p):
+    """The earlier scalar loop of rank3_dual_schur over the scaled dual
+    projections: (worst value, worst 1-based triple, every triple's value,
+    tolerance, mu)."""
+    data = rank3_dual_data(p)
+    bialg = rank3_type1(p)
+    d = bialg.dims
+    qs = [
+        bialg.mu * data.q1.coeffs.real,
+        data.nu2 * data.q2.coeffs.real,
+        data.nu3 * data.q3.coeffs.real,
+    ]
+    worst, arg, values = math.inf, None, {}
+    for i in range(3):
+        for j in range(i, 3):
+            for k in range(j, 3):
+                val = float(np.sum(qs[i] * qs[j] * qs[k] / d))
+                values[(i + 1, j + 1, k + 1)] = val
+                if val < worst:
+                    worst, arg = val, (i + 1, j + 1, k + 1)
+    return worst, arg, values, 1e-9 * (1 + bialg.mu), bialg.mu
+
+
 class TestRank3Dual:
     def test_degenerate_branch_a1(self):
         d = rank3_dual_data(Rank3Type1Params(3.0, 2.0, 1.0))
@@ -293,24 +341,17 @@ class TestRank3Dual:
         assert rank3_dual_schur(rank3_from_mnq(0, 1, 1))["holds"]
 
     def test_sign_agreement_with_character_criterion(self):
-        from fusionforge.criteria import schur_commutative
-        from fusionforge.spectral import character_table
+        for p, r1, r2 in sign_agreement_points():
+            assert r1["holds"] == r2.holds, (p, r1["min_value"], r2.worst_value)
 
-        rng = np.random.default_rng(20)
-        checked = 0
-        while checked < 15:
-            d2 = float(rng.uniform(1, 6))
-            d3 = float(rng.uniform(1, 6))
-            a = float(rng.uniform(0, 1))
-            p = Rank3Type1Params(d2, d3, a)
-            try:
-                p.validate()
-                r1 = rank3_dual_schur(p)
-                r2 = schur_commutative(character_table(rank3_type1(p).fd))
-            except Exception:
-                continue
-            assert r1["holds"] == r2.holds, (d2, d3, a, r1["min_value"], r2.worst_value)
-            checked += 1
+    def test_shared_triple_sums_match_loop(self):
+        points = [Rank3Type1Params(1000.0, 500.0, 0.750001), rank3_from_mnq(0, 1, 1)]
+        points += [p for p, _, _ in sign_agreement_points()]
+        for p in points:
+            res = rank3_dual_schur(p)
+            worst, triple, values, tol, mu = reference_rank3_dual_schur(p)
+            assert_same_worst(res["min_value"], res["worst_triple"], worst, triple, values, mu, p)
+            assert res["holds"] == (worst >= -tol), p
 
 
 class TestBiprojections:

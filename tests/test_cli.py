@@ -27,6 +27,17 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert "-1.54761905" in out
 
+    def test_schur_all_triples(self, capsys):
+        code, out, _ = run(capsys, "schur", "--all-triples", "r7-210-ruledout")
+        assert code == EXIT_OK
+        lines = [ln for ln in out.splitlines() if ln.startswith("  (")]
+        m = 7
+        assert len(lines) == m * (m + 1) * (m + 2) // 6
+        triples = [tuple(int(i) for i in ln.split(")")[0].strip(" (").split(",")) for ln in lines]
+        assert triples == sorted(triples) and all(a <= b <= c for a, b, c in triples)
+        values = [float(ln.split("->")[1]) for ln in lines]
+        assert abs(min(values) - (-65.0 / 42.0)) <= 1e-8
+
     def test_schur_gate_exit(self, capsys):
         code, _, _ = run(capsys, "--gate", "schur", "r7-210-ruledout")
         assert code == EXIT_NEGATIVE

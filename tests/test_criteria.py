@@ -3,13 +3,14 @@ import pytest
 
 from fusionforge import corpus, rings
 from fusionforge.criteria import (
+    decision_tol,
     obstruction_report,
     schur_commutative,
     schur_noncommutative_falsify,
     schur_triple_sum,
 )
-from fusionforge.rings import cyclic_group_ring, global_fpdim
-from fusionforge.spectral import character_table
+from fusionforge.rings import cyclic_group_ring, fp_dimensions, global_fpdim
+from fusionforge.spectral import CharacterTable, character_table
 
 
 def brute_triple_sum(lam, j1, j2, j3):
@@ -17,6 +18,35 @@ def brute_triple_sum(lam, j1, j2, j3):
     return sum(
         lam[i, j1] * lam[i, j2] * lam[i, j3] / lam[i, 0] for i in range(lam.shape[0])
     )
+
+
+def reference_schur_scan(lam):
+    """The earlier scalar scan of schur_commutative (its ``decide_only``
+    loop, run to the end): (worst value, worst 1-based triple, the value of
+    every triple a <= b <= c)."""
+    m = lam.shape[0]
+    worst, arg, values = np.inf, None, {}
+    for a in range(m):
+        for b in range(a, m):
+            for c in range(b, m):
+                v = complex(np.sum(lam[:, a] * lam[:, b] * lam[:, c] / lam[:, 0].real)).real
+                values[(a + 1, b + 1, c + 1)] = v
+                if v < worst:
+                    worst, arg = v, (a + 1, b + 1, c + 1)
+    return worst, arg, values
+
+
+def assert_same_worst(value, triple, ref_value, ref_triple, ref_values, mu, label):
+    """The worst value agrees to rounding; the worst triple is the
+    reference's wherever its minimum is apart from every other triple by
+    more than rounding, and otherwise one the reference ranks as tied."""
+    eps = 1e-12 * (1 + mu)
+    assert abs(value - ref_value) <= eps, label
+    rest = [v for t, v in ref_values.items() if t != ref_triple]
+    if not rest or min(rest) - ref_value > eps:
+        assert triple == ref_triple, label
+    else:
+        assert ref_values[triple] - ref_value <= eps, label
 
 
 class TestTripleSum:
@@ -86,20 +116,67 @@ class TestSchurCommutative:
         assert len(passing) == 6
         assert {"si210-2", "si660-15"} <= set(passing)  # f210, f660
 
-    def test_decide_only_agrees(self, frobenius34):
-        for e in frobenius34[:8]:
+    def test_single_path_matches_loop(self, frobenius34):
+        for e in frobenius34:
             ct = character_table(e.fd)
-            assert (
-                schur_commutative(ct, decide_only=True).holds
-                == schur_commutative(ct).holds
-            )
+            rep = schur_commutative(ct)
+            worst, triple, values = reference_schur_scan(ct.lam)
+            assert_same_worst(rep.worst_value, rep.worst_triple, worst, triple, values,
+                              global_fpdim(e.fd), e.id)
+            assert rep.holds == (worst >= -rep.tolerance), e.id
+            assert rep.n_triples == len(values)
+
+    def test_tie_goes_to_the_first_triple(self):
+        # Z/2: the sums at (1,1,2) and (2,2,2) are both exactly 0
+        lam = np.array([[1.0, 1.0], [1.0, -1.0]])
+        rep = schur_commutative(CharacterTable(lam, np.eye(2), 0.0, 0.0))
+        assert rep.worst_value == 0.0 and rep.worst_triple == (1, 1, 2)
 
     def test_nf924_passes(self):
         fd = corpus.get("nf924").fd
         assert schur_commutative(character_table(fd)).holds
 
 
+def reference_falsifier_prelude(fd, ct, tol):
+    """The earlier commutative prelude of schur_noncommutative_falsify:
+    every eigenvector triple a <= b <= c evaluated in loop order, up to the
+    first one below -tol.  Returns (0-based triple, value) or None."""
+    d = fp_dimensions(fd)
+    N = np.asarray(fd.tensor, dtype=complex)
+    V = ct.vectors
+    m = fd.rank
+    for a in range(m):
+        for b in range(a, m):
+            for c in range(b, m):
+                q = [np.einsum("k,ikl,l->i", np.conj(V[:, j]), N, V[:, j]) for j in (a, b, c)]
+                val = float(np.sum(q[0] * q[1] * q[2] / d).real)
+                if val < -tol:
+                    return (a, b, c), val
+    return None
+
+
 class TestFalsifier:
+    def test_prelude_matches_loop(self, corpus_entries, ruled210):
+        failing = []
+        cases = [("r7-210-ruledout", ruled210)] + [(e.id, e.fd) for e in corpus_entries]
+        for label, fd in cases:
+            if not rings.is_commutative(fd):
+                continue
+            ct = character_table(fd)
+            mu = global_fpdim(fd)
+            ref = reference_falsifier_prelude(fd, ct, decision_tol(mu))
+            w = schur_noncommutative_falsify(fd, num_samples=0)
+            if schur_commutative(ct).holds:
+                assert ref is None and w is None, label
+                continue
+            triple, value = ref
+            assert w.sample_index == -1, label
+            for u, j in zip(w.vectors, triple):
+                assert np.array_equal(u, ct.vectors[:, j]), label
+            assert abs(w.value - value) <= 1e-9 * (1 + mu), label
+            failing.append(label)
+        assert failing[0] == "r7-210-ruledout" and len(failing) == 31
+
     def test_ruled_out_ring_yields_witness(self, ruled210):
         w = schur_noncommutative_falsify(ruled210, num_samples=0, seed=0)
         assert w is not None

@@ -15,9 +15,11 @@ from fusionforge.search import (
     enumerate_fusion_rings,
     enumerate_involutions,
     enumerate_types,
-    naive_enumerate_fusion_rings,
     rank5_three_selfadjoint_family,
 )
+
+from oracles import naive_enumerate_fusion_rings
+
 PAPER_FLAGS = dict(
     require_perfect=True,
     require_divisibility=True,
@@ -298,6 +300,43 @@ class TestRank5Family:
         for fd in rank5_three_selfadjoint_family(1):
             assert list(fd.dual) == [0, 2, 1, 3, 4]
             assert rings.verify_axioms(fd).all_ok
+
+
+class TestDedup:
+    """Canonical keys over the dedup group separate exactly the
+    isomorphism classes; the pairwise isomorphism test is the oracle."""
+
+    def assert_pairwise_distinct(self, found):
+        for i, fd in enumerate(found):
+            for other in found[i + 1:]:
+                assert are_isomorphic(fd, other) is None, (fd.label, other.label)
+
+    @pytest.mark.parametrize("fpdim,rank,n_rings", [(60, 5, 1), (168, 6, 1), (210, 7, 2), (360, 7, 2)])
+    def test_census_rows(self, fpdim, rank, n_rings):
+        c = SearchConstraints(fpdim=fpdim, rank=rank, **PAPER_FLAGS)
+        found = []
+        for sig in enumerate_types(c):
+            for inv in enumerate_involutions(sig):
+                found.extend(enumerate_fusion_rings(sig, inv, c))
+        assert len(found) == n_rings
+        self.assert_pairwise_distinct(found)
+
+    @pytest.mark.parametrize("mult,n_rings", [(2, 13), (4, 47)])
+    def test_rank5_family(self, mult, n_rings):
+        fam = rank5_three_selfadjoint_family(mult)
+        assert [fd.label for fd in fam] == [f"r5sa-{i + 1}" for i in range(n_rings)]
+        self.assert_pairwise_distinct(fam)
+
+    def test_rank5_group_is_the_duality_pattern(self):
+        from fusionforge.search import RANK5_TEMPLATE_DUAL, _dedup_group
+
+        former = [(0, 1, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 4, 3)]
+        assert sorted(_dedup_group([1] * 5, RANK5_TEMPLATE_DUAL)) == sorted(former)
+
+    def test_rank5_timeout_carries_partial(self):
+        with pytest.raises(SearchTimeout, match="node budget 1000 exhausted") as exc:
+            rank5_three_selfadjoint_family(2, node_budget=1000)
+        assert all(fd.label.startswith("r5sa-") for fd in exc.value.partial)
 
 
 class TestCensusRows:

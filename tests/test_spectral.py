@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fusionforge import corpus, rings
+from fusionforge import corpus, rings, spectral
 from fusionforge.bialgebra import Rank3Type1Params, rank3_from_mnq, rank3_type1
-from fusionforge.errors import NotCommutative
+from fusionforge.errors import DegenerateSpectrum, NotCommutative
 from fusionforge.rings import cyclic_group_ring, fp_dimensions
 from fusionforge.spectral import (
+    CharacterTable,
     character_table,
     dual_fusion_coefficients,
     dual_projections,
@@ -93,6 +94,48 @@ def rank3_closed_form_table(m, n, q):
     return np.array([row1, row2, row3], dtype=complex)
 
 
+def reference_character_table(fd, tol=spectral.RESIDUAL_TOL, seed=spectral._SEED):
+    """The earlier character_table, which validated every eigenvector
+    against every fusion matrix in a double loop; the reference for the
+    stacked residual."""
+    m = fd.rank
+    N = np.asarray(fd.tensor, dtype=float)
+    d = fp_dimensions(fd)
+    scale = float(np.max(np.abs(N))) * m + 1.0
+    rng = np.random.default_rng(seed)
+    for _ in range(spectral.REDRAWS):
+        c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        c = c + np.conj(c[fd.dual])
+        _, V = np.linalg.eigh(np.einsum("i,ikl->kl", c, N.astype(complex)))
+        lam = np.empty((m, m), dtype=complex)
+        worst = 0.0
+        for j in range(m):
+            v = V[:, j]
+            for i in range(m):
+                Mv = N[i] @ v
+                lam[i, j] = np.vdot(v, Mv)
+                worst = max(worst, float(np.linalg.norm(Mv - lam[i, j] * v)))
+        if worst > tol * scale:
+            continue
+        for j in range(m):
+            v = V[:, j]
+            k = int(np.argmax(np.abs(v)))
+            V[:, j] = v / (v[k] / abs(v[k]))
+        order = spectral._column_order(lam, d)
+        lam, V = lam[:, order], V[:, order]
+        lam[:, 0] = lam[:, 0].real
+        return lam, V, worst, tuple(order)
+    raise DegenerateSpectrum("reference validation failed")
+
+
+def reference_residual(fd, ct):
+    N = np.asarray(fd.tensor, dtype=float)
+    return max(
+        float(np.linalg.norm(N[i] @ ct.vectors[:, j] - ct.lam[i, j] * ct.vectors[:, j]))
+        for i in range(ct.rank) for j in range(ct.rank)
+    )
+
+
 class TestCharacterTable:
     def test_zn_is_dft(self):
         for n in (2, 3, 5, 8):
@@ -136,6 +179,47 @@ class TestCharacterTable:
             assert match_columns(ct.lam, expected) < 1e-8, (m, n, q)
             checked += 1
 
+    def test_stacked_residual_matches_loop(self, corpus_entries):
+        for e in corpus_entries:
+            if not rings.is_commutative(e.fd):
+                continue
+            ct = character_table(e.fd)
+            lam, V, residual, order = reference_character_table(e.fd)
+            assert ct.column_order == order, e.id
+            assert np.all(np.abs(ct.lam - lam) <= 1e-12 * (1 + np.abs(lam))), e.id
+            assert np.max(np.abs(ct.vectors - V)) <= 1e-12, e.id
+            assert abs(ct.residual - residual) <= 1e-12, e.id
+            ref = reference_residual(e.fd, ct)
+            assert abs(verify_character_table(e.fd, ct) - ref) <= 1e-12, e.id
+            # a perturbed table has residuals of order one, not rounding noise
+            bad = CharacterTable(lam + np.random.default_rng(0).standard_normal(lam.shape),
+                                 ct.vectors, ct.residual, ct.tol)
+            ref = reference_residual(e.fd, bad)
+            assert abs(verify_character_table(e.fd, bad) - ref) <= 1e-12 * ref, e.id
+
+    def test_bad_draw_is_redrawn(self, f210, monkeypatch):
+        base = character_table(f210)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def first_draw_bad(T):
+            calls.append(1)
+            w, V = eigh(T)
+            return (w, np.eye(len(w), dtype=V.dtype)) if len(calls) == 1 else (w, V)
+
+        monkeypatch.setattr(np.linalg, "eigh", first_draw_bad)
+        ct = character_table(f210)
+        assert len(calls) == 2
+        assert np.max(np.abs(ct.lam - base.lam)) < 1e-8
+
+    def test_redraws_then_fails(self, psl25, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(1) or eigh(T))
+        with pytest.raises(DegenerateSpectrum, match=f"after {spectral.REDRAWS} draws"):
+            character_table(psl25, tol=0.0)
+        assert len(calls) == spectral.REDRAWS
+
     def test_residual_and_verify(self, f660):
         ct = character_table(f660)
         assert ct.residual <= 1e-8
@@ -145,8 +229,6 @@ class TestCharacterTable:
         ct = character_table(psl25)
         bad = ct.lam.copy()
         bad[2, 1] = 0.0
-        from fusionforge.spectral import CharacterTable
-
         corrupted = CharacterTable(bad, ct.vectors, ct.residual, ct.tol)
         assert verify_character_table(psl25, corrupted) > 0.1
 
