@@ -30,6 +30,7 @@ use.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import importlib.util
@@ -47,8 +48,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import criteria, rings
-from .errors import SearchTimeout, UnboundedSearch
+from . import corpus, criteria, rings
+from .errors import FusionError, ParseError, SearchTimeout, UnboundedSearch
 from .rings import FusionData, TypeSignature
 from .spectral import character_table
 
@@ -239,15 +240,18 @@ def _frobenius_orbit(cell, dual):
     return seen
 
 
-def _build_problem(dims, dual, max_mult=None, use_dims=True, prune_bounds=True):
+def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     """Flatten the orbit/row/equation structure for the DFS kernel.
 
+    ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
+    dimension knapsack and caps every orbit at ``max_mult`` alone.
     ``prune_bounds=False`` drops the coefficient-bound caps and the
     square-sum prune (keeping only what the dimension equations force);
     used to check that the bounds are admissible.
     """
     m = len(dual)
-    d = np.asarray(dims if dims is not None else [1] * m, dtype=np.int64)
+    use_dims = dims is not None
+    d = np.asarray(dims if use_dims else [1] * m, dtype=np.int64)
 
     cells = [(j, k, s) for j in range(1, m) for k in range(1, m) for s in range(1, m)]
     orbit_of = {}
@@ -456,28 +460,17 @@ def _greedy_assoc_order(m, orbits, orbit_of):
 # DFS kernel
 
 
-def _dfs_kernel(
-    m,
-    norb,
-    orb_ptr,
-    cell_row,
-    cell_wt,
-    cell_idx,
-    caps,
-    row_target,
-    row_sq_bound,
-    row_cnt0,
-    row_capacity0,
-    eq_ptr,
-    eq_data,
-    prec_ptr,
-    prec_data,
-    init_tensor,
-    use_dims,
-    node_budget,
-    max_results,
-):
-    """Iterative DFS over orbit values; the reference for every backend.
+# the problem arrays in the order the C kernel takes them, after m and norb
+_KERNEL_ARRAYS = (
+    "orb_ptr", "cell_row", "cell_wt", "cell_idx", "caps", "row_target",
+    "row_sq_bound", "row_cnt", "row_capacity", "eq_ptr", "eq_data",
+    "prec_ptr", "prec_data", "init_tensor",
+)
+
+
+def _dfs_kernel(prob, node_budget, max_results):
+    """Iterative DFS over the orbit values of ``prob`` (from
+    ``_build_problem``); the reference for every backend.
 
     Returns (status, nodes, knapsack prunes, associativity prunes,
     solutions as a flat 2d array).  status: 0 done, 1 node budget
@@ -487,6 +480,10 @@ def _dfs_kernel(
     Invariant: orbits 0..o-1 are applied, orbit o holds the candidate
     value v[o] not yet applied.
     """
+    m, norb, use_dims = prob["m"], prob["norb"], prob["use_dims"]
+    (orb_ptr, cell_row, cell_wt, cell_idx, caps, row_target, row_sq_bound, row_cnt0,
+     row_capacity0, eq_ptr, eq_data, prec_ptr, prec_data, init_tensor) = (
+        prob[k] for k in _KERNEL_ARRAYS)
     ncells = m * m * m
     N = init_tensor.copy()
     R = row_target.copy()
@@ -547,7 +544,7 @@ def _dfs_kernel(
             CNT[r] -= 1
             SS[r] += vv * vv
         ok = True
-        if use_dims == 1:
+        if use_dims:
             for t in range(orb_ptr[o], orb_ptr[o + 1]):
                 r = cell_row[t]
                 if (
@@ -607,27 +604,13 @@ def _dfs_kernel(
     return status, nodes, prune_knap, prune_assoc, results[:nfound]
 
 
-# problem arrays in the order every backend takes them, after m and norb
-_KERNEL_ARRAYS = (
-    "orb_ptr", "cell_row", "cell_wt", "cell_idx", "caps", "row_target",
-    "row_sq_bound", "row_cnt", "row_capacity", "eq_ptr", "eq_data",
-    "prec_ptr", "prec_data", "init_tensor",
-)
-
-
-def _kernel_args(prob, node_budget, max_results) -> tuple:
-    """The positional arguments of every kernel backend for ``prob``."""
-    return (prob["m"], prob["norb"], *(prob[k] for k in _KERNEL_ARRAYS),
-            int(prob["use_dims"]), node_budget, max_results)
-
-
 def _run_kernel(prob, node_budget, max_results) -> tuple:
     """Run the DFS on ``prob`` with the backend in use: (status, solutions,
     stats of this run naming that backend).  The problem says whether the
     dimension knapsack applies (``prob["use_dims"]``)."""
     t0 = time.time()
     backend, kernel = _kernel()
-    status, nodes, pk, pa, found = kernel(*_kernel_args(prob, node_budget, max_results))
+    status, nodes, pk, pa, found = kernel(prob, node_budget, max_results)
     st = SearchStats(nodes, pk, pa, len(found), time.time() - t0, status == 0,
                      frozenset({backend}))
     return status, found, st
@@ -655,16 +638,16 @@ def _c_cache_dir() -> str:
     raise OSError(f"neither {_C_CACHE_DIR} nor {private} is a private writable directory")
 
 
-def _check_kernel_args(m, norb, a):
+def _check_kernel_args(a):
     """The layout, sizes and index bounds the C kernel relies on without
-    checking."""
-    nrows = len(a["row_target"])
+    checking, in the problem ``a``."""
+    m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
 
     def within(x, hi):
         return x.size == 0 or (x.min() >= 0 and x.max() < hi)
 
     ok = (
-        all(x.dtype == np.int64 and x.flags.c_contiguous for x in a.values())
+        all(a[k].dtype == np.int64 and a[k].flags.c_contiguous for k in _KERNEL_ARRAYS)
         and norb >= 1
         and len(a["caps"]) == norb
         and len(a["init_tensor"]) == m**3
@@ -726,15 +709,15 @@ def _load_c_kernel():
     lib.ff_free.argtypes = [out_ptr]
     lib.ff_free.restype = None
 
-    def c_kernel(m, norb, *args):
-        arrays, (use_dims, node_budget, max_results) = args[:-3], args[-3:]
-        _check_kernel_args(m, norb, dict(zip(_KERNEL_ARRAYS, arrays)))
+    def c_kernel(prob, node_budget, max_results):
+        _check_kernel_args(prob)
+        m = prob["m"]
         counts = np.zeros(4, dtype=np.int64)
         found = out_ptr()
-        addr = [x.ctypes.data for x in arrays]
-        status = fn(m, norb, *addr[:5], len(arrays[5]), *addr[5:], use_dims,
-                    min(int(node_budget), _INT64_MAX), min(int(max_results), _INT64_MAX),
-                    counts.ctypes.data, ctypes.byref(found))
+        addr = [prob[k].ctypes.data for k in _KERNEL_ARRAYS]
+        status = fn(m, prob["norb"], *addr[:5], len(prob["row_target"]), *addr[5:],
+                    int(prob["use_dims"]), min(int(node_budget), _INT64_MAX),
+                    min(int(max_results), _INT64_MAX), counts.ctypes.data, ctypes.byref(found))
         try:
             if status < 0:
                 raise MemoryError("the C search kernel ran out of memory")
@@ -851,9 +834,7 @@ def enumerate_fusion_rings(
     dims = list(sig.dims)
     dual = list(involution)
     max_mult = constraints.max_multiplicity if constraints else None
-    prob = _build_problem(
-        dims, dual, max_mult=max_mult, use_dims=True, prune_bounds=prune_bounds
-    )
+    prob = _build_problem(dims, dual, max_mult=max_mult, prune_bounds=prune_bounds)
     if prob["norb"] == 0:  # rank 1: only the unit-only ring, no free cells
         fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0], "exact")
         if stats is not None:
@@ -914,7 +895,7 @@ def rank5_three_selfadjoint_family(
     equivalence.
     """
     dual = list(RANK5_TEMPLATE_DUAL)
-    prob = _build_problem(None, dual, max_mult=max_multiplicity, use_dims=False)
+    prob = _build_problem(None, dual, max_mult=max_multiplicity)
     return _search(prob, dual, "r5sa", node_budget, 200_000, stats)
 
 
@@ -1008,8 +989,32 @@ def _search_task(args):
     return found, st
 
 
-def _checkpoint_key(sig, inv) -> str:
-    return f"{sig}|{','.join(str(i + 1) for i in inv)}"
+def _checkpoint_key(sig, inv, max_multiplicity) -> str:
+    # a unit's rings depend on these three values alone
+    return f"{sig}|{','.join(str(i + 1) for i in inv)}|max_mult={max_multiplicity}"
+
+
+def _read_checkpoint(f) -> dict:
+    """The units stored in the open checkpoint file ``f`` (binary, append
+    mode): key -> rings.  An unreadable last line is what a run killed
+    mid-write leaves; it is cut off, so its unit reruns.  An unreadable
+    earlier line raises ParseError."""
+    f.seek(0)
+    lines = f.readlines()
+    done, size = {}, 0
+    for n, line in enumerate(lines, 1):
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("record cut short")
+            rec = json.loads(line)
+            done[rec["key"]] = [corpus.parse_fusion_ring(t) for t in rec["rings"]]
+        except (ValueError, LookupError, TypeError, FusionError) as exc:
+            if n < len(lines):
+                raise ParseError(f"bad checkpoint record in {f.name}: {exc}", line=n) from exc
+            f.truncate(size)
+            break
+        size += len(line)
+    return done
 
 
 def classify(
@@ -1024,93 +1029,64 @@ def classify(
 
     ``filters`` may contain ``simple: True`` and/or ``schur: True``; the
     report keeps per-type counts either way.  On budget exhaustion the
-    report is returned with ``complete=False`` instead of raising.
+    report is returned with ``complete=False`` instead of raising:
+    ``node_budget`` applies to each (type, involution) unit, and once
+    ``wall_budget`` seconds have passed no further unit is taken and the
+    remaining ones are reported incomplete with no rings.
 
-    ``threads > 1`` spreads the (type, involution) units over a process
-    pool; results are merged in the deterministic task order, so the
-    report does not depend on scheduling.  ``checkpoint`` names a JSONL
-    file recording each completed unit with its found rings; rerunning
-    with the same path resumes, reusing stored results.
+    ``threads > 1`` runs the units in a process pool; results are taken
+    in task order either way, so the report and the checkpoint do not
+    depend on scheduling.  The pool pays only on runs with many long
+    units.  ``checkpoint`` names a JSONL file: each complete unit is
+    appended with its rings and flushed as soon as it is taken.
+    Rerunning with the same path resumes, reusing every stored unit of
+    the same multiplicity cap; a last line cut short by a killed run is
+    dropped and its unit reruns.
     """
     filters = filters or {}
     t0 = time.time()
-
-    done = {}
-    if checkpoint is not None and os.path.exists(checkpoint):
-        from . import corpus as corpus_mod
-
-        with open(checkpoint) as f:
-            for line in f:
-                rec = json.loads(line)
-                done[rec["key"]] = [
-                    corpus_mod.parse_fusion_ring(t) for t in rec["rings"]
-                ]
-
-    tasks = []  # (sig_index, inv, key)
     sigs = enumerate_types(constraints)
-    for si, sig in enumerate(sigs):
-        for inv in enumerate_involutions(sig):
-            tasks.append((si, inv, _checkpoint_key(sig, inv)))
+    units = [(sig, inv) for sig in sigs for inv in enumerate_involutions(sig)]
+    keys = [_checkpoint_key(sig, inv, constraints.max_multiplicity) for sig, inv in units]
 
-    outcomes = {}
-    pending = [(si, inv, key) for si, inv, key in tasks if key not in done]
-    if threads > 1 and len(pending) > 1:
-        import concurrent.futures as cf
+    outcomes = {}  # key -> (rings, stats) of every unit stored or run
+    with contextlib.ExitStack() as stack:
+        if checkpoint is not None:
+            ckpt = stack.enter_context(open(checkpoint, "a+b"))
+            outcomes = {k: (found, SearchStats()) for k, found in _read_checkpoint(ckpt).items()}
+        todo = [i for i, k in enumerate(keys) if k not in outcomes]
+        tasks = [(*units[i], constraints, node_budget) for i in todo]
+        results = map(_search_task, tasks)
+        if threads > 1 and len(tasks) > 1:
+            import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = {
-                pool.submit(_search_task, (sigs[si], inv, constraints, node_budget)): key
-                for si, inv, key in pending
-            }
-            for fut in cf.as_completed(futs):
-                outcomes[futs[fut]] = fut.result()
-    else:
-        for si, inv, key in pending:
+            pool = cf.ProcessPoolExecutor(max_workers=threads)
+            # on leaving, units not yet started are cancelled
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_search_task, tasks)
+        for i in todo:
             if wall_budget is not None and time.time() - t0 > wall_budget:
-                st = SearchStats()
-                st.complete = False
-                outcomes[key] = ([], st)
-                continue
-            outcomes[key] = _search_task((sigs[si], inv, constraints, node_budget))
+                break
+            found, st = outcomes[keys[i]] = next(results)
+            if checkpoint is not None and st.complete:
+                texts = [corpus.serialize_fusion_ring(fd) for fd in found]
+                ckpt.write(json.dumps({"key": keys[i], "rings": texts}).encode() + b"\n")
+                ckpt.flush()
 
-    if checkpoint is not None:
-        from . import corpus as corpus_mod
-
-        with open(checkpoint, "a") as f:
-            for si, inv, key in tasks:
-                if key in outcomes and outcomes[key][1].complete:
-                    f.write(json.dumps({
-                        "key": key,
-                        "rings": [corpus_mod.serialize_fusion_ring(fd)
-                                  for fd in outcomes[key][0]],
-                    }) + "\n")
-
-    results = []
-    complete = True
-    for si, sig in enumerate(sigs):
-        st = SearchStats()
-        rings_found = []
-        ninv = 0
-        for tsi, inv, key in tasks:
-            if tsi != si:
-                continue
-            ninv += 1
-            if key in done:
-                rings_found.extend(done[key])
-            else:
-                found, tst = outcomes[key]
-                rings_found.extend(found)
-                st.merge(tst)
-        for i, fd in enumerate(rings_found):
-            fd.label = f"{sig}-{i + 1}"
-        simple = [fd for fd in rings_found if rings.is_simple(fd)]
-        schur = []
-        for fd in rings_found:
-            if rings.is_commutative(fd):
-                if criteria.schur_commutative(character_table(fd)).holds:
-                    schur.append(fd)
-        results.append(TypeResult(sig, ninv, rings_found, simple, schur, st))
-        complete = complete and st.complete
+    types = {sig: TypeResult(sig, 0, [], [], [], SearchStats()) for sig in sigs}
+    for (sig, _), key in zip(units, keys):
+        found, st = outcomes.get(key, ([], SearchStats(complete=False)))
+        tr = types[sig]
+        tr.involutions_tried += 1
+        tr.rings.extend(found)
+        tr.stats.merge(st)
+    for tr in types.values():
+        for i, fd in enumerate(tr.rings):
+            fd.label = f"{tr.signature}-{i + 1}"
+        tr.simple = [fd for fd in tr.rings if rings.is_simple(fd)]
+        tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
+                         and criteria.schur_commutative(character_table(fd)).holds]
     return ClassificationReport(
-        constraints, filters, results, time.time() - t0, complete
+        constraints, filters, list(types.values()), time.time() - t0,
+        all(tr.stats.complete for tr in types.values()),
     )

@@ -89,6 +89,14 @@ class TestSearchCommands:
         assert payload["complete"] is True
         assert sum(t["rings_found"] for t in payload["types"]) == 1
 
+    def test_classify_bad_checkpoint(self, capsys, tmp_path):
+        ckpt = tmp_path / "run.jsonl"
+        ckpt.write_text("not json\n{}\n")
+        code, _, err = run(capsys, "classify", "--fpdim", "6", "--rank", "3",
+                           "--resume", str(ckpt))
+        assert code == EXIT_USAGE
+        assert "line 1: bad checkpoint record" in err
+
     def test_rank5_family_smoke(self, capsys):
         code, out, _ = run(capsys, "rank5-family", "--max-mult", "1")
         assert code == EXIT_OK

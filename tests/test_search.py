@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -6,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from fusionforge import rings, search
-from fusionforge.errors import SearchTimeout, UnboundedSearch
+from fusionforge import corpus, rings, search
+from fusionforge.errors import ParseError, SearchTimeout, UnboundedSearch
 from fusionforge.rings import TypeSignature, are_isomorphic
 from fusionforge.search import (
     SearchConstraints,
@@ -160,11 +161,10 @@ class TestKernelFallback:
     def test_python_kernel_matches_compiled(self):
         """Every backend found agrees exactly with the Python kernel: status,
         nodes, both prune counts and the solutions in order."""
-        from fusionforge.search import _build_problem, _dfs_kernel, _kernel_args
+        from fusionforge.search import _build_problem, _dfs_kernel
 
         dims_unit = _build_problem([1, 3, 3, 4, 5], list(range(5)))
-        rank5 = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2,
-                               use_dims=False)
+        rank5 = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2)
         cases = [  # (problem, node budget, max results, expected status)
             (dims_unit, 10**9, 1000, 0),
             (rank5, 10**9, 1000, 0),
@@ -174,25 +174,24 @@ class TestKernelFallback:
         backends = kernel_backends()
         assert "c" in backends or shutil.which("cc") is None
         for prob, budget, cap, status in cases:
-            ref = _dfs_kernel(*_kernel_args(prob, budget, cap))
+            ref = _dfs_kernel(prob, budget, cap)
             assert ref[0] == status
             for name, kernel in backends.items():
-                got = kernel(*_kernel_args(prob, budget, cap))
+                got = kernel(prob, budget, cap)
                 assert got[:4] == ref[:4], name
                 assert np.array_equal(got[4], ref[4]), name
 
     def test_max_results_is_exact(self):
         """A cap of n returns exactly n solutions, with status 2 only when
         one more exists."""
-        from fusionforge.search import _build_problem, _kernel_args
+        from fusionforge.search import _build_problem
 
-        prob = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2,
-                              use_dims=False)
+        prob = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2)
         for name, kernel in kernel_backends().items():
-            every = kernel(*_kernel_args(prob, 10**9, 10**9))[4]
+            every = kernel(prob, 10**9, 10**9)[4]
             n = len(every)
-            at = kernel(*_kernel_args(prob, 10**9, n))
-            below = kernel(*_kernel_args(prob, 10**9, n - 1))
+            at = kernel(prob, 10**9, n)
+            below = kernel(prob, 10**9, n - 1)
             assert at[0] == 0 and np.array_equal(at[4], every), name
             assert below[0] == 2 and np.array_equal(below[4], every[: n - 1]), name
 
@@ -243,7 +242,7 @@ class TestKernelFallback:
         for dims, dual in [([1, 3, 3, 4, 5], [0, 2, 1, 3, 4]),
                            ([1, 5, 5, 5, 6, 7, 7], [0, 1, 2, 3, 4, 6, 5]),
                            (None, list(search.RANK5_TEMPLATE_DUAL))]:
-            prob = _build_problem(dims, dual, max_mult=2, use_dims=dims is not None)
+            prob = _build_problem(dims, dual, max_mult=2)
             m = prob["m"]
             pos = {}
             for o in range(prob["norb"]):
@@ -273,7 +272,7 @@ class TestRank5Family:
         fam = rank5_three_selfadjoint_family(1)
         # exhaustive oracle over all 2^16 orbit assignments
         dual = list(RANK5_TEMPLATE_DUAL)
-        prob = _build_problem(None, dual, max_mult=1, use_dims=False)
+        prob = _build_problem(None, dual, max_mult=1)
         norb = prob["norb"]
         assert norb == 16
         sols = []
@@ -442,3 +441,92 @@ class TestClassify:
         assert len(resumed.all_rings) == len(first.all_rings) == 1
         # resumed run reused the stored results: no new nodes visited
         assert all(tr.stats.nodes == 0 for tr in resumed.types)
+        # a run killed mid-write leaves its last line cut short: that
+        # unit reruns and the rest is reused
+        lines = ckpt.read_text().splitlines(keepends=True)
+        ckpt.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        torn = classify(c, checkpoint=str(ckpt))
+        assert ring_texts(torn) == ring_texts(first)
+        assert ckpt.read_text().splitlines(keepends=True) == lines
+        # a last record without its newline is cut short too
+        ckpt.write_text("".join(lines)[:-1])
+        assert ring_texts(classify(c, checkpoint=str(ckpt))) == ring_texts(first)
+        assert ckpt.read_text().splitlines(keepends=True) == lines
+        # a bad record before the last line is an error naming its line
+        ckpt.write_text(lines[0][:10] + "\n" + lines[1])
+        with pytest.raises(ParseError, match="^line 1: ") as exc:
+            classify(c, checkpoint=str(ckpt))
+        assert exc.value.line == 1
+
+    def test_killed_run_resumes(self, tmp_path, monkeypatch):
+        """A run killed in the 3rd of its 7 units keeps the 2 finished ones
+        on disk, and resuming it gives the uninterrupted report."""
+        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
+        units = [(sig, inv) for sig in enumerate_types(c) for inv in enumerate_involutions(sig)]
+        assert len(units) == 7
+        whole = classify(c)
+        ckpt = tmp_path / "run.jsonl"
+        real, calls = search.enumerate_fusion_rings, []
+
+        def killed_in_third_unit(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "enumerate_fusion_rings", killed_in_third_unit)
+        with pytest.raises(KeyboardInterrupt):
+            classify(c, checkpoint=str(ckpt))
+        monkeypatch.undo()
+        stored = [json.loads(line)["key"] for line in ckpt.read_text().splitlines()]
+        assert stored == [search._checkpoint_key(sig, inv, None) for sig, inv in units[:2]]
+        resumed = classify(c, checkpoint=str(ckpt))
+        assert ring_texts(resumed) == ring_texts(whole)
+        assert type_counts(resumed) == type_counts(whole)
+
+    def test_wall_budget_in_pool(self, tmp_path):
+        """A spent wall budget stops the pool like the serial loop: no unit
+        is taken, none is stored, and the reports agree."""
+        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
+        ckpt = tmp_path / "run.jsonl"
+        par = classify(c, wall_budget=0.0, threads=2, checkpoint=str(ckpt))
+        seq = classify(c, wall_budget=0.0, threads=1)
+        assert not par.complete and par.all_rings == []
+        assert ckpt.read_text() == ""
+        a, b = par.to_dict(), seq.to_dict()
+        a.pop("wall_time")
+        b.pop("wall_time")
+        assert a == b
+
+    def test_checkpoint_is_per_multiplicity_cap(self, tmp_path):
+        """Units stored without a multiplicity cap are not reused under one,
+        and the other way round; each run reuses its own."""
+        ckpt = str(tmp_path / "run.jsonl")
+        uncapped = SearchConstraints(fpdim=60, rank=5, **PAPER_FLAGS)
+        capped = SearchConstraints(fpdim=60, rank=5, max_multiplicity=1, **PAPER_FLAGS)
+        assert len(classify(uncapped, checkpoint=ckpt).all_rings) == 1
+        assert len(classify(capped).all_rings) == 0
+        assert len(classify(capped, checkpoint=ckpt).all_rings) == 0
+        again = classify(uncapped, checkpoint=ckpt)
+        assert len(again.all_rings) == 1
+        assert all(tr.stats.nodes == 0 for tr in again.types)
+
+    def test_checkpoint_same_in_both_modes(self, tmp_path):
+        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
+        texts = []
+        for threads in (1, 2):
+            path = tmp_path / f"threads-{threads}.jsonl"
+            classify(c, threads=threads, checkpoint=str(path))
+            texts.append(path.read_text())
+        assert len(texts[0].splitlines()) == 7
+        assert texts[0] == texts[1]
+
+
+def ring_texts(report) -> list:
+    """Every ring of a report as FRT text, with its label, in report order."""
+    return [corpus.serialize_fusion_ring(fd) for fd in report.all_rings]
+
+
+def type_counts(report) -> list:
+    keep = ("type", "rings_found", "simple", "schur_pass", "complete")
+    return [{k: t[k] for k in keep} for t in report.to_dict()["types"]]
