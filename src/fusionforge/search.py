@@ -30,7 +30,6 @@ use.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import importlib.util
@@ -43,12 +42,12 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import corpus, criteria, rings
+from . import criteria, rings
 from .errors import FusionError, ParseError, SearchTimeout, UnboundedSearch
 from .rings import FusionData, TypeSignature
 from .spectral import character_table
@@ -943,17 +942,7 @@ class ClassificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "constraints": {
-                "fpdim": self.constraints.fpdim,
-                "rank": self.constraints.rank,
-                "require_divisibility": self.constraints.require_divisibility,
-                "require_perfect": self.constraints.require_perfect,
-                "min_d2": self.constraints.min_d2,
-                "require_gcd_one": self.constraints.require_gcd_one,
-                "exclude_prime_power_products": self.constraints.exclude_prime_power_products,
-                "growth_cap": self.constraints.growth_cap,
-                "max_multiplicity": self.constraints.max_multiplicity,
-            },
+            "constraints": asdict(self.constraints),
             "filters": self.filters,
             "complete": self.complete,
             "wall_time": self.wall_time,
@@ -996,23 +985,23 @@ def _checkpoint_key(sig, inv, max_multiplicity) -> str:
 
 def _read_checkpoint(f) -> dict:
     """The units stored in the open checkpoint file ``f`` (binary, append
-    mode): key -> rings.  An unreadable last line is what a run killed
-    mid-write leaves; it is cut off, so its unit reruns.  An unreadable
-    earlier line raises ParseError."""
+    mode): key -> rings.  Each record is written with its newline in one
+    write, so a last line without one is what a run killed mid-write
+    leaves; it is cut off, so its unit reruns.  Any other unreadable line
+    raises ParseError."""
+    from . import corpus
+
     f.seek(0)
-    lines = f.readlines()
     done, size = {}, 0
-    for n, line in enumerate(lines, 1):
+    for n, line in enumerate(f.readlines(), 1):
+        if not line.endswith(b"\n"):
+            f.truncate(size)
+            break
         try:
-            if not line.endswith(b"\n"):
-                raise ValueError("record cut short")
             rec = json.loads(line)
             done[rec["key"]] = [corpus.parse_fusion_ring(t) for t in rec["rings"]]
         except (ValueError, LookupError, TypeError, FusionError) as exc:
-            if n < len(lines):
-                raise ParseError(f"bad checkpoint record in {f.name}: {exc}", line=n) from exc
-            f.truncate(size)
-            break
+            raise ParseError(f"bad checkpoint record in {f.name}: {exc}", line=n) from exc
         size += len(line)
     return done
 
@@ -1036,13 +1025,19 @@ def classify(
 
     ``threads > 1`` runs the units in a process pool; results are taken
     in task order either way, so the report and the checkpoint do not
-    depend on scheduling.  The pool pays only on runs with many long
-    units.  ``checkpoint`` names a JSONL file: each complete unit is
-    appended with its rings and flushed as soon as it is taken.
-    Rerunning with the same path resumes, reusing every stored unit of
-    the same multiplicity cap; a last line cut short by a killed run is
-    dropped and its unit reruns.
+    depend on scheduling.  The pool pays when several units are long
+    (2 workers halve the FPdim-990 rank-8 row) and not on the short
+    census rows; the README gives the times.  ``checkpoint`` names a
+    JSONL file: each complete unit is appended with its rings and
+    flushed as soon as it is taken.  Rerunning with the same path resumes, reusing every stored unit of
+    the same multiplicity cap; a last line without its newline, as a
+    killed run leaves it, is dropped and its unit reruns, and any other
+    bad line raises ParseError.
     """
+    import contextlib
+
+    from . import corpus
+
     filters = filters or {}
     t0 = time.time()
     sigs = enumerate_types(constraints)

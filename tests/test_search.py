@@ -458,6 +458,30 @@ class TestClassify:
             classify(c, checkpoint=str(ckpt))
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("text", [
+        "{}\n",
+        "[]\n",
+        "not json\n",
+        '{"key": "k", "rings": ["not a ring"]}\n',
+    ])
+    def test_bad_complete_record_is_an_error(self, tmp_path, text):
+        """Only a last line without its newline counts as torn: a complete
+        bad record, even the only one, raises and the file is untouched."""
+        c = SearchConstraints(fpdim=60, rank=5, **PAPER_FLAGS)
+        ckpt = tmp_path / "run.jsonl"
+        ckpt.write_text(text)
+        with pytest.raises(ParseError, match="^line 1: ") as exc:
+            classify(c, checkpoint=str(ckpt))
+        assert exc.value.line == 1
+        assert ckpt.read_text() == text
+        # the same record after a good one names line 2
+        classify(c, checkpoint=str(tmp_path / "good.jsonl"))
+        first = (tmp_path / "good.jsonl").read_text().splitlines(keepends=True)[0]
+        ckpt.write_text(first + text)
+        with pytest.raises(ParseError, match="^line 2: "):
+            classify(c, checkpoint=str(ckpt))
+        assert ckpt.read_text() == first + text
+
     def test_killed_run_resumes(self, tmp_path, monkeypatch):
         """A run killed in the 3rd of its 7 units keeps the 2 finished ones
         on disk, and resuming it gives the uninterrupted report."""
@@ -483,6 +507,17 @@ class TestClassify:
         resumed = classify(c, checkpoint=str(ckpt))
         assert ring_texts(resumed) == ring_texts(whole)
         assert type_counts(resumed) == type_counts(whole)
+
+    def test_report_constraints(self):
+        """The report lists every constraint, in field order, as given."""
+        c = SearchConstraints(fpdim=(50, 60), rank=5, max_multiplicity=2, **PAPER_FLAGS)
+        got = classify(c).to_dict()["constraints"]
+        assert list(got.items()) == [
+            ("fpdim", (50, 60)), ("rank", 5),
+            ("require_divisibility", True), ("require_perfect", True), ("min_d2", 3),
+            ("require_gcd_one", True), ("exclude_prime_power_products", True),
+            ("growth_cap", True), ("max_multiplicity", 2),
+        ]
 
     def test_wall_budget_in_pool(self, tmp_path):
         """A spent wall budget stops the pool like the serial loop: no unit
