@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import FusionError, ParseError, ValidationError
 from .rings import FusionData, cyclic_group_ring, new_fusion_data
 
 __all__ = [
@@ -133,7 +133,7 @@ def parse_fusion_ring(text: str, label=None) -> FusionData:
 
     try:
         fd = new_fusion_data(mats, mode="exact" if exact else "float", label=label)
-    except Exception as exc:
+    except (FusionError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
     if list(fd.dual) != dual:
         raise ValidationError(

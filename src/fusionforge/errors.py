@@ -65,6 +65,11 @@ class UnboundedSearch(FusionError):
     """Search constraints do not bound the enumeration."""
 
 
+class InvalidSearchResult(FusionError):
+    """The search emitted a tensor that fails the fusion-ring axioms: a
+    defect in the search itself, not in its input."""
+
+
 class SearchTimeout(FusionError):
     """A search exceeded its node or wall-time budget."""
 

@@ -425,27 +425,33 @@ def _support_tol(fd: FusionData) -> float:
     return 0.0 if fd.exact else 1e-9 * (1 + float(fd.tensor.max()))
 
 
+def _closures(fd: FusionData, gens: np.ndarray) -> np.ndarray:
+    """Close every row of the boolean (b, m) array ``gens`` at once: add
+    the unit, then the duals and the fusion support of each set until no
+    row changes.  Each round adds an element to every row not yet closed,
+    so at most m rounds run."""
+    support = (fd.tensor > _support_tol(fd)).astype(np.int64)  # [j, k, s]
+    S = np.array(gens, dtype=bool)
+    S[:, 0] = True
+    while True:
+        # s joins a row when N[j,k,s] > 0 for some j, k in it
+        T = S.astype(np.int64)
+        new = S | (np.einsum("bj,jks,bk->bs", T, support, T) > 0)
+        new |= new[:, fd.dual]
+        if np.array_equal(new, S):
+            return S
+        S = new
+
+
 def subring_closure(fd: FusionData, generators: Iterable[int]) -> frozenset:
     """Smallest basis subset containing the generators that is closed
     under duality and fusion (and contains the unit).
 
-    Indices are 0-based.  The fixpoint is reached in at most m rounds.
+    Indices are 0-based.
     """
-    N = fd.tensor
-    tol = _support_tol(fd)
-    S = set(int(g) for g in generators) | {0}
-    S |= {int(fd.dual[j]) for j in S}
-    for _ in range(fd.rank):
-        new = set(S)
-        for j in S:
-            for k in S:
-                sup = np.nonzero(N[j, k] > tol)[0]
-                new.update(int(s) for s in sup)
-        new |= {int(fd.dual[j]) for j in new}
-        if new == S:
-            break
-        S = new
-    return frozenset(S)
+    gens = np.zeros((1, fd.rank), dtype=bool)
+    gens[0, [int(g) for g in generators]] = True
+    return frozenset(np.flatnonzero(_closures(fd, gens)[0]).tolist())
 
 
 def proper_subrings(fd: FusionData, rank_cap: int = SUBRING_RANK_CAP) -> list:
@@ -458,20 +464,20 @@ def proper_subrings(fd: FusionData, rank_cap: int = SUBRING_RANK_CAP) -> list:
     m = fd.rank
     if m > rank_cap:
         raise RankTooLarge(f"rank {m} exceeds subring enumeration cap {rank_cap}")
-    closures = {subring_closure(fd, [j]) for j in range(1, m)}
+
+    def close(sets):
+        gens = np.zeros((len(sets), m), dtype=bool)
+        for row, S in zip(gens, sets):
+            row[list(S)] = True
+        return {frozenset(np.flatnonzero(row).tolist()) for row in _closures(fd, gens)}
+
+    closures = close([{j} for j in range(1, m)])
     lattice = set(closures)
     frontier = set(closures)
     while frontier:
-        nxt = set()
-        for A in frontier:
-            for B in closures:
-                U = A | B
-                if U not in lattice:
-                    U = subring_closure(fd, U)
-                    if U not in lattice:
-                        nxt.add(U)
-        lattice |= nxt
-        frontier = nxt
+        unions = {A | B for A in frontier for B in closures} - lattice
+        frontier = close(list(unions)) - lattice
+        lattice |= frontier
     return sorted(
         (S for S in lattice if 1 < len(S) < m),
         key=lambda S: (len(S), sorted(S)),
@@ -479,8 +485,14 @@ def proper_subrings(fd: FusionData, rank_cap: int = SUBRING_RANK_CAP) -> list:
 
 
 def is_simple(fd: FusionData) -> bool:
-    """No nontrivial proper fusion subring."""
-    return fd.rank == 1 or not proper_subrings(fd)
+    """No nontrivial proper fusion subring.
+
+    Equivalently, every singleton {j}, j >= 1, generates the whole
+    basis: a proper subring S != {1} holds some j != 0 and with it the
+    closure of {j}, which is then proper too.  This needs m closures,
+    not the subring lattice, so no rank cap applies.
+    """
+    return bool(_closures(fd, np.eye(fd.rank, dtype=bool)[1:]).all())
 
 
 def is_perfect(fd: FusionData) -> bool:

@@ -6,7 +6,10 @@ backtrack over the structure-constant tensor.  The tensor search keys
 on three facts:
 
 * Frobenius reciprocity partitions the cells N[j,k,s] into orbits of
-  size at most 6; one variable per orbit.
+  size at most 6; one variable per orbit.  Orbits are taken in a static
+  order: by row dimension product and then heavy columns when
+  dimensions are known, else greedily by the associativity instances
+  each completes.
 * For every pair (j,k) the dimension equation
   sum_s N[j,k,s] d_s = d_j d_k is an exact integer knapsack; partial
   assignments prune on residual feasibility.
@@ -21,11 +24,14 @@ rank-5 family).  Every isomorphism between two rings with the same
 dimensions and involution is such a permutation, so equal keys are
 exactly isomorphic rings and no pairwise test is needed.
 
-The inner DFS is an iterative loop over flat int64 arrays.  It runs as
-C (``_kernel.c``, built on first use with the system C compiler and
-loaded through ctypes), else as plain Python, which stays the
-reference for the C kernel.  ``KERNEL_BACKEND`` names the backend in
-use.
+Each (type, involution) unit becomes flat int64 arrays, each built by
+whole-array numpy operations with no loop over cells: orbit numbers,
+caps, search order, cell layout, row capacities and the associativity
+trigger table.  The inner DFS is an iterative loop over those arrays.
+It runs as C (``_kernel.c``, built on first use with the system C
+compiler and loaded through ctypes), else as plain Python, which stays
+the reference for the C kernel.  ``KERNEL_BACKEND`` names the backend
+in use.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria, rings
-from .errors import FusionError, ParseError, SearchTimeout, UnboundedSearch
+from .errors import FusionError, InvalidSearchResult, ParseError, SearchTimeout, UnboundedSearch
 from .rings import FusionData, TypeSignature
 from .spectral import character_table
 
@@ -226,21 +232,21 @@ def enumerate_involutions(sig: TypeSignature) -> list:
 # orbit structure
 
 
-def _frobenius_orbit(cell, dual):
-    """Orbit of N[j,k,s] under N[j,k,s] = N[k*,j*,s*] = N[j*,s,k]."""
-    seen = {cell}
-    frontier = [cell]
-    while frontier:
-        j, k, s = frontier.pop()
-        for nxt in ((dual[k], dual[j], dual[s]), (dual[j], s, k)):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
 def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     """Flatten the orbit/row/equation structure for the DFS kernel.
+
+    Built array at a time over the free cells N[j,k,s] (j, k, s >= 1),
+    taken in lex order, which is the order of their flat index
+    j*m*m + k*m + s.  Frobenius reciprocity N[j,k,s] = N[k*,j*,s*] =
+    N[j*,s,k] gives two involutions of the cells whose product has order
+    3, so together they make six permutations; the least cell a cell
+    reaches under the six stands for its orbit, and orbits are numbered
+    in the order of their least cells.  With dimensions, orbits are
+    searched in the order they first appear among the cells sorted by
+    (d_j d_k, j, k, -d_s, s): rows by cheap dimension product, heavy
+    columns first.  Without, the greedy associativity order applies.
+    The kernel's cell arrays list the cells by (search position, flat
+    index).
 
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
@@ -250,119 +256,98 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     """
     m = len(dual)
     use_dims = dims is not None
+    if not use_dims and max_mult is None:
+        raise ValueError("max_multiplicity is required without dimensions")
     d = np.asarray(dims if use_dims else [1] * m, dtype=np.int64)
+    du = np.asarray(dual, dtype=np.int64)
+    n = m - 1
+    dd, dn = d[1:], du[1:] - 1  # dimension and dual of the free indices, 0-based
 
-    cells = [(j, k, s) for j in range(1, m) for k in range(1, m) for s in range(1, m)]
-    orbit_of = {}
-    orbits = []
-    for c in cells:
-        if c in orbit_of:
-            continue
-        orb = sorted(_frobenius_orbit(c, dual))
-        for cc in orb:
-            orbit_of[cc] = len(orbits)
-        orbits.append(orb)
+    # lex[j-1, k-1, s-1] is the lex position of the free cell (j, k, s)
+    lex = np.arange(n**3).reshape(n, n, n)
+    c = lex.ravel()
+    lex_dual = lex[dn]  # [j-1, k-1, s-1] -> lex position of (j*, k, s)
+    flip = lex_dual[:, dn][:, :, dn].transpose(1, 0, 2).ravel()  # (j,k,s) -> (k*,j*,s*)
+    turn = lex_dual.transpose(0, 2, 1).ravel()  # (j,k,s) -> (j*,s,k)
+    turn_flip = turn[flip]
+    least = np.minimum.reduce([c, flip, turn, flip[turn], turn_flip, flip[turn_flip]])
+    is_least = least == c
+    orbit = (is_least.cumsum() - 1)[least]  # numbered in the order of their least cells
+    norb = int(np.count_nonzero(is_least))
+    cell_row, cell_col = np.divmod(c, n)  # row (j, k) is (j - 1) * n + k - 1
+    cell_wt = dd[cell_col]  # d_s
 
-    def row_id(j, k):
-        return (j - 1) * (m - 1) + (k - 1)
-
-    nrows = (m - 1) * (m - 1)
-    row_target = np.zeros(nrows, dtype=np.int64)
-    row_sq_bound = np.zeros(nrows, dtype=np.int64)
-    row_cnt = np.zeros(nrows, dtype=np.int64)
-    for j in range(1, m):
-        for k in range(1, m):
-            r = row_id(j, k)
-            unit = 1 if dual[j] == k else 0
-            row_target[r] = d[j] * d[k] - unit
-            if prune_bounds:
-                row_sq_bound[r] = min(d[j] ** 2, d[k] ** 2) - unit
-            else:
-                row_sq_bound[r] = np.iinfo(np.int64).max // 4
-            row_cnt[r] = m - 1
+    dprod, dmin = np.multiply.outer(dd, dd), np.minimum.outer(dd, dd)
+    unit = dn[:, None] == np.arange(n)  # N[j,k,0] = 1 when k = j*
+    row_target = (dprod - unit).ravel()
+    if prune_bounds:
+        row_sq_bound = (dmin**2 - unit).ravel()
+    else:
+        row_sq_bound = np.full(n * n, _INT64_MAX // 4, dtype=np.int64)
+    row_cnt = np.full(n * n, n, dtype=np.int64)
 
     # caps per orbit: the coefficient bound min(d_j, d_k, d_s) over the
     # orbit when dimensions are known, else the multiplicity cap alone
-    orb_cap = np.zeros(len(orbits), dtype=np.int64)
-    for oi, orb in enumerate(orbits):
-        if use_dims:
-            cap = min(d[j] * d[k] // d[s] for j, k, s in orb)  # forced by the row sum
-            if prune_bounds:
-                cap = min(cap, min(min(d[j], d[k], d[s]) for j, k, s in orb))
-            if max_mult is not None:
-                cap = min(cap, max_mult)
-        else:
-            if max_mult is None:
-                raise ValueError("max_multiplicity is required without dimensions")
-            cap = max_mult
-        orb_cap[oi] = cap
-
-    # search order: rows by cheap dimension product, columns by heavy dims first
+    cap = np.full(norb, _INT64_MAX if max_mult is None else max_mult, dtype=np.int64)
     if use_dims:
-        rows_sorted = sorted(
-            ((j, k) for j in range(1, m) for k in range(1, m)),
-            key=lambda jk: (d[jk[0]] * d[jk[1]], jk),
-        )
-        cell_order = [
-            (j, k, s)
-            for (j, k) in rows_sorted
-            for s in sorted(range(1, m), key=lambda s: (-d[s], s))
-        ]
-        orb_order = []
-        seen = set()
-        for c in cell_order:
-            o = orbit_of[c]
-            if o not in seen:
-                seen.add(o)
-                orb_order.append(o)
+        bound = dprod[:, :, None] // dd  # forced by the row sum
+        if prune_bounds:
+            bound = np.minimum(bound, np.minimum(dmin[:, :, None], dd))
+        np.minimum.at(cap, orbit, bound.ravel())
+
+    # search order: rows by (d_j d_k, j, k), cells of a row by (-d_s, s);
+    # orbits by their first cell in that order
+    if use_dims:
+        rows = dprod.ravel().argsort(kind="stable")
+        cols = (-dd).argsort(kind="stable")
+        first = np.full(norb, n**3)
+        np.minimum.at(first, orbit[(rows[:, None] * n + cols).ravel()], c)
+        orb_order = first.argsort()
     else:
-        orb_order = _greedy_assoc_order(m, orbits, orbit_of)
+        orb = np.full((m, m, m), -1, dtype=np.int64)  # orbit of each cell, -1 if fixed
+        orb[1:, 1:, 1:] = orbit.reshape(n, n, n)
+        orb_order = _greedy_assoc_order(orb, norb)
+    # search position of each orbit, in the narrowest integer type that
+    # holds norb so that the stable sorts by position are radix sorts
+    orb_pos = np.empty(norb, dtype=np.min_scalar_type(norb))
+    orb_pos[orb_order] = np.arange(norb)
+    cell_pos = orb_pos[orbit]
 
-    order_index = {o: i for i, o in enumerate(orb_order)}
-
-    # flatten orbit cells in search order
-    norb = len(orb_order)
-    ptr = [0]
-    flat_cells = []
-    caps = np.zeros(norb, dtype=np.int64)
-    for o in orb_order:
-        for j, k, s in orbits[o]:
-            flat_cells.append((row_id(j, k), d[s], j * m * m + k * m + s))
-        ptr.append(len(flat_cells))
-        caps[len(ptr) - 2] = orb_cap[o]
-    orb_ptr = np.array(ptr, dtype=np.int64)
-    cell_row = np.array([c[0] for c in flat_cells], dtype=np.int64)
-    cell_wt = np.array([c[1] for c in flat_cells], dtype=np.int64)
-    cell_idx = np.array([c[2] for c in flat_cells], dtype=np.int64)
+    # flatten orbit cells in search order; a stable sort keeps each orbit's
+    # cells in lex order, which is flat-index order
+    layout = cell_pos.argsort(kind="stable")
+    ar = np.arange(1, m)
+    cell_idx = ((ar[:, None, None] * m + ar[:, None]) * m + ar).ravel()
+    orb_ptr = np.zeros(norb + 1, dtype=np.int64)
+    orb_ptr[1:] = np.bincount(cell_pos, minlength=norb).cumsum()
 
     # remaining knapsack capacity per row
-    row_capacity = np.zeros(nrows, dtype=np.int64)
-    for oi in range(norb):
-        for t in range(orb_ptr[oi], orb_ptr[oi + 1]):
-            row_capacity[cell_row[t]] += caps[oi] * cell_wt[t]
+    row_capacity = np.zeros(n * n, dtype=np.int64)
+    np.add.at(row_capacity, cell_row, cap[orbit] * cell_wt)
 
     # associativity instances (i, j, k >= 1; t any), triggered at the orbit
     # that completes their last free cell: the latest search position among
     # the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t) over all s.  Cells
     # with a unit index are fixed and count as position 0.
-    pos_of = np.zeros((m, m, m), dtype=np.int64)
-    for cell, o in orbit_of.items():
-        pos_of[cell] = order_index[o]
+    pos_of = np.zeros((m, m, m), dtype=orb_pos.dtype)
+    pos_of[1:, 1:, 1:] = cell_pos.reshape(n, n, n)
     last_in_row = pos_of.max(axis=2)  # [a, b] -> max_s pos_of[a, b, s]
     last_in_col = pos_of.max(axis=0)  # [b, c] -> max_s pos_of[s, b, c]
     last_in_mid = pos_of.max(axis=1)  # [a, c] -> max_s pos_of[a, s, c]
     trig = np.maximum(
         np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, :]),
         np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, :]),
-    )
+    ).ravel()
     # a stable sort keeps (i, j, k, t) order within each trigger
-    eq_order = np.argsort(trig, axis=None, kind="stable")
-    i, j, k, t = np.unravel_index(eq_order, trig.shape)
-    eq_data = np.stack([i + 1, j + 1, k + 1, t], axis=1).astype(np.int64)
+    eq_order = trig.argsort(kind="stable")
+    inst = np.empty((n, n, n, m, 4), dtype=np.int64)  # (i, j, k, t) of each instance
+    inst[..., 0] = ar[:, None, None, None]
+    inst[..., 1] = ar[:, None, None]
+    inst[..., 2] = ar[:, None]
+    inst[..., 3] = range(m)
+    eq_data = inst.reshape(-1, 4).take(eq_order, axis=0)
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
-    eq_by_orbit_ptr[1:] = np.searchsorted(
-        trig.ravel()[eq_order], np.arange(norb), side="right"
-    )
+    eq_by_orbit_ptr[1:] = np.bincount(trig, minlength=norb).cumsum()
 
     # static symmetry breaking: involution-fixed basis elements of equal
     # dimension are interchangeable, so any solution can be relabeled to
@@ -371,8 +356,8 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     # per relabeling orbit and kills the duplicated subtrees up front.
     prec = []  # (later_orbit, earlier_orbit): require val[later] <= val[earlier]
     classes = {}
-    for j in range(1, m):
-        classes.setdefault(int(d[j]), []).append(j)
+    for j, dj in enumerate(d.tolist()[1:], 1):
+        classes.setdefault(dj, []).append(j)
     for cls in classes.values():
         fixed = [a for a in cls if dual[a] == a]
         if len(fixed) < 2:
@@ -382,34 +367,28 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
         for a, b in zip(fixed, fixed[1:]):
             ca = (q, a, a) if q is not None else (a, a, a)
             cb = (q, b, b) if q is not None else (b, b, b)
-            oa, ob = order_index[orbit_of[ca]], order_index[orbit_of[cb]]
+            oa, ob = int(pos_of[ca]), int(pos_of[cb])
             if oa < ob:
                 prec.append((ob, oa))
-    prec.sort()
+    prec = np.array(sorted(prec), dtype=np.int64).reshape(-1, 2)
     prec_ptr = np.zeros(norb + 1, dtype=np.int64)
-    prec_data = np.array([e for _, e in prec], dtype=np.int64)
-    pos = 0
-    for oi in range(norb):
-        while pos < len(prec) and prec[pos][0] <= oi:
-            pos += 1
-        prec_ptr[oi + 1] = pos
+    prec_ptr[1:] = prec[:, 0].searchsorted(np.arange(norb), side="right")
 
-    init_tensor = np.zeros(m * m * m, dtype=np.int64)
-    for k in range(m):
-        init_tensor[0 * m * m + k * m + k] = 1
-    for j in range(1, m):
-        init_tensor[j * m * m + 0 * m + j] = 1
-        init_tensor[j * m * m + dual[j] * m + 0] = 1
+    every = np.arange(m)
+    init_tensor = np.zeros((m, m, m), dtype=np.int64)
+    init_tensor[0, every, every] = 1
+    init_tensor[every, 0, every] = 1
+    init_tensor[every, du, 0] = 1
 
     return {
         "m": m,
         "d": d,
         "norb": norb,
         "orb_ptr": orb_ptr,
-        "cell_row": cell_row,
-        "cell_wt": cell_wt,
-        "cell_idx": cell_idx,
-        "caps": caps,
+        "cell_row": cell_row[layout],
+        "cell_wt": cell_wt[layout],
+        "cell_idx": cell_idx[layout],
+        "caps": cap[orb_order],
         "row_target": row_target,
         "row_sq_bound": row_sq_bound,
         "row_cnt": row_cnt,
@@ -417,42 +396,37 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
         "prec_ptr": prec_ptr,
-        "prec_data": prec_data,
-        "init_tensor": init_tensor,
+        "prec_data": prec[:, 1].copy(),
+        "init_tensor": init_tensor.reshape(-1),
         "use_dims": use_dims,
     }
 
 
-def _greedy_assoc_order(m, orbits, orbit_of):
-    """Static orbit order maximizing early associativity completion."""
-    eq_orbits = []
-    for i in range(1, m):
-        for j in range(1, m):
-            for k in range(1, m):
-                for t in range(m):
-                    os_ = set()
-                    for s in range(m):
-                        for cell in ((i, j, s), (s, k, t), (j, k, s), (i, s, t)):
-                            if min(cell) >= 1:
-                                os_.add(orbit_of[cell])
-                    eq_orbits.append(os_)
-    chosen = []
-    chosen_set = set()
-    remaining = set(range(len(orbits)))
-    while remaining:
-        best, best_score = None, (-1, -1)
-        for o in sorted(remaining):
-            completed = sum(
-                1 for os_ in eq_orbits if o in os_ and os_ <= chosen_set | {o}
-            )
-            nearly = sum(1 for os_ in eq_orbits if o in os_ and len(os_ - chosen_set) <= 2)
-            score = (completed, nearly)
-            if score > best_score:
-                best, best_score = o, score
-        chosen.append(best)
-        chosen_set.add(best)
-        remaining.discard(best)
-    return chosen
+def _greedy_assoc_order(orb, norb):
+    """Static orbit order maximizing early associativity completion.
+
+    ``orb[a, b, c]`` is the orbit of cell (a, b, c), -1 for a fixed cell.
+    ``E[e, o]`` is 1 when orbit o has a free cell in associativity
+    instance e = (i, j, k, t).  Each step takes the first orbit, by id,
+    among those not yet chosen that maximizes (instances it completes,
+    instances it leaves at most one orbit short of complete).
+    """
+    m = orb.shape[0]
+    i, j, k, t, s = np.ix_(*[np.arange(1, m)] * 3, np.arange(m), np.arange(m))
+    cells = np.broadcast_arrays(orb[i, j, s], orb[s, k, t], orb[j, k, s], orb[i, s, t])
+    ids = np.stack(cells, axis=-1).reshape((m - 1) ** 3 * m, 4 * m)
+    E = np.zeros((len(ids), norb + 1), dtype=np.int64)
+    E[np.arange(len(ids))[:, None], ids] = 1  # fixed cells (-1) mark the spare last column
+    E = E[:, :norb]
+    chosen = np.zeros(norb, dtype=bool)
+    order = np.empty(norb, dtype=np.int64)
+    for step in range(norb):
+        unchosen = E @ ~chosen  # unchosen orbits per instance
+        score = (E.T @ (unchosen == 1)) * (len(E) + 1) + E.T @ (unchosen <= 2)
+        score[chosen] = -1
+        order[step] = best = np.argmax(score)
+        chosen[best] = True
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +581,10 @@ def _run_kernel(prob, node_budget, max_results) -> tuple:
     """Run the DFS on ``prob`` with the backend in use: (status, solutions,
     stats of this run naming that backend).  The problem says whether the
     dimension knapsack applies (``prob["use_dims"]``)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     backend, kernel = _kernel()
     status, nodes, pk, pa, found = kernel(prob, node_budget, max_results)
-    st = SearchStats(nodes, pk, pa, len(found), time.time() - t0, status == 0,
+    st = SearchStats(nodes, pk, pa, len(found), time.perf_counter() - t0, status == 0,
                      frozenset({backend}))
     return status, found, st
 
@@ -868,7 +842,9 @@ def _collect(found, dims, dual, label_prefix) -> list:
     out = []
     for i, (key, N) in enumerate(sorted(by_key.items())):
         fd = FusionData(N.copy(), np.asarray(dual), "exact", label=f"{label_prefix}-{i + 1}")
-        assert rings.verify_axioms(fd).all_ok, "search emitted an invalid ring"
+        check = rings.verify_axioms(fd)
+        if not check.all_ok:
+            raise InvalidSearchResult(f"search emitted an invalid ring: {check.summary()}")
         out.append(fd)
     return out
 
@@ -1029,17 +1005,19 @@ def classify(
     (2 workers halve the FPdim-990 rank-8 row) and not on the short
     census rows; the README gives the times.  ``checkpoint`` names a
     JSONL file: each complete unit is appended with its rings and
-    flushed as soon as it is taken.  Rerunning with the same path resumes, reusing every stored unit of
-    the same multiplicity cap; a last line without its newline, as a
-    killed run leaves it, is dropped and its unit reruns, and any other
-    bad line raises ParseError.
+    flushed as soon as it is taken.  Rerunning with the same path
+    resumes, reusing every stored unit of the same multiplicity cap; a
+    last line without its newline, as a killed run leaves it, is dropped
+    and its unit reruns, and any other bad line raises ParseError.  The
+    wall budget is read from a monotonic clock, so a step in the system
+    clock neither stretches nor cuts it.
     """
     import contextlib
 
     from . import corpus
 
     filters = filters or {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     sigs = enumerate_types(constraints)
     units = [(sig, inv) for sig in sigs for inv in enumerate_involutions(sig)]
     keys = [_checkpoint_key(sig, inv, constraints.max_multiplicity) for sig, inv in units]
@@ -1060,7 +1038,7 @@ def classify(
             stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_search_task, tasks)
         for i in todo:
-            if wall_budget is not None and time.time() - t0 > wall_budget:
+            if wall_budget is not None and time.perf_counter() - t0 > wall_budget:
                 break
             found, st = outcomes[keys[i]] = next(results)
             if checkpoint is not None and st.complete:
@@ -1082,6 +1060,6 @@ def classify(
         tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
                          and criteria.schur_commutative(character_table(fd)).holds]
     return ClassificationReport(
-        constraints, filters, list(types.values()), time.time() - t0,
+        constraints, filters, list(types.values()), time.perf_counter() - t0,
         all(tr.stats.complete for tr in types.values()),
     )

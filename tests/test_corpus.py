@@ -55,6 +55,16 @@ class TestFormat:
         with pytest.raises(ValidationError):
             parse_fusion_ring(text)
 
+    def test_unexpected_error_propagates(self, monkeypatch):
+        """Only the validation errors of ``new_fusion_data`` become a
+        ValidationError; a programming error keeps its own type."""
+        def broken(*args, **kwargs):
+            raise TypeError("broken constructor")
+
+        monkeypatch.setattr(corpus, "new_fusion_data", broken)
+        with pytest.raises(TypeError, match="broken constructor"):
+            parse_fusion_ring("frt 1\nrank 1\ndual 1\nmatrix 1\n1\n")
+
     def test_comments_and_blank_lines(self):
         text = "# hello\n\nfrt 1\n# rank next\nrank 1\ndual 1\nmatrix 1\n1\n"
         assert parse_fusion_ring(text).rank == 1

@@ -200,6 +200,12 @@ class TestPredicates:
         assert not is_simple(z4)
         assert not is_perfect(z4)
 
+    def test_simple_above_subring_rank_cap(self):
+        """``is_simple`` closes singletons only, so it has no rank cap:
+        Z/17 has no proper subgroup, and Z/18 has five."""
+        assert is_simple(cyclic_group_ring(17))
+        assert not is_simple(cyclic_group_ring(18))
+
     def test_frobenius_requires_integral(self):
         fd = corpus.get("r5sa-a").fd
         with pytest.raises(NotIntegral):

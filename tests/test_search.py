@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fusionforge import corpus, rings, search
-from fusionforge.errors import ParseError, SearchTimeout, UnboundedSearch
+from fusionforge.errors import InvalidSearchResult, ParseError, SearchTimeout, UnboundedSearch
 from fusionforge.rings import TypeSignature, are_isomorphic
 from fusionforge.search import (
     SearchConstraints,
@@ -19,7 +20,7 @@ from fusionforge.search import (
     rank5_three_selfadjoint_family,
 )
 
-from oracles import naive_enumerate_fusion_rings
+from oracles import naive_enumerate_fusion_rings, reference_build_problem
 
 PAPER_FLAGS = dict(
     require_perfect=True,
@@ -29,6 +30,16 @@ PAPER_FLAGS = dict(
     exclude_prime_power_products=True,
     growth_cap=True,
 )
+
+# (FPdim, rank) of the census rows the search reproduces, and the
+# FPdim-990 rank-8 row of the headline type
+CENSUS_ROWS = [(60, 5), (168, 6), (210, 7), (360, 7), (660, 8), (990, 8)]
+
+
+def units(constraints) -> list:
+    """Every (type, involution) unit the constraints admit."""
+    return [(sig, inv) for sig in enumerate_types(constraints)
+            for inv in enumerate_involutions(sig)]
 
 
 class TestEnumerateTypes:
@@ -136,6 +147,79 @@ class TestEnumerateFusionRings:
         b = enumerate_fusion_rings(sig, tuple(range(5)))
         assert len(a) == len(b)
         assert all(np.array_equal(x.tensor, y.tensor) for x, y in zip(a, b))
+
+    def test_invalid_ring_raises(self, monkeypatch):
+        """The final axiom check on every emitted ring raises a library
+        error, which ``python -O`` keeps, rather than an assert."""
+        failed = rings.VerificationReport((rings.AxiomCheck("associativity", False),))
+        monkeypatch.setattr(rings, "verify_axioms", lambda fd: failed)
+        sig = TypeSignature(((1, 1), (3, 2), (4, 1), (5, 1)), True)
+        with pytest.raises(InvalidSearchResult, match="associativity: FAIL"):
+            enumerate_fusion_rings(sig, tuple(range(5)))  # finds PSL(2,5)
+
+
+class TestBuildProblem:
+    """The array-built problem equals the loop build in
+    ``oracles.reference_build_problem``: every array with its dtype and
+    shape, and every scalar with its type."""
+
+    def assert_same(self, dims, dual, max_mult=None, prune_bounds=True):
+        from fusionforge.search import _build_problem
+
+        got = _build_problem(dims, dual, max_mult, prune_bounds)
+        want = reference_build_problem(dims, dual, max_mult, prune_bounds)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            g = got[key]
+            assert type(g) is type(w), (key, dims, dual)
+            if isinstance(w, np.ndarray):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape), (key, dims, dual)
+                assert g.tobytes() == w.tobytes(), (key, dims, dual, max_mult, prune_bounds)
+            else:
+                assert g == w, (key, dims, dual)
+
+    def test_census_rows_and_small_types(self):
+        rows = [u for f, r in CENSUS_ROWS for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        small = units(SearchConstraints(fpdim=(1, 60), rank=(1, 6)))
+        assert (len(rows), len(small)) == (90, 520)
+        assert {sig.rank for sig, _ in small} == set(range(1, 7))
+        for sig, inv in rows + small:
+            for max_mult, prune in itertools.product((None, 2), (True, False)):
+                self.assert_same(list(sig.dims), list(inv), max_mult, prune)
+
+    def test_without_dimensions(self):
+        """The greedy associativity order: the rank-5 template at
+        multiplicities 1, 2 and 4, and every involution of ranks 1 to 6
+        with one dimension class at multiplicities 2 and 1."""
+        for mult in (1, 2, 4):
+            self.assert_same(None, list(search.RANK5_TEMPLATE_DUAL), mult)
+        for m in range(1, 7):
+            sig = TypeSignature(((1, m),), True)
+            for inv in enumerate_involutions(sig):
+                self.assert_same(None, list(inv), 2)
+                self.assert_same(None, list(inv), 1, prune_bounds=False)
+
+    def test_dimensions_or_cap_required(self):
+        from fusionforge.search import _build_problem
+
+        with pytest.raises(ValueError, match="max_multiplicity is required"):
+            _build_problem(None, [0, 2, 1])
+
+
+def test_is_simple_matches_subring_lattice(corpus_entries, dims112):
+    """``is_simple`` (every singleton generates everything) agrees with
+    the subring lattice on the corpus, the rank-5 family at multiplicity
+    4, every ring of the census rows, and a ring whose only proper
+    subring is generated by basis element 1."""
+    fds = [e.fd for e in corpus_entries] + rank5_three_selfadjoint_family(4) + [dims112]
+    for f, r in CENSUS_ROWS[:-1]:
+        c = SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS)
+        fds += [fd for sig, inv in units(c) for fd in enumerate_fusion_rings(sig, inv, c)]
+    assert len(fds) == 52 + 47 + 1 + 47
+    verdicts = [rings.is_simple(fd) for fd in fds]
+    assert verdicts == [not rings.proper_subrings(fd) for fd in fds]
+    assert 0 < sum(verdicts) < len(fds)
 
 
 def kernel_backends() -> dict:
@@ -518,6 +602,20 @@ class TestClassify:
             ("require_gcd_one", True), ("exclude_prime_power_products", True),
             ("growth_cap", True), ("max_multiplicity", 2),
         ]
+
+    def test_wall_budget_ignores_clock_steps(self, monkeypatch):
+        """The wall budget runs on a monotonic clock: a system clock that
+        steps an hour back after the start does not let a spent budget
+        take more units."""
+        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
+        want = classify(c, wall_budget=0.0).to_dict()
+        real, calls = search.time.time, itertools.count()
+        monkeypatch.setattr(search.time, "time", lambda: real() - 3600 * (next(calls) > 0))
+        got = classify(c, wall_budget=0.0).to_dict()
+        assert not got["complete"] and got["types"][0]["nodes"] == 0
+        got.pop("wall_time")
+        want.pop("wall_time")
+        assert got == want
 
     def test_wall_budget_in_pool(self, tmp_path):
         """A spent wall budget stops the pool like the serial loop: no unit
