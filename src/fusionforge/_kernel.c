@@ -6,8 +6,24 @@
    identical.  search.py builds this file on first use with
    `cc -O2 -shared -fPIC` and loads it through ctypes.
 
-   Invariant: orbits 0..o-1 are applied, orbit o holds the candidate
-   value v[o] not yet applied. */
+   Entering depth o (at the start and after each push), the kernel
+   narrows orbit o to the interval lo..hi of values that every row
+   (j, k) the orbit touches allows, given orbits 0..o-1.  For such a row
+   let R be its residual (d_j d_k less what is placed), CAPR the summed
+   cap * d_s of its open cells (this orbit's included), SS the square
+   sum of its placed cells, and W and C the summed d_s and the number of
+   orbit o's cells in it.  Then
+       v W <= R,   v W >= R - (CAPR - caps[o] W),   SS + C v^2 <= sq_bound.
+   A row the orbit completes has CAPR = caps[o] W, so there the first two
+   force v W = R.  hi is also at most caps[o] and the value of every
+   orbit that orbit o must not exceed (precedence).  Only values in
+   lo..hi are nodes; the values from 0 to that cap and precedence bound
+   that lie outside lo..hi are counted as knapsack prunes.  R and
+   sq_bound - SS stay nonnegative (search._check_kernel_args checks the
+   start), so the integer divisions below are floors.
+
+   Invariant: orbits 0..o-1 are applied with the values v[0..o-1]; v[o]
+   is the next candidate of orbit o, not yet applied. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -17,106 +33,90 @@ typedef int64_t i64;
 
 void ff_free(i64 *p) { free(p); }
 
-/* Returns the status: 0 done, 1 node budget exhausted, 2 a solution
-   beyond the first max_results exists, -1 out of memory.  counts gets
-   nodes, knapsack prunes, associativity prunes and the number of
-   solutions; *results gets that many tensors of m^3 entries in one
-   malloc'd block, to be released with ff_free. */
-i64 ff_dfs_kernel(i64 m, i64 norb, const i64 *orb_ptr, const i64 *cell_row,
-                  const i64 *cell_wt, const i64 *cell_idx, const i64 *caps,
-                  i64 nrows, const i64 *row_target, const i64 *row_sq_bound,
-                  const i64 *row_cnt0, const i64 *row_capacity0,
-                  const i64 *eq_ptr, const i64 *eq_data,
-                  const i64 *prec_ptr, const i64 *prec_data,
-                  const i64 *init_tensor, i64 use_dims, i64 node_budget,
-                  i64 max_results, i64 *counts, i64 **results)
+/* Returns the status: 0 done, 1 a node beyond node_budget was needed,
+   2 a solution beyond the first max_results exists, -1 out of memory.
+   counts gets nodes, knapsack prunes, associativity prunes and the
+   number of solutions; *results gets that many tensors of m^3 entries in
+   one malloc'd block, to be released with ff_free. */
+i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, const i64 *orb_ptr, const i64 *cell_idx,
+                  const i64 *caps, const i64 *orb_row_ptr, const i64 *orb_row,
+                  const i64 *orb_row_wt, const i64 *orb_row_cnt, const i64 *row_target,
+                  const i64 *row_sq_bound, const i64 *row_capacity, const i64 *eq_ptr,
+                  const i64 *eq_data, const i64 *prec_ptr, const i64 *prec_data,
+                  const i64 *init_tensor, i64 node_budget, i64 max_results,
+                  i64 *counts, i64 **results)
 {
     const i64 mm = m * m, ncells = mm * m;
-    i64 *N = malloc((ncells + 4 * nrows + 2 * norb + 2) * sizeof(i64));
+    i64 *N = malloc((ncells + 3 * nrows + 2 * norb) * sizeof(i64));
     i64 *found = NULL, *grown;
     i64 nfound = 0, room = 0, nodes = 0, prune_knap = 0, prune_assoc = 0;
-    i64 status = 0, o = 0, vv, t, e, s, r, w;
-    int ok;
+    i64 status = 0, o = 0, vv, t, e, q, s, r, w, x, top, lo, hi;
+    int ok, enter = 1;
 
     if (N == NULL) {
         status = -1;
         goto done;
     }
-    i64 *R = N + ncells, *CAPR = R + nrows, *CNT = CAPR + nrows,
-        *SS = CNT + nrows, *val = SS + nrows, *v = val + norb + 1;
+    i64 *R = N + ncells, *CAPR = R + nrows, *SS = CAPR + nrows, *v = SS + nrows,
+        *vhi = v + norb;
     memcpy(N, init_tensor, ncells * sizeof(i64));
     memcpy(R, row_target, nrows * sizeof(i64));
-    memcpy(CAPR, row_capacity0, nrows * sizeof(i64));
-    memcpy(CNT, row_cnt0, nrows * sizeof(i64));
+    memcpy(CAPR, row_capacity, nrows * sizeof(i64));
     memset(SS, 0, nrows * sizeof(i64));
-    for (t = 0; t <= norb; t++) {
-        val[t] = -1;
-        v[t] = 0;
-    }
+    memset(v, 0, 2 * norb * sizeof(i64));
 
     for (;;) {
-        if (nodes >= node_budget) {
-            status = 1;
-            break;
-        }
-        if (v[o] > caps[o]) {
-            /* depth exhausted: pop to previous orbit */
-            if (--o < 0)
-                break;
-            vv = val[o];
-            for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++) {
-                r = cell_row[t];
-                w = cell_wt[t];
-                N[cell_idx[t]] = 0;
-                R[r] += vv * w;
-                CAPR[r] += caps[o] * w;
-                CNT[r] += 1;
-                SS[r] -= vv * vv;
+        if (enter) {
+            /* the interval of orbit o; see the header */
+            top = caps[o];
+            for (e = prec_ptr[o]; e < prec_ptr[o + 1]; e++)
+                if (v[prec_data[e]] < top)
+                    top = v[prec_data[e]];
+            lo = 0;
+            hi = top;
+            for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++) {
+                r = orb_row[q];
+                w = orb_row_wt[q];
+                if (R[r] / w < hi)
+                    hi = R[r] / w;
+                x = (row_sq_bound[r] - SS[r]) / orb_row_cnt[q];
+                /* Newton steps from above end at the integer square root */
+                while (hi * hi > x)
+                    hi = (hi + x / hi) / 2;
+                x = R[r] - CAPR[r] + caps[o] * w;
+                if (x > lo * w)
+                    lo = (x + w - 1) / w;
             }
-            val[o] = -1;
-            v[o] = vv + 1;
-            continue;
+            prune_knap += top + 1 - (hi >= lo ? hi - lo + 1 : 0);
+            v[o] = lo;
+            vhi[o] = hi;
+            enter = 0;
         }
 
-        vv = v[o];
-        nodes++;
-        ok = 1;
-        for (e = prec_ptr[o]; e < prec_ptr[o + 1]; e++)
-            if (vv > val[prec_data[e]]) {
-                ok = 0;
+        if (v[o] > vhi[o]) {
+            /* depth exhausted: pop to the previous orbit */
+            if (--o < 0)
+                break;
+        } else {
+            if (nodes >= node_budget) {
+                status = 1;
                 break;
             }
-        if (!ok) {
-            /* larger values only grow; exhaust this depth */
-            v[o] = caps[o] + 1;
-            continue;
-        }
-        for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++) {
-            r = cell_row[t];
-            w = cell_wt[t];
-            N[cell_idx[t]] = vv;
-            R[r] -= vv * w;
-            CAPR[r] -= caps[o] * w;
-            CNT[r] -= 1;
-            SS[r] += vv * vv;
-        }
-        if (use_dims) {
-            for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++) {
-                r = cell_row[t];
-                if (R[r] < 0 || R[r] > CAPR[r] || SS[r] > row_sq_bound[r]
-                    || (CNT[r] == 0 && R[r] != 0)) {
-                    ok = 0;
-                    break;
-                }
+            vv = v[o];
+            nodes++;
+            for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++)
+                N[cell_idx[t]] = vv;
+            for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++) {
+                r = orb_row[q];
+                R[r] -= vv * orb_row_wt[q];
+                CAPR[r] -= caps[o] * orb_row_wt[q];
+                SS[r] += vv * vv * orb_row_cnt[q];
             }
-            if (!ok)
-                prune_knap++;
-        }
-        if (ok) {
+            ok = 1;
             for (e = eq_ptr[o]; e < eq_ptr[o + 1]; e++) {
-                const i64 *q = eq_data + 4 * e;
-                const i64 *ij = N + q[0] * mm + q[1] * m, *jk = N + q[1] * mm + q[2] * m;
-                const i64 *kt = N + q[2] * m + q[3], *it = N + q[0] * mm + q[3];
+                const i64 *qd = eq_data + 4 * e;
+                const i64 *ij = N + qd[0] * mm + qd[1] * m, *jk = N + qd[1] * mm + qd[2] * m;
+                const i64 *kt = N + qd[2] * m + qd[3], *it = N + qd[0] * mm + qd[3];
                 i64 lhs = 0, rhs = 0;
                 for (s = 0; s < m; s++) {
                     lhs += ij[s] * kt[s * mm];
@@ -128,44 +128,41 @@ i64 ff_dfs_kernel(i64 m, i64 norb, const i64 *orb_ptr, const i64 *cell_row,
                     break;
                 }
             }
-        }
-
-        if (ok && o == norb - 1) {
-            if (nfound == max_results) {
-                status = 2;
-                break;
+            if (ok && o < norb - 1) {
+                o++;
+                enter = 1;
+                continue;
             }
-            if (nfound == room) {
-                room = room ? 2 * room : 256;
-                grown = realloc(found, room * ncells * sizeof(i64));
-                if (grown == NULL) {
-                    status = -1;
+            if (ok) {
+                if (nfound == max_results) {
+                    status = 2;
                     break;
                 }
-                found = grown;
+                if (nfound == room) {
+                    room = room ? 2 * room : 256;
+                    grown = realloc(found, room * ncells * sizeof(i64));
+                    if (grown == NULL) {
+                        status = -1;
+                        break;
+                    }
+                    found = grown;
+                }
+                memcpy(found + nfound * ncells, N, ncells * sizeof(i64));
+                nfound++;
             }
-            memcpy(found + nfound * ncells, N, ncells * sizeof(i64));
-            nfound++;
-            ok = 0; /* treat like a dead end: undo and advance */
         }
 
-        if (!ok) {
-            for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++) {
-                r = cell_row[t];
-                w = cell_wt[t];
-                N[cell_idx[t]] = 0;
-                R[r] += vv * w;
-                CAPR[r] += caps[o] * w;
-                CNT[r] += 1;
-                SS[r] -= vv * vv;
-            }
-            v[o] = vv + 1;
-            continue;
+        /* undo orbit o's value and go on to its next one */
+        vv = v[o];
+        for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++)
+            N[cell_idx[t]] = 0;
+        for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++) {
+            r = orb_row[q];
+            R[r] += vv * orb_row_wt[q];
+            CAPR[r] += caps[o] * orb_row_wt[q];
+            SS[r] -= vv * vv * orb_row_cnt[q];
         }
-
-        val[o] = vv;
-        o++;
-        v[o] = 0;
+        v[o] = vv + 1;
     }
 
 done:

@@ -651,7 +651,7 @@ def _dual_young_probes(bialg: CanonicalBialgebra):
     try:
         ct = spectral.character_table(bialg.fd)
         projs = np.array([p.coeffs for p in spectral.dual_projections(bialg.fd, ct)])
-        nhat = spectral.dual_fusion_coefficients(bialg.fd, ct)
+        nhat = spectral._dual_coefficients(projs, ct)
     except _SPECTRAL_ERRORS as exc:
         return (basis, *pairs), f"{type(exc).__name__}: {exc}"
     a, b = np.triu_indices(m)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -123,6 +124,8 @@ def parse_fusion_ring(text: str, label=None) -> FusionData:
                     v = float(tok)
                 except ValueError:
                     raise ParseError(f"bad entry {tok!r}", line=ln, column=col)
+                if not math.isfinite(v):
+                    raise ParseError(f"entry {tok!r} is not finite", line=ln, column=col)
                 if v != int(v) or "." in tok or "e" in tok.lower():
                     exact = False
                 row.append(v)

@@ -11,10 +11,12 @@ on three facts:
   dimensions are known, else greedily by the associativity instances
   each completes.
 * For every pair (j,k) the dimension equation
-  sum_s N[j,k,s] d_s = d_j d_k is an exact integer knapsack; partial
-  assignments prune on residual feasibility.
+  sum_s N[j,k,s] d_s = d_j d_k is an exact integer knapsack.  Each is
+  linear in an orbit's value, so before an orbit is tried the kernel
+  narrows it to the interval of values that leave every row it touches
+  feasible, and only values in that interval become search nodes.
 * The unconditional coefficient bounds N[j,k,s] <= min(d_j,d_k,d_s) and
-  sum_s N[j,k,s]^2 <= min(d_j^2, d_k^2) cap the domains.
+  sum_s N[j,k,s]^2 <= min(d_j^2, d_k^2) cap the domains and the interval.
 
 Associativity instances are checked the moment their last cell is
 assigned.  Found tensors are deduplicated by canonical form: the least
@@ -175,16 +177,16 @@ def enumerate_types(constraints: SearchConstraints) -> list:
                     if constraints.require_gcd_one and parts:
                         if math.gcd(*(n for n, _ in parts)) != 1:
                             return
-                    if constraints.growth_cap:
-                        distinct = [1] + [n for n, _ in parts]
-                        for a, b in zip(distinct[1:], distinct[2:]):
-                            if b >= a * a:
-                                return
                     entries = ((1, m1),) + tuple(parts)
                     out.append(TypeSignature(entries, True))
                     return
-                start = max(prev_n + 1, 2)
-                for n in range(start, int(math.isqrt(budget)) + 1):
+                # each free slot holds at most one dimension n with n^2 <= budget
+                top = math.isqrt(budget)
+                if rhi is not None and budget > (rhi - m1 - slots) * top * top:
+                    return
+                if constraints.growth_cap and parts:
+                    top = min(top, prev_n * prev_n - 1)  # n_{i+1} < n_i^2
+                for n in range(max(prev_n + 1, 2), top + 1):
                     if constraints.require_divisibility and mu % n != 0:
                         continue
                     if parts == [] and n < constraints.min_d2:
@@ -246,7 +248,9 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     (d_j d_k, j, k, -d_s, s): rows by cheap dimension product, heavy
     columns first.  Without, the greedy associativity order applies.
     The kernel's cell arrays list the cells by (search position, flat
-    index).
+    index), and its orbit-row arrays list the distinct rows (j, k) of
+    each orbit by (search position, row) with the orbit's summed d_s and
+    number of cells in the row; there are none without dimensions.
 
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
@@ -284,7 +288,6 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
         row_sq_bound = (dmin**2 - unit).ravel()
     else:
         row_sq_bound = np.full(n * n, _INT64_MAX // 4, dtype=np.int64)
-    row_cnt = np.full(n * n, n, dtype=np.int64)
 
     # caps per orbit: the coefficient bound min(d_j, d_k, d_s) over the
     # orbit when dimensions are known, else the multiplicity cap alone
@@ -324,6 +327,20 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     # remaining knapsack capacity per row
     row_capacity = np.zeros(n * n, dtype=np.int64)
     np.add.at(row_capacity, cell_row, cap[orbit] * cell_wt)
+
+    # the distinct rows of each orbit, by (search position, row): W is the
+    # summed d_s and C the number of the orbit's cells in the row.  Without
+    # dimensions there is no row equation, so every orbit has none.
+    orb_row_ptr = np.zeros(norb + 1, dtype=np.int64)
+    if use_dims:
+        key, inv, orb_row_cnt = np.unique(cell_pos.astype(np.int64) * n * n + cell_row,
+                                          return_inverse=True, return_counts=True)
+        orb_row_pos, orb_row = np.divmod(key, n * n)
+        # float sums of small integers are exact
+        orb_row_wt = np.bincount(inv, weights=cell_wt).astype(np.int64)
+        orb_row_ptr[1:] = np.bincount(orb_row_pos, minlength=norb).cumsum()
+    else:
+        orb_row = orb_row_wt = orb_row_cnt = np.zeros(0, dtype=np.int64)
 
     # associativity instances (i, j, k >= 1; t any), triggered at the orbit
     # that completes their last free cell: the latest search position among
@@ -385,20 +402,20 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "d": d,
         "norb": norb,
         "orb_ptr": orb_ptr,
-        "cell_row": cell_row[layout],
-        "cell_wt": cell_wt[layout],
         "cell_idx": cell_idx[layout],
         "caps": cap[orb_order],
+        "orb_row_ptr": orb_row_ptr,
+        "orb_row": orb_row,
+        "orb_row_wt": orb_row_wt,
+        "orb_row_cnt": orb_row_cnt,
         "row_target": row_target,
         "row_sq_bound": row_sq_bound,
-        "row_cnt": row_cnt,
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
         "prec_ptr": prec_ptr,
         "prec_data": prec[:, 1].copy(),
         "init_tensor": init_tensor.reshape(-1),
-        "use_dims": use_dims,
     }
 
 
@@ -433,11 +450,12 @@ def _greedy_assoc_order(orb, norb):
 # DFS kernel
 
 
-# the problem arrays in the order the C kernel takes them, after m and norb
+# the problem arrays in the order the C kernel takes them, after m, norb
+# and the number of rows
 _KERNEL_ARRAYS = (
-    "orb_ptr", "cell_row", "cell_wt", "cell_idx", "caps", "row_target",
-    "row_sq_bound", "row_cnt", "row_capacity", "eq_ptr", "eq_data",
-    "prec_ptr", "prec_data", "init_tensor",
+    "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "orb_row_cnt",
+    "row_target", "row_sq_bound", "row_capacity", "eq_ptr", "eq_data", "prec_ptr",
+    "prec_data", "init_tensor",
 )
 
 
@@ -446,141 +464,126 @@ def _dfs_kernel(prob, node_budget, max_results):
     ``_build_problem``); the reference for every backend.
 
     Returns (status, nodes, knapsack prunes, associativity prunes,
-    solutions as a flat 2d array).  status: 0 done, 1 node budget
-    exhausted, 2 a solution beyond the first ``max_results`` exists
-    (exactly ``max_results`` are returned).
+    solutions as a flat 2d array).  status: 0 done, 1 a node beyond
+    ``node_budget`` was needed, 2 a solution beyond the first
+    ``max_results`` exists (exactly ``max_results`` are returned).
 
-    Invariant: orbits 0..o-1 are applied, orbit o holds the candidate
-    value v[o] not yet applied.
+    Entering depth o, the kernel narrows orbit o to the interval lo..hi
+    of values that every row (j, k) the orbit touches allows, given the
+    orbits before it.  Let R be the row's residual (d_j d_k less what is
+    placed), CAPR the summed cap * d_s of its open cells (this orbit's
+    included), SS the square sum of its placed cells, and W and C the
+    summed d_s and the number of this orbit's cells in it.  Then
+    v W <= R, v W >= R - (CAPR - caps[o] W) and SS + C v^2 <= sq_bound.
+    A row the orbit completes has CAPR = caps[o] W, so there the first
+    two force v W = R.  hi is also at most the orbit's cap and the value
+    of every orbit it must not exceed (precedence).  Only values in
+    lo..hi are nodes; the values from 0 to that cap and precedence bound
+    that lie outside lo..hi are counted as knapsack prunes.
+
+    Invariant: orbits 0..o-1 are applied with the values v[0..o-1];
+    v[o] is the next candidate of orbit o, not yet applied.
     """
-    m, norb, use_dims = prob["m"], prob["norb"], prob["use_dims"]
-    (orb_ptr, cell_row, cell_wt, cell_idx, caps, row_target, row_sq_bound, row_cnt0,
-     row_capacity0, eq_ptr, eq_data, prec_ptr, prec_data, init_tensor) = (
-        prob[k] for k in _KERNEL_ARRAYS)
-    ncells = m * m * m
-    N = init_tensor.copy()
-    R = row_target.copy()
-    CAPR = row_capacity0.copy()
-    CNT = row_cnt0.copy()
-    SS = np.zeros(len(row_target), dtype=np.int64)
-
-    val = np.full(norb, -1, dtype=np.int64)
-    v = np.zeros(norb, dtype=np.int64)
-    chunk = 256
-    results = np.empty((chunk, ncells), dtype=np.int64)
-    nfound = 0
+    m, norb = prob["m"], prob["norb"]
+    (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, orb_row_cnt, row_target,
+     row_sq_bound, row_capacity, eq_ptr, eq_data, prec_ptr, prec_data, init_tensor) = (
+        prob[k].tolist() for k in _KERNEL_ARRAYS)
+    mm = m * m
+    N = init_tensor
+    R = row_target
+    CAPR = row_capacity
+    SS = [0] * len(row_target)
+    v = [0] * norb
+    vhi = [0] * norb
+    results = []
     nodes = 0
     prune_knap = 0
     prune_assoc = 0
     status = 0
 
     o = 0
+    enter = True
     while True:
-        if nodes >= node_budget:
-            status = 1
-            break
-        if v[o] > caps[o]:
-            # depth exhausted: pop to previous orbit
+        if enter:
+            # the interval of orbit o; see the docstring
+            top = caps[o]
+            for e in range(prec_ptr[o], prec_ptr[o + 1]):
+                top = min(top, v[prec_data[e]])
+            lo = 0
+            hi = top
+            for q in range(orb_row_ptr[o], orb_row_ptr[o + 1]):
+                r = orb_row[q]
+                w = orb_row_wt[q]
+                hi = min(hi, R[r] // w)
+                x = (row_sq_bound[r] - SS[r]) // orb_row_cnt[q]
+                if hi * hi > x:
+                    hi = math.isqrt(x)
+                x = R[r] - CAPR[r] + caps[o] * w
+                if x > lo * w:
+                    lo = -(-x // w)
+            prune_knap += top + 1 - max(hi - lo + 1, 0)
+            v[o] = lo
+            vhi[o] = hi
+            enter = False
+
+        if v[o] > vhi[o]:
+            # depth exhausted: pop to the previous orbit
             o -= 1
             if o < 0:
                 break
-            vv = val[o]
-            for t in range(orb_ptr[o], orb_ptr[o + 1]):
-                r = cell_row[t]
-                w = cell_wt[t]
-                N[cell_idx[t]] = 0
-                R[r] += vv * w
-                CAPR[r] += caps[o] * w
-                CNT[r] += 1
-                SS[r] -= vv * vv
-            val[o] = -1
-            v[o] = vv + 1
-            continue
-
-        vv = v[o]
-        nodes += 1
-        skip = False
-        for e in range(prec_ptr[o], prec_ptr[o + 1]):
-            if vv > val[prec_data[e]]:
-                skip = True
+        else:
+            if nodes >= node_budget:
+                status = 1
                 break
-        if skip:
-            # larger values only grow; exhaust this depth
-            v[o] = caps[o] + 1
-            continue
-        for t in range(orb_ptr[o], orb_ptr[o + 1]):
-            r = cell_row[t]
-            w = cell_wt[t]
-            N[cell_idx[t]] = vv
-            R[r] -= vv * w
-            CAPR[r] -= caps[o] * w
-            CNT[r] -= 1
-            SS[r] += vv * vv
-        ok = True
-        if use_dims:
+            vv = v[o]
+            nodes += 1
             for t in range(orb_ptr[o], orb_ptr[o + 1]):
-                r = cell_row[t]
-                if (
-                    R[r] < 0
-                    or R[r] > CAPR[r]
-                    or SS[r] > row_sq_bound[r]
-                    or (CNT[r] == 0 and R[r] != 0)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                prune_knap += 1
-        if ok:
+                N[cell_idx[t]] = vv
+            for q in range(orb_row_ptr[o], orb_row_ptr[o + 1]):
+                r = orb_row[q]
+                R[r] -= vv * orb_row_wt[q]
+                CAPR[r] -= caps[o] * orb_row_wt[q]
+                SS[r] += vv * vv * orb_row_cnt[q]
+            ok = True
             for e in range(eq_ptr[o], eq_ptr[o + 1]):
-                i_ = eq_data[e, 0]
-                j_ = eq_data[e, 1]
-                k_ = eq_data[e, 2]
-                t_ = eq_data[e, 3]
+                i_, j_, k_, t_ = eq_data[e]
                 lhs = 0
                 rhs = 0
                 for s in range(m):
-                    lhs += N[i_ * m * m + j_ * m + s] * N[s * m * m + k_ * m + t_]
-                    rhs += N[j_ * m * m + k_ * m + s] * N[i_ * m * m + s * m + t_]
+                    lhs += N[i_ * mm + j_ * m + s] * N[s * mm + k_ * m + t_]
+                    rhs += N[j_ * mm + k_ * m + s] * N[i_ * mm + s * m + t_]
                 if lhs != rhs:
                     ok = False
                     prune_assoc += 1
                     break
+            if ok and o < norb - 1:
+                o += 1
+                enter = True
+                continue
+            if ok:
+                if len(results) == max_results:
+                    status = 2
+                    break
+                results.append(N.copy())
 
-        if ok and o == norb - 1:
-            if nfound == max_results:
-                status = 2
-                break
-            if nfound == results.shape[0]:
-                grown = np.empty((results.shape[0] * 2, ncells), dtype=np.int64)
-                grown[: results.shape[0]] = results
-                results = grown
-            results[nfound] = N
-            nfound += 1
-            ok = False  # treat like a dead end: undo and advance
+        # undo orbit o's value and go on to its next one
+        vv = v[o]
+        for t in range(orb_ptr[o], orb_ptr[o + 1]):
+            N[cell_idx[t]] = 0
+        for q in range(orb_row_ptr[o], orb_row_ptr[o + 1]):
+            r = orb_row[q]
+            R[r] += vv * orb_row_wt[q]
+            CAPR[r] += caps[o] * orb_row_wt[q]
+            SS[r] -= vv * vv * orb_row_cnt[q]
+        v[o] = vv + 1
 
-        if not ok:
-            for t in range(orb_ptr[o], orb_ptr[o + 1]):
-                r = cell_row[t]
-                w = cell_wt[t]
-                N[cell_idx[t]] = 0
-                R[r] += vv * w
-                CAPR[r] += caps[o] * w
-                CNT[r] += 1
-                SS[r] -= vv * vv
-            v[o] = vv + 1
-            continue
-
-        val[o] = vv
-        o += 1
-        v[o] = 0
-
-    return status, nodes, prune_knap, prune_assoc, results[:nfound]
+    found = np.array(results, dtype=np.int64).reshape(len(results), m * mm)
+    return status, nodes, prune_knap, prune_assoc, found
 
 
 def _run_kernel(prob, node_budget, max_results) -> tuple:
     """Run the DFS on ``prob`` with the backend in use: (status, solutions,
-    stats of this run naming that backend).  The problem says whether the
-    dimension knapsack applies (``prob["use_dims"]``)."""
+    stats of this run naming that backend)."""
     t0 = time.perf_counter()
     backend, kernel = _kernel()
     status, nodes, pk, pa, found = kernel(prob, node_budget, max_results)
@@ -612,26 +615,37 @@ def _c_cache_dir() -> str:
 
 
 def _check_kernel_args(a):
-    """The layout, sizes and index bounds the C kernel relies on without
-    checking, in the problem ``a``."""
+    """The layout, sizes, index bounds and signs the C kernel relies on
+    without checking, in the problem ``a``: among them the row weights
+    and counts it divides by, and the nonnegative row residuals and
+    square-sum bounds that make its integer division a floor."""
     m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
 
+    def at_least(x, lo):
+        return x.size == 0 or x.min() >= lo
+
     def within(x, hi):
-        return x.size == 0 or (x.min() >= 0 and x.max() < hi)
+        return at_least(x, 0) and (x.size == 0 or x.max() < hi)
 
     ok = (
         all(a[k].dtype == np.int64 and a[k].flags.c_contiguous for k in _KERNEL_ARRAYS)
         and norb >= 1
         and len(a["caps"]) == norb
         and len(a["init_tensor"]) == m**3
-        and all(len(a[k]) == nrows for k in ("row_sq_bound", "row_cnt", "row_capacity"))
+        and all(len(a[k]) == nrows for k in ("row_sq_bound", "row_capacity"))
         and all(len(a[k]) == norb + 1 and a[k][0] == 0 and np.all(np.diff(a[k]) >= 0)
-                for k in ("orb_ptr", "eq_ptr", "prec_ptr"))
-        and a["orb_ptr"][-1] == len(a["cell_row"]) == len(a["cell_wt"]) == len(a["cell_idx"])
+                for k in ("orb_ptr", "orb_row_ptr", "eq_ptr", "prec_ptr"))
+        and a["orb_ptr"][-1] == len(a["cell_idx"])
+        and (a["orb_row_ptr"][-1] == len(a["orb_row"]) == len(a["orb_row_wt"])
+             == len(a["orb_row_cnt"]))
         and a["eq_data"].shape == (a["eq_ptr"][-1], 4)
         and a["prec_ptr"][-1] == len(a["prec_data"])
         and within(a["cell_idx"], m**3)
-        and within(a["cell_row"], nrows)
+        and within(a["orb_row"], nrows)
+        and at_least(a["orb_row_wt"], 1)
+        and at_least(a["orb_row_cnt"], 1)
+        and at_least(a["row_target"], 0)
+        and at_least(a["row_sq_bound"], 0)
         and within(a["eq_data"], m)
         and within(a["prec_data"], norb)
     )
@@ -673,10 +687,10 @@ def _load_c_kernel():
     i64, arr = ctypes.c_int64, ctypes.c_void_p
     out_ptr = ctypes.POINTER(i64)
     fn = lib.ff_dfs_kernel
-    # m, norb, orb_ptr..caps, nrows, row_target..init_tensor, use_dims,
-    # node_budget, max_results, counts, results; arrays go as bare data
-    # addresses (checked by _check_kernel_args, kept alive by the caller)
-    fn.argtypes = [i64, i64] + [arr] * 5 + [i64] + [arr] * 9 + [i64] * 3 + [
+    # m, norb, nrows, the _KERNEL_ARRAYS, node_budget, max_results, counts,
+    # results; arrays go as bare data addresses (checked by
+    # _check_kernel_args, kept alive by the caller)
+    fn.argtypes = [i64] * 3 + [arr] * len(_KERNEL_ARRAYS) + [i64] * 2 + [
         arr, ctypes.POINTER(out_ptr)]
     fn.restype = i64
     lib.ff_free.argtypes = [out_ptr]
@@ -688,9 +702,9 @@ def _load_c_kernel():
         counts = np.zeros(4, dtype=np.int64)
         found = out_ptr()
         addr = [prob[k].ctypes.data for k in _KERNEL_ARRAYS]
-        status = fn(m, prob["norb"], *addr[:5], len(prob["row_target"]), *addr[5:],
-                    int(prob["use_dims"]), min(int(node_budget), _INT64_MAX),
-                    min(int(max_results), _INT64_MAX), counts.ctypes.data, ctypes.byref(found))
+        status = fn(m, prob["norb"], len(prob["row_target"]), *addr,
+                    min(int(node_budget), _INT64_MAX), min(int(max_results), _INT64_MAX),
+                    counts.ctypes.data, ctypes.byref(found))
         try:
             if status < 0:
                 raise MemoryError("the C search kernel ran out of memory")
@@ -737,13 +751,27 @@ def __getattr__(name):
 
 @dataclass
 class SearchStats:
+    """Counts of the tensor search, summed over the units merged in.
+
+    ``nodes``: orbit values applied, each one inside its orbit's
+    dimension interval; the node budget counts these.
+    ``prune_knapsack``: values from 0 up to an orbit's cap and
+    precedence bound that its dimension interval excluded, so they were
+    never applied (0 without dimensions).
+    ``prune_associativity``: applied values that failed an associativity
+    instance they completed.
+    ``raw_solutions``: complete tensors found, before dedup.
+    ``wall_time``: seconds in the kernel.  ``complete``: no unit stopped
+    on a budget.  ``kernel_backends``: the backends that ran.
+    """
+
     nodes: int = 0
     prune_knapsack: int = 0
     prune_associativity: int = 0
     raw_solutions: int = 0
     wall_time: float = 0.0
     complete: bool = True
-    kernel_backends: frozenset = frozenset()  # the backends that ran
+    kernel_backends: frozenset = frozenset()
 
     def merge(self, other: "SearchStats"):
         self.nodes += other.nodes
@@ -1002,7 +1030,7 @@ def classify(
     ``threads > 1`` runs the units in a process pool; results are taken
     in task order either way, so the report and the checkpoint do not
     depend on scheduling.  The pool pays when several units are long
-    (2 workers halve the FPdim-990 rank-8 row) and not on the short
+    (2 workers cut the FPdim-990 rank-8 row by 40 %) and not on the short
     census rows; the README gives the times.  ``checkpoint`` names a
     JSONL file: each complete unit is appended with its rings and
     flushed as soon as it is taken.  Rerunning with the same path

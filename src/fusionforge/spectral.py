@@ -235,11 +235,15 @@ def dual_fusion_coefficients(
     tolerance are dropped.  All entries >= 0 is exactly the Schur
     product property on the dual.
     """
-    projs = dual_projections(fd, ct, tol)
-    d = ct.fp_column
-    P = np.array([p.coeffs for p in projs])
+    return _dual_coefficients(np.array([p.coeffs for p in dual_projections(fd, ct, tol)]),
+                              ct, tol)
+
+
+def _dual_coefficients(P: np.ndarray, ct: CharacterTable, tol: float = RESIDUAL_TOL):
+    """``dual_fusion_coefficients`` from the dual projections already
+    built and verified, stacked as the rows of ``P``."""
     # conv[j, k] = P_j ._B P_k; chi_s(conv[j, k]) = coefficient of P_s
-    conv = P[:, None, :] * P[None, :, :] / d
+    conv = P[:, None, :] * P[None, :, :] / ct.fp_column
     nhat = conv @ ct.lam
     imag = float(np.max(np.abs(nhat.imag)))
     if imag > tol * (1 + float(np.max(np.abs(nhat)))):

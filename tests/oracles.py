@@ -9,14 +9,25 @@ and no canonical-form dedup.
 ``search._build_problem``: orbits walked one cell at a time, the search
 order from sorted Python lists and the greedy associativity order from
 set arithmetic.  The array-built problem must equal it array for array.
+
+``reference_dfs_kernel`` is the kernel that tried every value of an
+orbit from 0 to its cap and checked the rows' dimension equations after
+applying each one.  The interval kernel must find the same solutions in
+the same order with the same associativity prunes, and skip exactly the
+values this one applied only to prune them.
+
+``reference_enumerate_types`` is the type enumeration that applies the
+rank and growth-cap conditions only to complete types.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from fusionforge import rings
 from fusionforge.rings import FusionData, TypeSignature, are_isomorphic
+from fusionforge.search import _excluded_fpdim
 
 
 def naive_enumerate_fusion_rings(sig: TypeSignature, involution: Sequence[int]) -> list:
@@ -137,7 +148,6 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
     nrows = (m - 1) * (m - 1)
     row_target = np.zeros(nrows, dtype=np.int64)
     row_sq_bound = np.zeros(nrows, dtype=np.int64)
-    row_cnt = np.zeros(nrows, dtype=np.int64)
     for j in range(1, m):
         for k in range(1, m):
             r = row_id(j, k)
@@ -147,7 +157,6 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
                 row_sq_bound[r] = min(d[j] ** 2, d[k] ** 2) - unit
             else:
                 row_sq_bound[r] = np.iinfo(np.int64).max // 4
-            row_cnt[r] = m - 1
 
     # caps per orbit: the coefficient bound min(d_j, d_k, d_s) over the
     # orbit when dimensions are known, else the multiplicity cap alone
@@ -208,6 +217,23 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
     for oi in range(norb):
         for t in range(orb_ptr[oi], orb_ptr[oi + 1]):
             row_capacity[cell_row[t]] += caps[oi] * cell_wt[t]
+
+    # the distinct rows of each orbit, in row order, with the summed d_s
+    # (W) and the number (C) of the orbit's cells in each; none without
+    # dimensions
+    orb_rows = []
+    row_ptr = [0]
+    for oi in range(norb):
+        per_row = {}
+        for t in range(orb_ptr[oi], orb_ptr[oi + 1]):
+            if use_dims:
+                wt, cnt = per_row.get(int(cell_row[t]), (0, 0))
+                per_row[int(cell_row[t])] = (wt + int(cell_wt[t]), cnt + 1)
+        orb_rows += [(r, wt, cnt) for r, (wt, cnt) in sorted(per_row.items())]
+        row_ptr.append(len(orb_rows))
+    orb_row_ptr = np.array(row_ptr, dtype=np.int64)
+    orb_row, orb_row_wt, orb_row_cnt = (
+        np.array([x[i] for x in orb_rows], dtype=np.int64) for i in range(3))
 
     # associativity instances (i, j, k >= 1; t any), triggered at the orbit
     # that completes their last free cell: the latest search position among
@@ -274,20 +300,20 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "d": d,
         "norb": norb,
         "orb_ptr": orb_ptr,
-        "cell_row": cell_row,
-        "cell_wt": cell_wt,
         "cell_idx": cell_idx,
         "caps": caps,
+        "orb_row_ptr": orb_row_ptr,
+        "orb_row": orb_row,
+        "orb_row_wt": orb_row_wt,
+        "orb_row_cnt": orb_row_cnt,
         "row_target": row_target,
         "row_sq_bound": row_sq_bound,
-        "row_cnt": row_cnt,
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
         "prec_ptr": prec_ptr,
         "prec_data": prec_data,
         "init_tensor": init_tensor,
-        "use_dims": use_dims,
     }
 
 
@@ -321,3 +347,187 @@ def reference_greedy_assoc_order(m, orbits, orbit_of):
         chosen_set.add(best)
         remaining.discard(best)
     return chosen
+
+
+def reference_dfs_kernel(prob, node_budget, max_results):
+    """The per-value DFS kernel: every value from 0 to the orbit's cap is
+    a node, applied and then checked against the rows it touches.
+
+    Takes a problem from ``search._build_problem`` and returns what
+    ``search._dfs_kernel`` returns.  status: 0 done, 1 node budget
+    exhausted, 2 a solution beyond the first ``max_results`` exists
+    (exactly ``max_results`` are returned).
+
+    Invariant: orbits 0..o-1 are applied, orbit o holds the candidate
+    value v[o] not yet applied.
+    """
+    m, norb = prob["m"], prob["norb"]
+    use_dims = len(prob["orb_row"]) > 0  # only a problem with dimensions has orbit rows
+    (orb_ptr, cell_idx, caps, row_target, row_sq_bound, row_capacity0, eq_ptr, eq_data,
+     prec_ptr, prec_data) = (
+        prob[k].tolist() for k in ("orb_ptr", "cell_idx", "caps", "row_target",
+                                   "row_sq_bound", "row_capacity", "eq_ptr", "eq_data",
+                                   "prec_ptr", "prec_data"))
+    # the row (j, k) and the weight d_s of each cell, from its flat index
+    j, k, s = np.unravel_index(prob["cell_idx"], (m, m, m))
+    cell_row = ((j - 1) * (m - 1) + k - 1).tolist()
+    cell_wt = prob["d"][s].tolist()
+    ncells = m * m * m
+    N = prob["init_tensor"].tolist()
+    R = list(row_target)
+    CAPR = list(row_capacity0)
+    CNT = [m - 1] * len(row_target)
+    SS = [0] * len(row_target)
+
+    val = [-1] * norb
+    v = [0] * norb
+    results = []
+    nodes = 0
+    prune_knap = 0
+    prune_assoc = 0
+    status = 0
+
+    o = 0
+    while True:
+        if nodes >= node_budget:
+            status = 1
+            break
+        if v[o] > caps[o]:
+            # depth exhausted: pop to previous orbit
+            o -= 1
+            if o < 0:
+                break
+            vv = val[o]
+            for t in range(orb_ptr[o], orb_ptr[o + 1]):
+                r = cell_row[t]
+                w = cell_wt[t]
+                N[cell_idx[t]] = 0
+                R[r] += vv * w
+                CAPR[r] += caps[o] * w
+                CNT[r] += 1
+                SS[r] -= vv * vv
+            val[o] = -1
+            v[o] = vv + 1
+            continue
+
+        vv = v[o]
+        nodes += 1
+        skip = False
+        for e in range(prec_ptr[o], prec_ptr[o + 1]):
+            if vv > val[prec_data[e]]:
+                skip = True
+                break
+        if skip:
+            # larger values only grow; exhaust this depth
+            v[o] = caps[o] + 1
+            continue
+        for t in range(orb_ptr[o], orb_ptr[o + 1]):
+            r = cell_row[t]
+            w = cell_wt[t]
+            N[cell_idx[t]] = vv
+            R[r] -= vv * w
+            CAPR[r] -= caps[o] * w
+            CNT[r] -= 1
+            SS[r] += vv * vv
+        ok = True
+        if use_dims:
+            for t in range(orb_ptr[o], orb_ptr[o + 1]):
+                r = cell_row[t]
+                if (
+                    R[r] < 0
+                    or R[r] > CAPR[r]
+                    or SS[r] > row_sq_bound[r]
+                    or (CNT[r] == 0 and R[r] != 0)
+                ):
+                    ok = False
+                    break
+            if not ok:
+                prune_knap += 1
+        if ok:
+            for e in range(eq_ptr[o], eq_ptr[o + 1]):
+                i_, j_, k_, t_ = eq_data[e]
+                lhs = 0
+                rhs = 0
+                for s in range(m):
+                    lhs += N[i_ * m * m + j_ * m + s] * N[s * m * m + k_ * m + t_]
+                    rhs += N[j_ * m * m + k_ * m + s] * N[i_ * m * m + s * m + t_]
+                if lhs != rhs:
+                    ok = False
+                    prune_assoc += 1
+                    break
+
+        if ok and o == norb - 1:
+            if len(results) == max_results:
+                status = 2
+                break
+            results.append(list(N))
+            ok = False  # treat like a dead end: undo and advance
+
+        if not ok:
+            for t in range(orb_ptr[o], orb_ptr[o + 1]):
+                r = cell_row[t]
+                w = cell_wt[t]
+                N[cell_idx[t]] = 0
+                R[r] += vv * w
+                CAPR[r] += caps[o] * w
+                CNT[r] += 1
+                SS[r] -= vv * vv
+            v[o] = vv + 1
+            continue
+
+        val[o] = vv
+        o += 1
+        v[o] = 0
+
+    found = np.array(results, dtype=np.int64).reshape(len(results), ncells)
+    return status, nodes, prune_knap, prune_assoc, found
+
+
+def reference_enumerate_types(constraints) -> list:
+    """All type signatures compatible with the constraints, in lex order,
+    with the rank and growth-cap conditions checked on complete types only."""
+    lo, hi = constraints.fpdim_range()
+    rlo, rhi = constraints.rank_range()
+    out = []
+    for mu in range(max(lo, 1), hi + 1):
+        if constraints.exclude_prime_power_products and _excluded_fpdim(mu):
+            continue
+        for m1 in ([1] if constraints.require_perfect else range(1, mu + 1)):
+            if m1 > 1 and constraints.min_d2 > 1:
+                continue  # the second basis element would have dimension 1
+            rest = mu - m1  # budget for sum m_i n_i^2 over n_i >= 2
+            if rest < 0:
+                continue
+
+            def extend(prev_n, budget, parts, slots):
+                if budget == 0:
+                    r = m1 + slots
+                    if r < rlo or (rhi is not None and r > rhi):
+                        return
+                    if parts and constraints.min_d2 > parts[0][0]:
+                        return
+                    if constraints.require_gcd_one and parts:
+                        if math.gcd(*(n for n, _ in parts)) != 1:
+                            return
+                    if constraints.growth_cap:
+                        distinct = [1] + [n for n, _ in parts]
+                        for a, b in zip(distinct[1:], distinct[2:]):
+                            if b >= a * a:
+                                return
+                    entries = ((1, m1),) + tuple(parts)
+                    out.append(TypeSignature(entries, True))
+                    return
+                start = max(prev_n + 1, 2)
+                for n in range(start, int(math.isqrt(budget)) + 1):
+                    if constraints.require_divisibility and mu % n != 0:
+                        continue
+                    if parts == [] and n < constraints.min_d2:
+                        continue
+                    for k in range(1, budget // (n * n) + 1):
+                        if rhi is not None and m1 + slots + k > rhi:
+                            break
+                        extend(n, budget - k * n * n, parts + [(n, k)], slots + k)
+
+            extend(1, rest, [], 0)
+    out.sort(key=lambda t: (t.fpdim, t.rank, t.entries))
+    return out

@@ -419,6 +419,17 @@ class TestInequalitySuite:
         with pytest.raises(TypeError):
             inequality_suite(B60, num_samples=3, seed=1)
 
+    def test_dual_projections_built_once(self, B60, monkeypatch):
+        """The targeted probes build the dual projections once and take the
+        dual structure constants from them."""
+        from fusionforge import spectral
+
+        calls, real = [], spectral.dual_projections
+        monkeypatch.setattr(spectral, "dual_projections",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
+        assert len(calls) == 1
+
     def test_memory_bounded_by_the_chunk(self):
         import tracemalloc
 

@@ -44,6 +44,13 @@ class TestFormat:
             parse_fusion_ring(text)
         assert exc.value.line == 5
 
+    @pytest.mark.parametrize("tok", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_entry_has_position(self, tok):
+        text = f"frt 1\nrank 2\ndual 1 2\nmatrix 1\n1 0\n0 1\nmatrix 2\n0 1\n1 {tok}\n"
+        with pytest.raises(ParseError, match="not finite") as exc:
+            parse_fusion_ring(text)
+        assert (exc.value.line, exc.value.column) == (9, 2)
+
     def test_declared_dual_checked(self):
         text = "frt 1\nrank 2\ndual 2 1\nmatrix 1\n1 0\n0 1\nmatrix 2\n0 1\n1 1\n"
         with pytest.raises(ValidationError):

@@ -20,7 +20,12 @@ from fusionforge.search import (
     rank5_three_selfadjoint_family,
 )
 
-from oracles import naive_enumerate_fusion_rings, reference_build_problem
+from oracles import (
+    naive_enumerate_fusion_rings,
+    reference_build_problem,
+    reference_dfs_kernel,
+    reference_enumerate_types,
+)
 
 PAPER_FLAGS = dict(
     require_perfect=True,
@@ -70,6 +75,23 @@ class TestEnumerateTypes:
         without = {str(t) for t in enumerate_types(SearchConstraints(growth_cap=False, **base))}
         bad = "[[1,1],[3,2],[6,1],[7,1],[8,1],[84,1]]"
         assert bad in without and bad not in with_cap
+
+    @pytest.mark.parametrize("constraints", [
+        dict(fpdim=(1, 200), rank=(1, 6)),
+        dict(fpdim=(1, 100)),
+        dict(fpdim=(1, 100), rank=(2, None), growth_cap=True),
+        dict(fpdim=(1, 300), rank=(1, 5), growth_cap=True),
+        dict(fpdim=(1, 150), rank=4, min_d2=2, require_gcd_one=True),
+        dict(fpdim=(50, 250), rank=(3, 7), require_perfect=True, growth_cap=True),
+        dict(fpdim=(1, 1200), rank=(1, 8), **PAPER_FLAGS),
+        dict(fpdim=7224, rank=7, **PAPER_FLAGS),
+    ])
+    def test_matches_leaf_filtering(self, constraints):
+        """Pruning by rank and growth cap inside the recursion gives the
+        types that filtering complete types gives, in the same order."""
+        c = SearchConstraints(**constraints)
+        got = enumerate_types(c)
+        assert got and got == reference_enumerate_types(c)
 
     def test_lex_deterministic(self):
         c = SearchConstraints(fpdim=(1, 30), rank=(1, 4))
@@ -147,6 +169,18 @@ class TestEnumerateFusionRings:
         b = enumerate_fusion_rings(sig, tuple(range(5)))
         assert len(a) == len(b)
         assert all(np.array_equal(x.tensor, y.tensor) for x, y in zip(a, b))
+
+    def test_heavy_unit_within_budget(self):
+        """The identity unit of FPdim-3600 type [[1,1],[15,2],[18,1],[20,2],
+        [45,1]] took 1.4*10^8 nodes when every value up to an orbit's cap
+        was a node; within its dimension intervals it takes about 10^7."""
+        if search.KERNEL_BACKEND == "python":
+            pytest.skip("about 10^7 nodes; minutes in the Python kernel")
+        sig = TypeSignature(((1, 1), (15, 2), (18, 1), (20, 2), (45, 1)), True)
+        st = search.SearchStats()
+        assert enumerate_fusion_rings(sig, tuple(range(7)), node_budget=2 * 10**7,
+                                      stats=st) == []
+        assert st.complete and st.nodes <= 2 * 10**7
 
     def test_invalid_ring_raises(self, monkeypatch):
         """The final axiom check on every emitted ring raises a library
@@ -249,8 +283,20 @@ class TestKernelFallback:
 
         dims_unit = _build_problem([1, 3, 3, 4, 5], list(range(5)))
         rank5 = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2)
+        # the one row of dimensions (1, 2) needs 2 N[1,1,1] = 3: orbit 0
+        # completes it and its interval is empty
+        empty = _build_problem([1, 2], [0, 1])
+        assert _dfs_kernel(empty, 10**9, 1000)[:4] == (0, 0, 3, 0)
+        # the three self-dual 5-dimensional elements make a precedence chain
+        chain = _build_problem([1, 5, 5, 5, 6, 7, 7], [0, 1, 2, 3, 4, 6, 5])
+        ptr, earlier = chain["prec_ptr"], chain["prec_data"]
+        later = np.repeat(np.arange(chain["norb"]), np.diff(ptr))
+        assert set(earlier) & set(later)
         cases = [  # (problem, node budget, max results, expected status)
             (dims_unit, 10**9, 1000, 0),
+            (empty, 10**9, 1000, 0),
+            (chain, 10**9, 1000, 0),
+            (chain, 1000, 1000, 1),
             (rank5, 10**9, 1000, 0),
             (rank5, 1000, 1000, 1),
             (rank5, 10**9, 5, 2),
@@ -264,6 +310,56 @@ class TestKernelFallback:
                 got = kernel(prob, budget, cap)
                 assert got[:4] == ref[:4], name
                 assert np.array_equal(got[4], ref[4]), name
+
+    def test_interval_kernel_matches_per_value_kernel(self):
+        """On every unit of the FPdim 60 and 168 rows and of the small types,
+        each backend finds the solutions of the per-value kernel in
+        ``oracles.reference_dfs_kernel``, in order, with the same prune
+        counts, taking as nodes only the values that kernel did not prune
+        on a dimension equation.  The square-sum bound never binds on these
+        units, so they also run with it lowered to at most 2."""
+        from fusionforge.search import _build_problem
+
+        rows = [u for f, r in CENSUS_ROWS[:2] for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        small = [u for u in units(SearchConstraints(fpdim=(1, 60), rank=(1, 6)))
+                 if u[0].rank > 1]
+        backends = kernel_backends()
+
+        def nodes_alike(prob, where):
+            old = reference_dfs_kernel(prob, 10**9, 10**6)
+            assert old[0] == 0
+            for name, kernel in backends.items():
+                new = kernel(prob, 10**9, 10**6)
+                assert (new[0], new[2], new[3]) == (old[0], old[2], old[3]), (name, *where)
+                assert np.array_equal(new[4], old[4]), (name, *where)
+                assert new[1] <= old[1] - old[2], (name, *where)
+            return new[1]
+
+        tightened = 0
+        for sig, inv in rows + small:
+            for max_mult, prune in itertools.product((None, 2), (True, False)):
+                prob = _build_problem(list(sig.dims), list(inv), max_mult, prune)
+                nodes = nodes_alike(prob, (str(sig), inv, max_mult, prune))
+                if prune:
+                    tight = dict(prob, row_sq_bound=np.minimum(prob["row_sq_bound"], 2))
+                    tightened += nodes_alike(tight, (str(sig), inv, max_mult, "tight")) < nodes
+        assert tightened > 0
+
+    def test_malformed_rows_rejected(self):
+        """The C kernel divides by each orbit row's weight and cell count and
+        indexes the row state by its row id; the checks refuse a zero weight,
+        a zero count and a row id past the last row."""
+        from fusionforge.search import _build_problem, _check_kernel_args
+
+        prob = _build_problem([1, 3, 3, 4, 5], list(range(5)))
+        _check_kernel_args(prob)
+        for key, value in (("orb_row_wt", 0), ("orb_row_cnt", 0),
+                           ("orb_row", len(prob["row_target"]))):
+            bad = dict(prob, **{key: prob[key].copy()})
+            bad[key][-1] = value
+            with pytest.raises(ValueError, match="malformed search problem"):
+                _check_kernel_args(bad)
 
     def test_max_results_is_exact(self):
         """A cap of n returns exactly n solutions, with status 2 only when
@@ -547,6 +643,7 @@ class TestClassify:
         "[]\n",
         "not json\n",
         '{"key": "k", "rings": ["not a ring"]}\n',
+        '{"key": "k", "rings": ["frt 1\\nrank 1\\ndual 1\\nmatrix 1\\ninf\\n"]}\n',
     ])
     def test_bad_complete_record_is_an_error(self, tmp_path, text):
         """Only a last line without its newline counts as torn: a complete
