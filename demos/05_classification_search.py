@@ -3,11 +3,12 @@
 The pipeline enumerates candidate types (exact FPdim decompositions
 under the arithmetic necessary conditions), duality involutions up to
 relabeling, and then backtracks over the structure-constant tensor with
-three prunes: per-row dimension knapsacks, the unconditional coefficient
-bounds, and associativity instances fired the moment they complete.
+four prunes: per-row dimension knapsacks, the unconditional coefficient
+bounds, associativity instances fired the moment they complete, and the
+lex-leader test, which keeps one tensor per isomorphism class.
 
 The FPdim-660 hunt illustrates the punchline: six hundred billion naive
-leaves collapse to a few million visited nodes and 2 seconds.
+leaves collapse to under 300,000 visited nodes and well under a second.
 """
 
 import time
@@ -34,7 +35,8 @@ for fpdim, rank in [(60, 5), (210, 7), (660, 8)]:
               f"{len(tr.simple)} simple, {len(tr.schur_pass)} Schur-pass  "
               f"[{tr.stats.nodes} nodes, "
               f"prunes: knapsack {tr.stats.prune_knapsack}, "
-              f"associativity {tr.stats.prune_associativity}]")
+              f"associativity {tr.stats.prune_associativity}, "
+              f"symmetry {tr.stats.prune_symmetry}]")
     simple = report.simple_rings
     survivors = [fd for fd in simple if fd in report.schur_rings]
     print(f"  => {len(simple)} simple; Schur criterion leaves {len(survivors)}\n")

@@ -15,12 +15,25 @@
    orbit o's cells in it.  Then
        v W <= R,   v W >= R - (CAPR - caps[o] W),   SS + C v^2 <= sq_bound.
    A row the orbit completes has CAPR = caps[o] W, so there the first two
-   force v W = R.  hi is also at most caps[o] and the value of every
-   orbit that orbit o must not exceed (precedence).  Only values in
-   lo..hi are nodes; the values from 0 to that cap and precedence bound
-   that lie outside lo..hi are counted as knapsack prunes.  R and
+   force v W = R; hi is also at most caps[o].  The values from 0 to
+   caps[o] outside lo..hi are counted as knapsack prunes.  R and
    sq_bound - SS stay nonnegative (search._check_kernel_args checks the
    start), so the integer divisions below are floors.
+
+   Each value in lo..hi then meets the lex-leader test.  Row g of sym
+   (nsym rows of norb search positions) is a relabeling: the value
+   rejected, and counted as a symmetry prune, if for some g the first
+   position p with v[p] != v[sym[g][p]], both assigned, has
+   v[p] > v[sym[g][p]].  The other values are nodes.  The test is
+   incremental: g waits, at the position p where its comparison stopped,
+   in the list of depth sym[g][p], the depth that assigns the pair.  Only
+   the g waiting on o are compared at depth o, each resuming at its p;
+   p itself is assigned by then, since sym[g] permutes the positions
+   (search._check_kernel_args checks it) and maps 0..p-1 into 0..o.  A g
+   compared strictly in favour of the assignment, or found to fix it,
+   waits no more.  The entries depth o adds to later lists are logged and
+   removed when its value is undone.  Each g waits at most once in each
+   list, so a list holds at most nsym entries.
 
    Invariant: orbits 0..o-1 are applied with the values v[0..o-1]; v[o]
    is the next candidate of orbit o, not yet applied. */
@@ -35,45 +48,50 @@ void ff_free(i64 *p) { free(p); }
 
 /* Returns the status: 0 done, 1 a node beyond node_budget was needed,
    2 a solution beyond the first max_results exists, -1 out of memory.
-   counts gets nodes, knapsack prunes, associativity prunes and the
-   number of solutions; *results gets that many tensors of m^3 entries in
-   one malloc'd block, to be released with ff_free. */
-i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, const i64 *orb_ptr, const i64 *cell_idx,
-                  const i64 *caps, const i64 *orb_row_ptr, const i64 *orb_row,
-                  const i64 *orb_row_wt, const i64 *orb_row_cnt, const i64 *row_target,
-                  const i64 *row_sq_bound, const i64 *row_capacity, const i64 *eq_ptr,
-                  const i64 *eq_data, const i64 *prec_ptr, const i64 *prec_data,
-                  const i64 *init_tensor, i64 node_budget, i64 max_results,
-                  i64 *counts, i64 **results)
+   counts gets nodes, knapsack, associativity and symmetry prunes and
+   the number of solutions; *results gets that many tensors of m^3
+   entries in one malloc'd block, to be released with ff_free. */
+i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
+                  const i64 *cell_idx, const i64 *caps, const i64 *orb_row_ptr,
+                  const i64 *orb_row, const i64 *orb_row_wt, const i64 *orb_row_cnt,
+                  const i64 *row_target, const i64 *row_sq_bound, const i64 *row_capacity,
+                  const i64 *eq_ptr, const i64 *eq_data, const i64 *sym,
+                  const i64 *init_tensor, i64 node_budget, i64 max_results, i64 *counts,
+                  i64 **results)
 {
-    const i64 mm = m * m, ncells = mm * m;
-    i64 *N = malloc((ncells + 3 * nrows + 2 * norb) * sizeof(i64));
+    const i64 mm = m * m, ncells = mm * m, nwait = norb * nsym;
+    i64 *N = malloc((ncells + 3 * nrows + 4 * norb + 3 * nwait) * sizeof(i64));
     i64 *found = NULL, *grown;
-    i64 nfound = 0, room = 0, nodes = 0, prune_knap = 0, prune_assoc = 0;
-    i64 status = 0, o = 0, vv, t, e, q, s, r, w, x, top, lo, hi;
-    int ok, enter = 1;
+    i64 nfound = 0, room = 0, nodes = 0, prune_knap = 0, prune_assoc = 0, prune_sym = 0;
+    i64 status = 0, o = 0, vv, t, e, q, s, r, w, x, lo, hi, g, p, a, i;
+    int ok, rejected, enter = 1;
 
     if (N == NULL) {
         status = -1;
         goto done;
     }
+    /* wait_g/wait_p + a * nsym: the (g, p) waiting on depth a, wait_n[a]
+       of them; pushed + o * nsym: the depths that depth o's current value
+       added an entry to, npushed[o] of them */
     i64 *R = N + ncells, *CAPR = R + nrows, *SS = CAPR + nrows, *v = SS + nrows,
-        *vhi = v + norb;
+        *vhi = v + norb, *wait_n = vhi + norb, *npushed = wait_n + norb,
+        *wait_g = npushed + norb, *wait_p = wait_g + nwait, *pushed = wait_p + nwait;
     memcpy(N, init_tensor, ncells * sizeof(i64));
     memcpy(R, row_target, nrows * sizeof(i64));
     memcpy(CAPR, row_capacity, nrows * sizeof(i64));
     memset(SS, 0, nrows * sizeof(i64));
-    memset(v, 0, 2 * norb * sizeof(i64));
+    memset(v, 0, 4 * norb * sizeof(i64));
+    for (g = 0; g < nsym; g++) {
+        a = sym[g * norb];
+        wait_g[a * nsym + wait_n[a]] = g;
+        wait_p[a * nsym + wait_n[a]++] = 0;
+    }
 
     for (;;) {
         if (enter) {
             /* the interval of orbit o; see the header */
-            top = caps[o];
-            for (e = prec_ptr[o]; e < prec_ptr[o + 1]; e++)
-                if (v[prec_data[e]] < top)
-                    top = v[prec_data[e]];
             lo = 0;
-            hi = top;
+            hi = caps[o];
             for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++) {
                 r = orb_row[q];
                 w = orb_row_wt[q];
@@ -87,7 +105,7 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, const i64 *orb_ptr, const i64 *cel
                 if (x > lo * w)
                     lo = (x + w - 1) / w;
             }
-            prune_knap += top + 1 - (hi >= lo ? hi - lo + 1 : 0);
+            prune_knap += caps[o] + 1 - (hi >= lo ? hi - lo + 1 : 0);
             v[o] = lo;
             vhi[o] = hi;
             enter = 0;
@@ -98,6 +116,33 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, const i64 *orb_ptr, const i64 *cel
             if (--o < 0)
                 break;
         } else {
+            /* the lex-leader test of v[o]; see the header */
+            rejected = 0;
+            for (i = 0; i < wait_n[o] && !rejected; i++) {
+                g = wait_g[o * nsym + i];
+                const i64 *row = sym + g * norb;
+                for (p = wait_p[o * nsym + i]; p < norb; p++) {
+                    s = row[p];
+                    if (s > o) {
+                        wait_g[s * nsym + wait_n[s]] = g;
+                        wait_p[s * nsym + wait_n[s]++] = p;
+                        pushed[o * nsym + npushed[o]++] = s;
+                        break;
+                    }
+                    if (v[p] != v[s]) {
+                        rejected = v[p] > v[s];
+                        break;
+                    }
+                }
+            }
+            if (rejected) {
+                prune_sym++;
+                while (npushed[o] > 0)
+                    wait_n[pushed[o * nsym + --npushed[o]]]--;
+                v[o]++;
+                continue;
+            }
+
             if (nodes >= node_budget) {
                 status = 1;
                 break;
@@ -162,6 +207,8 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, const i64 *orb_ptr, const i64 *cel
             CAPR[r] += caps[o] * orb_row_wt[q];
             SS[r] -= vv * vv * orb_row_cnt[q];
         }
+        while (npushed[o] > 0)
+            wait_n[pushed[o * nsym + --npushed[o]]]--;
         v[o] = vv + 1;
     }
 
@@ -170,7 +217,8 @@ done:
     counts[0] = nodes;
     counts[1] = prune_knap;
     counts[2] = prune_assoc;
-    counts[3] = nfound;
+    counts[3] = prune_sym;
+    counts[4] = nfound;
     *results = found;
     return status;
 }

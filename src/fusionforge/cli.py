@@ -170,7 +170,7 @@ def cmd_classify(args) -> int:
         for tr in report.types:
             print(f"type {tr.signature}: {len(tr.rings)} ring(s), "
                   f"{len(tr.simple)} simple, {len(tr.schur_pass)} Schur-pass "
-                  f"[nodes {tr.stats.nodes}]")
+                  f"[nodes {tr.stats.nodes}, prune_symmetry {tr.stats.prune_symmetry}]")
         rings_shown = report.simple_rings if args.simple else report.all_rings
         if args.schur:
             rings_shown = [fd for fd in rings_shown if fd in report.schur_rings]
@@ -197,7 +197,7 @@ def cmd_rank5_family(args) -> int:
     )
     print(f"multiplicity <= {args.max_mult}: {len(fam)} ring(s) up to equivalence, "
           f"{n_simple} simple, Schur fails on {n_fail}")
-    print(f"nodes: {stats.nodes}", file=sys.stderr)
+    print(f"nodes: {stats.nodes}  prune_symmetry: {stats.prune_symmetry}", file=sys.stderr)
     if args.emit:
         for fd in fam:
             print(corpus.serialize_fusion_ring(fd))

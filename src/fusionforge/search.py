@@ -18,22 +18,28 @@ on three facts:
 * The unconditional coefficient bounds N[j,k,s] <= min(d_j,d_k,d_s) and
   sum_s N[j,k,s]^2 <= min(d_j^2, d_k^2) cap the domains and the interval.
 
-Associativity instances are checked the moment their last cell is
-assigned.  Found tensors are deduplicated by canonical form: the least
-tensor over the permutations that fix the unit, commute with the
-involution and preserve dimensions (all equal when unknown, as in the
-rank-5 family).  Every isomorphism between two rings with the same
-dimensions and involution is such a permutation, so equal keys are
-exactly isomorphic rings and no pairwise test is needed.
+Associativity instances (i, j, k, t >= 1) are checked the moment their
+last cell is assigned.  The relabelings of a unit are the permutations
+that fix the unit, commute with the involution and preserve dimensions
+(all equal when unknown, as in the rank-5 family); every isomorphism
+between two rings with the same dimensions and involution is one.  The
+kernel keeps only the lex-leader of each class: it rejects a value as
+soon as some relabeling maps the orbit values assigned so far, read in
+search order, to a lexicographically smaller assignment.  Caps, row
+equations and associativity are invariant under relabeling, so each
+class keeps exactly its least tensor.  Found tensors are keyed by
+canonical form, the least tensor over the relabelings, so equal keys are
+exactly isomorphic rings and no pairwise test is needed; a key found
+twice means the symmetry breaking failed, and raises.
 
 Each (type, involution) unit becomes flat int64 arrays, each built by
 whole-array numpy operations with no loop over cells: orbit numbers,
-caps, search order, cell layout, row capacities and the associativity
-trigger table.  The inner DFS is an iterative loop over those arrays.
-It runs as C (``_kernel.c``, built on first use with the system C
-compiler and loaded through ctypes), else as plain Python, which stays
-the reference for the C kernel.  ``KERNEL_BACKEND`` names the backend
-in use.
+caps, search order, cell layout, row capacities, the associativity
+trigger table and the action of the relabelings on search positions.
+The inner DFS is an iterative loop over those arrays.  It runs as C
+(``_kernel.c``, built on first use with the system C compiler and
+loaded through ctypes), else as plain Python, which stays the reference
+for the C kernel.  ``KERNEL_BACKEND`` names the backend in use.
 """
 
 from __future__ import annotations
@@ -251,6 +257,9 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     index), and its orbit-row arrays list the distinct rows (j, k) of
     each orbit by (search position, row) with the orbit's summed d_s and
     number of cells in the row; there are none without dimensions.
+    ``group`` holds the unit's relabelings (``_dedup_group``), the
+    identity first, and ``sym`` their action on search positions for the
+    kernel's lex-leader test, one row per relabeling but the identity.
 
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
@@ -342,54 +351,41 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     else:
         orb_row = orb_row_wt = orb_row_cnt = np.zeros(0, dtype=np.int64)
 
-    # associativity instances (i, j, k >= 1; t any), triggered at the orbit
+    # associativity instances (i, j, k, t >= 1), triggered at the orbit
     # that completes their last free cell: the latest search position among
     # the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t) over all s.  Cells
-    # with a unit index are fixed and count as position 0.
+    # with a unit index are fixed and count as position 0.  An instance
+    # with t = 0 reads N[i,j,k*] = N[j,k,i*], which Frobenius reciprocity
+    # makes an identity, so it is left out.
     pos_of = np.zeros((m, m, m), dtype=orb_pos.dtype)
     pos_of[1:, 1:, 1:] = cell_pos.reshape(n, n, n)
     last_in_row = pos_of.max(axis=2)  # [a, b] -> max_s pos_of[a, b, s]
     last_in_col = pos_of.max(axis=0)  # [b, c] -> max_s pos_of[s, b, c]
     last_in_mid = pos_of.max(axis=1)  # [a, c] -> max_s pos_of[a, s, c]
     trig = np.maximum(
-        np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, :]),
-        np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, :]),
+        np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, 1:]),
+        np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, 1:]),
     ).ravel()
     # a stable sort keeps (i, j, k, t) order within each trigger
     eq_order = trig.argsort(kind="stable")
-    inst = np.empty((n, n, n, m, 4), dtype=np.int64)  # (i, j, k, t) of each instance
+    inst = np.empty((n, n, n, n, 4), dtype=np.int64)  # (i, j, k, t) of each instance
     inst[..., 0] = ar[:, None, None, None]
     inst[..., 1] = ar[:, None, None]
     inst[..., 2] = ar[:, None]
-    inst[..., 3] = range(m)
+    inst[..., 3] = ar
     eq_data = inst.reshape(-1, 4).take(eq_order, axis=0)
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
     eq_by_orbit_ptr[1:] = np.bincount(trig, minlength=norb).cumsum()
 
-    # static symmetry breaking: involution-fixed basis elements of equal
-    # dimension are interchangeable, so any solution can be relabeled to
-    # make the unary chain N[q,a,a] (a running over the class) weakly
-    # decreasing; imposing that during search keeps one representative
-    # per relabeling orbit and kills the duplicated subtrees up front.
-    prec = []  # (later_orbit, earlier_orbit): require val[later] <= val[earlier]
-    classes = {}
-    for j, dj in enumerate(d.tolist()[1:], 1):
-        classes.setdefault(dj, []).append(j)
-    for cls in classes.values():
-        fixed = [a for a in cls if dual[a] == a]
-        if len(fixed) < 2:
-            continue
-        outside = [q for q in range(1, m) if q not in cls]
-        q = outside[0] if outside else None
-        for a, b in zip(fixed, fixed[1:]):
-            ca = (q, a, a) if q is not None else (a, a, a)
-            cb = (q, b, b) if q is not None else (b, b, b)
-            oa, ob = int(pos_of[ca]), int(pos_of[cb])
-            if oa < ob:
-                prec.append((ob, oa))
-    prec = np.array(sorted(prec), dtype=np.int64).reshape(-1, 2)
-    prec_ptr = np.zeros(norb + 1, dtype=np.int64)
-    prec_ptr[1:] = prec[:, 0].searchsorted(np.arange(norb), side="right")
+    # lex-leader symmetry breaking: each relabeling g of the dedup group
+    # maps orbits to orbits, so sym[g, p] is the search position of the
+    # orbit holding g applied to the least cell of the orbit at position
+    # p.  Row 0 of the group is the identity and gets no row.
+    group = np.array(_dedup_group(d.tolist(), dual), dtype=np.int64).reshape(-1, m)
+    gf = group[1:, 1:] - 1  # g on the free indices, 0-based
+    lj, lk, ls = np.unravel_index(np.flatnonzero(is_least)[orb_order], (n, n, n))
+    image = (gf[:, lj] * n + gf[:, lk]) * n + gf[:, ls]
+    sym = orb_pos[orbit[image]].astype(np.int64, order="C")
 
     every = np.arange(m)
     init_tensor = np.zeros((m, m, m), dtype=np.int64)
@@ -413,9 +409,9 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
-        "prec_ptr": prec_ptr,
-        "prec_data": prec[:, 1].copy(),
+        "sym": sym,
         "init_tensor": init_tensor.reshape(-1),
+        "group": group,
     }
 
 
@@ -450,12 +446,11 @@ def _greedy_assoc_order(orb, norb):
 # DFS kernel
 
 
-# the problem arrays in the order the C kernel takes them, after m, norb
-# and the number of rows
+# the problem arrays in the order the C kernel takes them, after m, norb,
+# the number of rows and the number of rows of sym
 _KERNEL_ARRAYS = (
     "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "orb_row_cnt",
-    "row_target", "row_sq_bound", "row_capacity", "eq_ptr", "eq_data", "prec_ptr",
-    "prec_data", "init_tensor",
+    "row_target", "row_sq_bound", "row_capacity", "eq_ptr", "eq_data", "sym", "init_tensor",
 )
 
 
@@ -464,8 +459,8 @@ def _dfs_kernel(prob, node_budget, max_results):
     ``_build_problem``); the reference for every backend.
 
     Returns (status, nodes, knapsack prunes, associativity prunes,
-    solutions as a flat 2d array).  status: 0 done, 1 a node beyond
-    ``node_budget`` was needed, 2 a solution beyond the first
+    symmetry prunes, solutions as a flat 2d array).  status: 0 done, 1 a
+    node beyond ``node_budget`` was needed, 2 a solution beyond the first
     ``max_results`` exists (exactly ``max_results`` are returned).
 
     Entering depth o, the kernel narrows orbit o to the interval lo..hi
@@ -476,17 +471,31 @@ def _dfs_kernel(prob, node_budget, max_results):
     summed d_s and the number of this orbit's cells in it.  Then
     v W <= R, v W >= R - (CAPR - caps[o] W) and SS + C v^2 <= sq_bound.
     A row the orbit completes has CAPR = caps[o] W, so there the first
-    two force v W = R.  hi is also at most the orbit's cap and the value
-    of every orbit it must not exceed (precedence).  Only values in
-    lo..hi are nodes; the values from 0 to that cap and precedence bound
-    that lie outside lo..hi are counted as knapsack prunes.
+    two force v W = R; hi is also at most caps[o].  The values from 0 to
+    caps[o] outside lo..hi are counted as knapsack prunes.
+
+    Each value in lo..hi then meets the lex-leader test: it is rejected,
+    and counted as a symmetry prune, if some relabeling g (row g of
+    ``sym``) maps the assigned values v[0..o] to a lexicographically
+    smaller assignment, that is, if at the first position p where
+    v[p] != v[sym[g, p]], with both assigned, v[p] > v[sym[g, p]].  The
+    other values are nodes.  The test is incremental: g waits, at the
+    position p where its comparison stopped, in ``wait[s]`` for the depth
+    s = sym[g, p] that assigns the pair; only the g waiting on o are
+    compared at depth o, each resuming at its p.  Position p itself is
+    assigned by then: sym[g] permutes the positions and maps 0..p-1,
+    already compared, into 0..o, so if p > o it would map 0..o onto
+    itself and leave s > o.  A g compared strictly in favour of the
+    assignment, or found to fix it, waits no more.  What depth o adds to
+    the later lists is logged and removed when its value is undone, so
+    the lists always describe v[0..o-1].
 
     Invariant: orbits 0..o-1 are applied with the values v[0..o-1];
     v[o] is the next candidate of orbit o, not yet applied.
     """
     m, norb = prob["m"], prob["norb"]
     (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, orb_row_cnt, row_target,
-     row_sq_bound, row_capacity, eq_ptr, eq_data, prec_ptr, prec_data, init_tensor) = (
+     row_sq_bound, row_capacity, eq_ptr, eq_data, sym, init_tensor) = (
         prob[k].tolist() for k in _KERNEL_ARRAYS)
     mm = m * m
     N = init_tensor
@@ -495,10 +504,17 @@ def _dfs_kernel(prob, node_budget, max_results):
     SS = [0] * len(row_target)
     v = [0] * norb
     vhi = [0] * norb
+    # wait[a]: the (g, p) waiting on depth a; pushed[o]: the depths that
+    # depth o's current value added an entry to
+    wait = [[] for _ in range(norb)]
+    pushed = [[] for _ in range(norb)]
+    for g, row in enumerate(sym):
+        wait[row[0]].append((g, 0))
     results = []
     nodes = 0
     prune_knap = 0
     prune_assoc = 0
+    prune_sym = 0
     status = 0
 
     o = 0
@@ -506,11 +522,8 @@ def _dfs_kernel(prob, node_budget, max_results):
     while True:
         if enter:
             # the interval of orbit o; see the docstring
-            top = caps[o]
-            for e in range(prec_ptr[o], prec_ptr[o + 1]):
-                top = min(top, v[prec_data[e]])
             lo = 0
-            hi = top
+            hi = caps[o]
             for q in range(orb_row_ptr[o], orb_row_ptr[o + 1]):
                 r = orb_row[q]
                 w = orb_row_wt[q]
@@ -521,7 +534,7 @@ def _dfs_kernel(prob, node_budget, max_results):
                 x = R[r] - CAPR[r] + caps[o] * w
                 if x > lo * w:
                     lo = -(-x // w)
-            prune_knap += top + 1 - max(hi - lo + 1, 0)
+            prune_knap += caps[o] + 1 - max(hi - lo + 1, 0)
             v[o] = lo
             vhi[o] = hi
             enter = False
@@ -532,6 +545,31 @@ def _dfs_kernel(prob, node_budget, max_results):
             if o < 0:
                 break
         else:
+            # the lex-leader test of v[o]; see the docstring
+            rejected = False
+            log = pushed[o]
+            for g, p in wait[o]:
+                row = sym[g]
+                while p < norb:
+                    s = row[p]
+                    if s > o:
+                        wait[s].append((g, p))
+                        log.append(s)
+                        break
+                    if v[p] != v[s]:
+                        rejected = v[p] > v[s]
+                        break
+                    p += 1
+                if rejected:
+                    break
+            if rejected:
+                prune_sym += 1
+                for a in log:
+                    wait[a].pop()
+                log.clear()
+                v[o] += 1
+                continue
+
             if nodes >= node_budget:
                 status = 1
                 break
@@ -575,10 +613,13 @@ def _dfs_kernel(prob, node_budget, max_results):
             R[r] += vv * orb_row_wt[q]
             CAPR[r] += caps[o] * orb_row_wt[q]
             SS[r] -= vv * vv * orb_row_cnt[q]
+        for a in pushed[o]:
+            wait[a].pop()
+        pushed[o].clear()
         v[o] = vv + 1
 
     found = np.array(results, dtype=np.int64).reshape(len(results), m * mm)
-    return status, nodes, prune_knap, prune_assoc, found
+    return status, nodes, prune_knap, prune_assoc, prune_sym, found
 
 
 def _run_kernel(prob, node_budget, max_results) -> tuple:
@@ -586,8 +627,8 @@ def _run_kernel(prob, node_budget, max_results) -> tuple:
     stats of this run naming that backend)."""
     t0 = time.perf_counter()
     backend, kernel = _kernel()
-    status, nodes, pk, pa, found = kernel(prob, node_budget, max_results)
-    st = SearchStats(nodes, pk, pa, len(found), time.perf_counter() - t0, status == 0,
+    status, nodes, pk, pa, ps, found = kernel(prob, node_budget, max_results)
+    st = SearchStats(nodes, pk, pa, ps, len(found), time.perf_counter() - t0, status == 0,
                      frozenset({backend}))
     return status, found, st
 
@@ -617,8 +658,9 @@ def _c_cache_dir() -> str:
 def _check_kernel_args(a):
     """The layout, sizes, index bounds and signs the C kernel relies on
     without checking, in the problem ``a``: among them the row weights
-    and counts it divides by, and the nonnegative row residuals and
-    square-sum bounds that make its integer division a floor."""
+    and counts it divides by, the nonnegative row residuals and
+    square-sum bounds that make its integer division a floor, and the
+    search positions in ``sym``, whose rows must permute them."""
     m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
 
     def at_least(x, lo):
@@ -634,12 +676,13 @@ def _check_kernel_args(a):
         and len(a["init_tensor"]) == m**3
         and all(len(a[k]) == nrows for k in ("row_sq_bound", "row_capacity"))
         and all(len(a[k]) == norb + 1 and a[k][0] == 0 and np.all(np.diff(a[k]) >= 0)
-                for k in ("orb_ptr", "orb_row_ptr", "eq_ptr", "prec_ptr"))
+                for k in ("orb_ptr", "orb_row_ptr", "eq_ptr"))
         and a["orb_ptr"][-1] == len(a["cell_idx"])
         and (a["orb_row_ptr"][-1] == len(a["orb_row"]) == len(a["orb_row_wt"])
              == len(a["orb_row_cnt"]))
         and a["eq_data"].shape == (a["eq_ptr"][-1], 4)
-        and a["prec_ptr"][-1] == len(a["prec_data"])
+        and a["sym"].ndim == 2 and a["sym"].shape[1] == norb
+        and (np.sort(a["sym"], axis=1) == np.arange(norb)).all()  # rows permute 0..norb-1
         and within(a["cell_idx"], m**3)
         and within(a["orb_row"], nrows)
         and at_least(a["orb_row_wt"], 1)
@@ -647,7 +690,6 @@ def _check_kernel_args(a):
         and at_least(a["row_target"], 0)
         and at_least(a["row_sq_bound"], 0)
         and within(a["eq_data"], m)
-        and within(a["prec_data"], norb)
     )
     if not ok:
         raise ValueError("malformed search problem arrays")
@@ -687,10 +729,10 @@ def _load_c_kernel():
     i64, arr = ctypes.c_int64, ctypes.c_void_p
     out_ptr = ctypes.POINTER(i64)
     fn = lib.ff_dfs_kernel
-    # m, norb, nrows, the _KERNEL_ARRAYS, node_budget, max_results, counts,
-    # results; arrays go as bare data addresses (checked by
+    # m, norb, nrows, nsym, the _KERNEL_ARRAYS, node_budget, max_results,
+    # counts, results; arrays go as bare data addresses (checked by
     # _check_kernel_args, kept alive by the caller)
-    fn.argtypes = [i64] * 3 + [arr] * len(_KERNEL_ARRAYS) + [i64] * 2 + [
+    fn.argtypes = [i64] * 4 + [arr] * len(_KERNEL_ARRAYS) + [i64] * 2 + [
         arr, ctypes.POINTER(out_ptr)]
     fn.restype = i64
     lib.ff_free.argtypes = [out_ptr]
@@ -699,21 +741,21 @@ def _load_c_kernel():
     def c_kernel(prob, node_budget, max_results):
         _check_kernel_args(prob)
         m = prob["m"]
-        counts = np.zeros(4, dtype=np.int64)
+        counts = np.zeros(5, dtype=np.int64)
         found = out_ptr()
         addr = [prob[k].ctypes.data for k in _KERNEL_ARRAYS]
-        status = fn(m, prob["norb"], len(prob["row_target"]), *addr,
+        status = fn(m, prob["norb"], len(prob["row_target"]), len(prob["sym"]), *addr,
                     min(int(node_budget), _INT64_MAX), min(int(max_results), _INT64_MAX),
                     counts.ctypes.data, ctypes.byref(found))
         try:
             if status < 0:
                 raise MemoryError("the C search kernel ran out of memory")
-            nfound = int(counts[3])
+            nfound = int(counts[4])
             solutions = (np.ctypeslib.as_array(found, shape=(nfound, m**3)).copy()
                          if nfound else np.empty((0, m**3), dtype=np.int64))
         finally:
             lib.ff_free(found)
-        return int(status), int(counts[0]), int(counts[1]), int(counts[2]), solutions
+        return (int(status), *(int(x) for x in counts[:4]), solutions)
 
     return c_kernel
 
@@ -754,13 +796,19 @@ class SearchStats:
     """Counts of the tensor search, summed over the units merged in.
 
     ``nodes``: orbit values applied, each one inside its orbit's
-    dimension interval; the node budget counts these.
-    ``prune_knapsack``: values from 0 up to an orbit's cap and
-    precedence bound that its dimension interval excluded, so they were
-    never applied (0 without dimensions).
+    dimension interval and passing the lex-leader test; the node budget
+    counts these.
+    ``prune_knapsack``: values from 0 up to an orbit's cap that its
+    dimension interval excluded, so they were never applied (0 without
+    dimensions).
     ``prune_associativity``: applied values that failed an associativity
     instance they completed.
-    ``raw_solutions``: complete tensors found, before dedup.
+    ``prune_symmetry``: values inside the dimension interval that the
+    lex-leader test rejected, because a relabeling of the dedup group
+    maps the assignment so far to a lexicographically smaller one; they
+    were never applied.
+    ``raw_solutions``: complete tensors found, one per isomorphism class,
+    before the final dedup.
     ``wall_time``: seconds in the kernel.  ``complete``: no unit stopped
     on a budget.  ``kernel_backends``: the backends that ran.
     """
@@ -768,6 +816,7 @@ class SearchStats:
     nodes: int = 0
     prune_knapsack: int = 0
     prune_associativity: int = 0
+    prune_symmetry: int = 0
     raw_solutions: int = 0
     wall_time: float = 0.0
     complete: bool = True
@@ -777,6 +826,7 @@ class SearchStats:
         self.nodes += other.nodes
         self.prune_knapsack += other.prune_knapsack
         self.prune_associativity += other.prune_associativity
+        self.prune_symmetry += other.prune_symmetry
         self.raw_solutions += other.raw_solutions
         self.wall_time += other.wall_time
         self.complete = self.complete and other.complete
@@ -784,7 +834,8 @@ class SearchStats:
 
 
 def _dedup_group(dims, dual):
-    """Dimension-preserving permutations fixing 0 and commuting with dual."""
+    """Dimension-preserving permutations fixing 0 and commuting with dual,
+    in lex order, so the identity comes first."""
     m = len(dual)
     classes = {}
     for j in range(1, m):
@@ -798,7 +849,7 @@ def _dedup_group(dims, dual):
                 perm[a] = b
         if all(perm[dual[j]] == dual[perm[j]] for j in range(m)):
             perms.append(tuple(perm))
-    return perms
+    return sorted(perms)
 
 
 def _canonical_key(tensor_flat, m, group):
@@ -839,7 +890,7 @@ def enumerate_fusion_rings(
     if prob["norb"] == 0:  # rank 1: only the unit-only ring, no free cells
         fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0], "exact")
         if stats is not None:
-            stats.merge(SearchStats(0, 0, 0, 1, 0.0, True))
+            stats.merge(SearchStats(raw_solutions=1))
         return [fd] if rings.verify_axioms(fd).all_ok else []
     return _search(prob, dual, "found", node_budget, max_results, stats)
 
@@ -850,7 +901,7 @@ def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
     status, found, st = _run_kernel(prob, node_budget, max_results)
     if stats is not None:
         stats.merge(st)
-    out = _collect(found, prob["d"], dual, label_prefix)
+    out = _collect(found, prob["group"], dual, label_prefix)
     if status == 1:
         raise SearchTimeout(f"node budget {node_budget} exhausted", partial=out)
     if status == 2:
@@ -858,15 +909,18 @@ def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
     return out
 
 
-def _collect(found, dims, dual, label_prefix) -> list:
-    """Canonical dedup + final axiom check."""
+def _collect(found, group, dual, label_prefix) -> list:
+    """The found tensors as rings, sorted by canonical key under
+    ``group``, each checked against the axioms.  The lex-leader test
+    keeps one tensor per isomorphism class, so two tensors with one key
+    mean the symmetry breaking is wrong and raise InvalidSearchResult."""
     m = len(dual)
-    group = _dedup_group(dims, dual)
     by_key = {}
     for flat in found:
         key = _canonical_key(np.asarray(flat), m, group)
-        if key not in by_key:
-            by_key[key] = np.asarray(flat).reshape(m, m, m)
+        if key in by_key:
+            raise InvalidSearchResult("search emitted two isomorphic tensors")
+        by_key[key] = np.asarray(flat).reshape(m, m, m)
     out = []
     for i, (key, N) in enumerate(sorted(by_key.items())):
         fd = FusionData(N.copy(), np.asarray(dual), "exact", label=f"{label_prefix}-{i + 1}")
@@ -963,6 +1017,7 @@ class ClassificationReport:
                     "nodes": tr.stats.nodes,
                     "prune_knapsack": tr.stats.prune_knapsack,
                     "prune_associativity": tr.stats.prune_associativity,
+                    "prune_symmetry": tr.stats.prune_symmetry,
                     "complete": tr.stats.complete,
                 }
                 for tr in self.types
@@ -1030,7 +1085,7 @@ def classify(
     ``threads > 1`` runs the units in a process pool; results are taken
     in task order either way, so the report and the checkpoint do not
     depend on scheduling.  The pool pays when several units are long
-    (2 workers cut the FPdim-990 rank-8 row by 40 %) and not on the short
+    (2 workers cut the FPdim-990 rank-8 row by half) and not on the short
     census rows; the README gives the times.  ``checkpoint`` names a
     JSONL file: each complete unit is appended with its rings and
     flushed as soon as it is taken.  Rerunning with the same path

@@ -12,14 +12,17 @@ set arithmetic.  The array-built problem must equal it array for array.
 
 ``reference_dfs_kernel`` is the kernel that tried every value of an
 orbit from 0 to its cap and checked the rows' dimension equations after
-applying each one.  The interval kernel must find the same solutions in
-the same order with the same associativity prunes, and skip exactly the
-values this one applied only to prune them.
+applying each one, then the lex-leader test by a full rescan of every
+relabeling.  The interval kernel must find the same solutions in the
+same order with the same prune counts, and skip exactly the values this
+one applied only to prune them.
 
 ``reference_enumerate_types`` is the type enumeration that applies the
 rank and growth-cap conditions only to complete types.
 """
 
+import functools
+import itertools
 import math
 from typing import Sequence
 
@@ -235,10 +238,11 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
     orb_row, orb_row_wt, orb_row_cnt = (
         np.array([x[i] for x in orb_rows], dtype=np.int64) for i in range(3))
 
-    # associativity instances (i, j, k >= 1; t any), triggered at the orbit
+    # associativity instances (i, j, k, t >= 1), triggered at the orbit
     # that completes their last free cell: the latest search position among
     # the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t) over all s.  Cells
-    # with a unit index are fixed and count as position 0.
+    # with a unit index are fixed and count as position 0.  Frobenius
+    # reciprocity makes the instances with t = 0 identities.
     pos_of = np.zeros((m, m, m), dtype=np.int64)
     for cell, o in orbit_of.items():
         pos_of[cell] = order_index[o]
@@ -246,47 +250,27 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
     last_in_col = pos_of.max(axis=0)  # [b, c] -> max_s pos_of[s, b, c]
     last_in_mid = pos_of.max(axis=1)  # [a, c] -> max_s pos_of[a, s, c]
     trig = np.maximum(
-        np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, :]),
-        np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, :]),
+        np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, 1:]),
+        np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, 1:]),
     )
     # a stable sort keeps (i, j, k, t) order within each trigger
     eq_order = np.argsort(trig, axis=None, kind="stable")
     i, j, k, t = np.unravel_index(eq_order, trig.shape)
-    eq_data = np.stack([i + 1, j + 1, k + 1, t], axis=1).astype(np.int64)
+    eq_data = np.stack([i + 1, j + 1, k + 1, t + 1], axis=1).astype(np.int64)
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
     eq_by_orbit_ptr[1:] = np.searchsorted(
         trig.ravel()[eq_order], np.arange(norb), side="right"
     )
 
-    # static symmetry breaking: involution-fixed basis elements of equal
-    # dimension are interchangeable, so any solution can be relabeled to
-    # make the unary chain N[q,a,a] (a running over the class) weakly
-    # decreasing; imposing that during search keeps one representative
-    # per relabeling orbit and kills the duplicated subtrees up front.
-    prec = []  # (later_orbit, earlier_orbit): require val[later] <= val[earlier]
-    classes = {}
-    for j in range(1, m):
-        classes.setdefault(int(d[j]), []).append(j)
-    for cls in classes.values():
-        fixed = [a for a in cls if dual[a] == a]
-        if len(fixed) < 2:
-            continue
-        outside = [q for q in range(1, m) if q not in cls]
-        q = outside[0] if outside else None
-        for a, b in zip(fixed, fixed[1:]):
-            ca = (q, a, a) if q is not None else (a, a, a)
-            cb = (q, b, b) if q is not None else (b, b, b)
-            oa, ob = order_index[orbit_of[ca]], order_index[orbit_of[cb]]
-            if oa < ob:
-                prec.append((ob, oa))
-    prec.sort()
-    prec_ptr = np.zeros(norb + 1, dtype=np.int64)
-    prec_data = np.array([e for _, e in prec], dtype=np.int64)
-    pos = 0
-    for oi in range(norb):
-        while pos < len(prec) and prec[pos][0] <= oi:
-            pos += 1
-        prec_ptr[oi + 1] = pos
+    # lex-leader symmetry breaking: row g of sym maps each search position
+    # to that of the orbit holding relabeling g of the orbit's least cell,
+    # for every relabeling but the identity
+    group = reference_relabelings(tuple(int(x) for x in d), tuple(dual))
+    sym = np.zeros((len(group) - 1, norb), dtype=np.int64)
+    for g, perm in enumerate(group[1:]):
+        for p, o in enumerate(orb_order):
+            j, k, s = orbits[o][0]
+            sym[g, p] = order_index[orbit_of[(perm[j], perm[k], perm[s])]]
 
     init_tensor = np.zeros(m * m * m, dtype=np.int64)
     for k in range(m):
@@ -311,10 +295,23 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
-        "prec_ptr": prec_ptr,
-        "prec_data": prec_data,
+        "sym": sym,
         "init_tensor": init_tensor,
+        "group": np.array(group, dtype=np.int64).reshape(-1, m),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def reference_relabelings(dims, dual):
+    """Every permutation of the basis that fixes the unit, preserves
+    dimensions and commutes with the duality, in lex order."""
+    m = len(dual)
+    out = []
+    for tail in itertools.permutations(range(1, m)):
+        perm = (0,) + tail
+        if all(dims[perm[j]] == dims[j] and perm[dual[j]] == dual[perm[j]] for j in range(m)):
+            out.append(perm)
+    return out
 
 
 def reference_greedy_assoc_order(m, orbits, orbit_of):
@@ -351,7 +348,10 @@ def reference_greedy_assoc_order(m, orbits, orbit_of):
 
 def reference_dfs_kernel(prob, node_budget, max_results):
     """The per-value DFS kernel: every value from 0 to the orbit's cap is
-    a node, applied and then checked against the rows it touches.
+    a node, applied and then checked against the rows it touches, then
+    against every relabeling g of ``sym`` by comparing the assigned
+    values with their images from position 0 on (the lex-leader test),
+    then against the associativity instances it completes.
 
     Takes a problem from ``search._build_problem`` and returns what
     ``search._dfs_kernel`` returns.  status: 0 done, 1 node budget
@@ -364,10 +364,10 @@ def reference_dfs_kernel(prob, node_budget, max_results):
     m, norb = prob["m"], prob["norb"]
     use_dims = len(prob["orb_row"]) > 0  # only a problem with dimensions has orbit rows
     (orb_ptr, cell_idx, caps, row_target, row_sq_bound, row_capacity0, eq_ptr, eq_data,
-     prec_ptr, prec_data) = (
+     sym) = (
         prob[k].tolist() for k in ("orb_ptr", "cell_idx", "caps", "row_target",
                                    "row_sq_bound", "row_capacity", "eq_ptr", "eq_data",
-                                   "prec_ptr", "prec_data"))
+                                   "sym"))
     # the row (j, k) and the weight d_s of each cell, from its flat index
     j, k, s = np.unravel_index(prob["cell_idx"], (m, m, m))
     cell_row = ((j - 1) * (m - 1) + k - 1).tolist()
@@ -385,7 +385,20 @@ def reference_dfs_kernel(prob, node_budget, max_results):
     nodes = 0
     prune_knap = 0
     prune_assoc = 0
+    prune_sym = 0
     status = 0
+
+    def smaller_image(o):
+        """Whether some relabeling maps val[0..o] to a lex smaller assignment."""
+        for row in sym:
+            for p in range(o + 1):
+                if row[p] > o:
+                    break  # the pair is not assigned yet
+                if val[p] != val[row[p]]:
+                    if val[p] > val[row[p]]:
+                        return True
+                    break
+        return False
 
     o = 0
     while True:
@@ -412,15 +425,6 @@ def reference_dfs_kernel(prob, node_budget, max_results):
 
         vv = v[o]
         nodes += 1
-        skip = False
-        for e in range(prec_ptr[o], prec_ptr[o + 1]):
-            if vv > val[prec_data[e]]:
-                skip = True
-                break
-        if skip:
-            # larger values only grow; exhaust this depth
-            v[o] = caps[o] + 1
-            continue
         for t in range(orb_ptr[o], orb_ptr[o + 1]):
             r = cell_row[t]
             w = cell_wt[t]
@@ -443,6 +447,12 @@ def reference_dfs_kernel(prob, node_budget, max_results):
                     break
             if not ok:
                 prune_knap += 1
+        if ok:
+            val[o] = vv
+            if smaller_image(o):
+                ok = False
+                prune_sym += 1
+            val[o] = -1
         if ok:
             for e in range(eq_ptr[o], eq_ptr[o + 1]):
                 i_, j_, k_, t_ = eq_data[e]
@@ -480,7 +490,7 @@ def reference_dfs_kernel(prob, node_budget, max_results):
         v[o] = 0
 
     found = np.array(results, dtype=np.int64).reshape(len(results), ncells)
-    return status, nodes, prune_knap, prune_assoc, found
+    return status, nodes, prune_knap, prune_assoc, prune_sym, found
 
 
 def reference_enumerate_types(constraints) -> list:

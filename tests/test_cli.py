@@ -88,6 +88,13 @@ class TestSearchCommands:
         payload = json.loads(out)
         assert payload["complete"] is True
         assert sum(t["rings_found"] for t in payload["types"]) == 1
+        assert sum(t["prune_symmetry"] for t in payload["types"]) > 0
+
+    def test_classify_text_reports_symmetry_prunes(self, capsys):
+        code, out, _ = run(capsys, "classify", "--fpdim", "60", "--rank", "5", "--perfect",
+                           "--frobenius")
+        assert code == EXIT_OK
+        assert "[nodes 91, prune_symmetry 5]" in out
 
     def test_classify_bad_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "run.jsonl"
@@ -98,9 +105,10 @@ class TestSearchCommands:
         assert "line 1: bad checkpoint record" in err
 
     def test_rank5_family_smoke(self, capsys):
-        code, out, _ = run(capsys, "rank5-family", "--max-mult", "1")
+        code, out, err = run(capsys, "rank5-family", "--max-mult", "1")
         assert code == EXIT_OK
         assert "5 ring(s)" in out
+        assert "prune_symmetry: " in err
 
     def test_bialg_rank3(self, capsys):
         code, out, _ = run(

@@ -278,7 +278,7 @@ def run_python(script, *args, **env):
 class TestKernelFallback:
     def test_python_kernel_matches_compiled(self):
         """Every backend found agrees exactly with the Python kernel: status,
-        nodes, both prune counts and the solutions in order."""
+        nodes, the three prune counts and the solutions in order."""
         from fusionforge.search import _build_problem, _dfs_kernel
 
         dims_unit = _build_problem([1, 3, 3, 4, 5], list(range(5)))
@@ -286,17 +286,18 @@ class TestKernelFallback:
         # the one row of dimensions (1, 2) needs 2 N[1,1,1] = 3: orbit 0
         # completes it and its interval is empty
         empty = _build_problem([1, 2], [0, 1])
-        assert _dfs_kernel(empty, 10**9, 1000)[:4] == (0, 0, 3, 0)
-        # the three self-dual 5-dimensional elements make a precedence chain
-        chain = _build_problem([1, 5, 5, 5, 6, 7, 7], [0, 1, 2, 3, 4, 6, 5])
-        ptr, earlier = chain["prec_ptr"], chain["prec_data"]
-        later = np.repeat(np.arange(chain["norb"]), np.diff(ptr))
-        assert set(earlier) & set(later)
+        assert _dfs_kernel(empty, 10**9, 1000)[:5] == (0, 0, 3, 0, 0)
+        # the three self-dual 5-dimensional elements and the dual pair of
+        # 7-dimensional ones give 11 relabelings besides the identity, and
+        # the lex-leader test rejects values
+        lex = _build_problem([1, 5, 5, 5, 6, 7, 7], [0, 1, 2, 3, 4, 6, 5])
+        assert lex["sym"].shape == (11, lex["norb"])
+        assert _dfs_kernel(lex, 10**9, 1000)[4] > 0
         cases = [  # (problem, node budget, max results, expected status)
             (dims_unit, 10**9, 1000, 0),
             (empty, 10**9, 1000, 0),
-            (chain, 10**9, 1000, 0),
-            (chain, 1000, 1000, 1),
+            (lex, 10**9, 1000, 0),
+            (lex, 1000, 1000, 1),
             (rank5, 10**9, 1000, 0),
             (rank5, 1000, 1000, 1),
             (rank5, 10**9, 5, 2),
@@ -308,16 +309,17 @@ class TestKernelFallback:
             assert ref[0] == status
             for name, kernel in backends.items():
                 got = kernel(prob, budget, cap)
-                assert got[:4] == ref[:4], name
-                assert np.array_equal(got[4], ref[4]), name
+                assert got[:5] == ref[:5], name
+                assert np.array_equal(got[5], ref[5]), name
 
     def test_interval_kernel_matches_per_value_kernel(self):
         """On every unit of the FPdim 60 and 168 rows and of the small types,
         each backend finds the solutions of the per-value kernel in
         ``oracles.reference_dfs_kernel``, in order, with the same prune
-        counts, taking as nodes only the values that kernel did not prune
-        on a dimension equation.  The square-sum bound never binds on these
-        units, so they also run with it lowered to at most 2."""
+        counts, taking as nodes exactly the values that kernel pruned on
+        neither a dimension equation nor the lex-leader test.  The
+        square-sum bound never binds on these units, so they also run with
+        it lowered to at most 2."""
         from fusionforge.search import _build_problem
 
         rows = [u for f, r in CENSUS_ROWS[:2] for u in
@@ -331,12 +333,14 @@ class TestKernelFallback:
             assert old[0] == 0
             for name, kernel in backends.items():
                 new = kernel(prob, 10**9, 10**6)
-                assert (new[0], new[2], new[3]) == (old[0], old[2], old[3]), (name, *where)
-                assert np.array_equal(new[4], old[4]), (name, *where)
-                assert new[1] <= old[1] - old[2], (name, *where)
+                assert (new[0], *new[2:5]) == (old[0], *old[2:5]), (name, *where)
+                assert np.array_equal(new[5], old[5]), (name, *where)
+                assert new[1] == old[1] - old[2] - old[4], (name, *where)
+            nonlocal symmetric
+            symmetric += old[4] > 0
             return new[1]
 
-        tightened = 0
+        symmetric = tightened = 0
         for sig, inv in rows + small:
             for max_mult, prune in itertools.product((None, 2), (True, False)):
                 prob = _build_problem(list(sig.dims), list(inv), max_mult, prune)
@@ -344,22 +348,30 @@ class TestKernelFallback:
                 if prune:
                     tight = dict(prob, row_sq_bound=np.minimum(prob["row_sq_bound"], 2))
                     tightened += nodes_alike(tight, (str(sig), inv, max_mult, "tight")) < nodes
-        assert tightened > 0
+        assert tightened > 0 and symmetric > 0
 
     def test_malformed_rows_rejected(self):
         """The C kernel divides by each orbit row's weight and cell count and
-        indexes the row state by its row id; the checks refuse a zero weight,
-        a zero count and a row id past the last row."""
+        indexes the row state by its row id and the values by the search
+        positions in ``sym``, whose rows its lex-leader test takes for
+        permutations; the checks refuse a zero weight, a zero count, a row
+        id past the last row, a position outside 0..norb-1, a repeated
+        position and a ``sym`` whose rows are not norb long."""
         from fusionforge.search import _build_problem, _check_kernel_args
 
         prob = _build_problem([1, 3, 3, 4, 5], list(range(5)))
         _check_kernel_args(prob)
+        assert prob["sym"].shape == (1, prob["norb"])
         for key, value in (("orb_row_wt", 0), ("orb_row_cnt", 0),
-                           ("orb_row", len(prob["row_target"]))):
+                           ("orb_row", len(prob["row_target"])), ("sym", prob["norb"]),
+                           ("sym", -1), ("sym", prob["sym"][0, 0])):
             bad = dict(prob, **{key: prob[key].copy()})
-            bad[key][-1] = value
+            bad[key].reshape(-1)[-1] = value
             with pytest.raises(ValueError, match="malformed search problem"):
                 _check_kernel_args(bad)
+        for sym in (prob["sym"][:, :-1].copy(), prob["sym"].reshape(-1)):
+            with pytest.raises(ValueError, match="malformed search problem"):
+                _check_kernel_args(dict(prob, sym=sym))
 
     def test_max_results_is_exact(self):
         """A cap of n returns exactly n solutions, with status 2 only when
@@ -368,12 +380,12 @@ class TestKernelFallback:
 
         prob = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=2)
         for name, kernel in kernel_backends().items():
-            every = kernel(prob, 10**9, 10**9)[4]
+            every = kernel(prob, 10**9, 10**9)[-1]
             n = len(every)
             at = kernel(prob, 10**9, n)
             below = kernel(prob, 10**9, n - 1)
-            assert at[0] == 0 and np.array_equal(at[4], every), name
-            assert below[0] == 2 and np.array_equal(below[4], every[: n - 1]), name
+            assert at[0] == 0 and np.array_equal(at[-1], every), name
+            assert below[0] == 2 and np.array_equal(below[-1], every[: n - 1]), name
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_concurrent_builds_share_one_cache(self, tmp_path):
@@ -415,8 +427,10 @@ class TestKernelFallback:
 
     def test_associativity_triggers_match_loop(self):
         """The vectorized trigger table equals the direct O(m^5) loop: each
-        instance (i, j, k, t) fires at the last search position among its
-        free cells, and instances are sorted by (trigger, i, j, k, t)."""
+        instance (i, j, k, t) with t >= 1 fires at the last search position
+        among its free cells, and instances are sorted by (trigger, i, j, k,
+        t).  The instances with t = 0 are identities under Frobenius
+        reciprocity and are left out."""
         from fusionforge.search import _build_problem
 
         for dims, dual in [([1, 3, 3, 4, 5], [0, 2, 1, 3, 4]),
@@ -432,7 +446,7 @@ class TestKernelFallback:
             for i in range(1, m):
                 for j in range(1, m):
                     for k in range(1, m):
-                        for t in range(m):
+                        for t in range(1, m):
                             trig = 0
                             for s in range(m):
                                 for cell in ((i, j, s), (s, k, t), (j, k, s), (i, s, t)):
@@ -516,6 +530,81 @@ class TestDedup:
         with pytest.raises(SearchTimeout, match="node budget 1000 exhausted") as exc:
             rank5_three_selfadjoint_family(2, node_budget=1000)
         assert all(fd.label.startswith("r5sa-") for fd in exc.value.partial)
+
+
+class TestLexLeader:
+    """The lex-leader test keeps exactly one tensor per isomorphism class.
+    The oracle is the same problem with ``sym`` emptied, so that nothing
+    is broken, deduplicated by canonical key: the ring keys must be the
+    same, and the raw solutions must already be distinct rings."""
+
+    @staticmethod
+    def assert_one_per_class(prob, where):
+        """The prunes the lex-leader test made on ``prob``, after checking it
+        against the oracle."""
+        from fusionforge.search import _canonical_key, _run_kernel
+
+        m, group = prob["m"], prob["group"]
+        status, found, st = _run_kernel(prob, 10**9, 10**6)
+        every_status, every, _ = _run_kernel(dict(prob, sym=prob["sym"][:0]), 10**9, 10**6)
+        assert status == every_status == 0, where
+        keys = [_canonical_key(t, m, group) for t in found]
+        assert len(set(keys)) == len(keys) == st.raw_solutions, where
+        assert set(keys) == {_canonical_key(t, m, group) for t in every}, where
+        return st.prune_symmetry
+
+    def test_census_rows_and_small_types(self):
+        from fusionforge.search import _build_problem
+
+        rows = [u for f, r in CENSUS_ROWS[:-1] for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        small = units(SearchConstraints(fpdim=(1, 60), rank=(2, 6)))
+        pruned = 0
+        for sig, inv in rows + small:
+            for max_mult, prune in itertools.product((None, 2), (True, False)):
+                prob = _build_problem(list(sig.dims), list(inv), max_mult, prune)
+                pruned += self.assert_one_per_class(prob, (str(sig), inv, max_mult, prune)) > 0
+        assert pruned > 0
+
+    @pytest.mark.parametrize("mult", [2, 4])
+    def test_rank5_family(self, mult):
+        from fusionforge.search import _build_problem
+
+        prob = _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), max_mult=mult)
+        assert self.assert_one_per_class(prob, mult) > 0
+
+    def test_collect_rejects_isomorphic_tensors(self):
+        """Two raw solutions with one canonical key mean the symmetry
+        breaking let a class through twice."""
+        from fusionforge.search import _build_problem, _collect
+
+        dual = list(search.RANK5_TEMPLATE_DUAL)
+        group = _build_problem(None, dual, max_mult=1)["group"]
+        pairs = [(fd.tensor, fd.tensor[np.ix_(g, g, g)])
+                 for fd in rank5_three_selfadjoint_family(2) for g in group[1:]]
+        tensor, image = next((a, b) for a, b in pairs if not np.array_equal(a, b))
+        assert len(_collect([tensor.ravel()], group, dual, "x")) == 1
+        with pytest.raises(InvalidSearchResult, match="two isomorphic tensors"):
+            _collect([tensor.ravel(), image.ravel()], group, dual, "x")
+
+    def test_fpdim990_identity_unit_completes(self):
+        """The identity unit of [[1,1],[9,5],[10,1],[22,1]] stopped at the
+        10^9-node budget under the precedence chain; the lex-leader test
+        over its 120 relabelings finishes it in about 10^7 nodes."""
+        if search.KERNEL_BACKEND == "python":
+            pytest.skip("about 10^7 nodes; minutes in the Python kernel")
+        sig = TypeSignature(((1, 1), (9, 5), (10, 1), (22, 1)), True)
+        st = search.SearchStats()
+        assert enumerate_fusion_rings(sig, tuple(range(8)), node_budget=2 * 10**7,
+                                      stats=st) == []
+        assert st.complete and st.nodes <= 2 * 10**7
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_source_compiles_without_warnings():
+    proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", search._C_SOURCE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCensusRows:
