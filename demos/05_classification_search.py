@@ -3,9 +3,12 @@
 The pipeline enumerates candidate types (exact FPdim decompositions
 under the arithmetic necessary conditions), duality involutions up to
 relabeling, and then backtracks over the structure-constant tensor with
-four prunes: per-row dimension knapsacks, the unconditional coefficient
-bounds, associativity instances fired the moment they complete, and the
-lex-leader test, which keeps one tensor per isomorphism class.
+four prunes: per-row dimension knapsacks, per-orbit caps from the row
+sums (the least floor(d_j d_k / d_s) over an orbit's cells, which
+implies the coefficient bound min(d_j, d_k, d_s) and the square-sum
+bound on each row), associativity instances fired the moment they
+complete, and the lex-leader test, which keeps one tensor per
+isomorphism class.
 
 The FPdim-660 hunt illustrates the punchline: six hundred billion naive
 leaves collapse to under 300,000 visited nodes and well under a second.

@@ -10,15 +10,19 @@
    narrows orbit o to the interval lo..hi of values that every row
    (j, k) the orbit touches allows, given orbits 0..o-1.  For such a row
    let R be its residual (d_j d_k less what is placed), CAPR the summed
-   cap * d_s of its open cells (this orbit's included), SS the square
-   sum of its placed cells, and W and C the summed d_s and the number of
-   orbit o's cells in it.  Then
-       v W <= R,   v W >= R - (CAPR - caps[o] W),   SS + C v^2 <= sq_bound.
-   A row the orbit completes has CAPR = caps[o] W, so there the first two
-   force v W = R; hi is also at most caps[o].  The values from 0 to
-   caps[o] outside lo..hi are counted as knapsack prunes.  R and
-   sq_bound - SS stay nonnegative (search._check_kernel_args checks the
-   start), so the integer divisions below are floors.
+   cap * d_s of its open cells (this orbit's included), and W the summed
+   d_s of orbit o's cells in it.  Then
+       v W <= R,   v W >= R - (CAPR - caps[o] W).
+   A row the orbit completes has CAPR = caps[o] W, so there the two force
+   v W = R; hi is also at most caps[o].  The values from 0 to caps[o]
+   outside lo..hi are counted as knapsack prunes.  R stays nonnegative
+   (search._check_kernel_args checks the start), so the integer divisions
+   below are floors.  Each cap is the least row-sum cap d_j d_k / d_s over
+   its orbit's cells (j,k,s), (j*,s,k), (k,s*,j*), so with the three
+   dimensions sorted as a <= b <= c it is at most ab/c <= a: the
+   coefficient bound min(d_j,d_k,d_s) and, summed over a row, the
+   square-sum bound min(d_j,d_k)^2 - [k = j*] already hold, and the
+   kernel takes neither.
 
    Each value in lo..hi then meets the lex-leader test.  Row g of sym
    (nsym rows of norb search positions) is a relabeling: the value
@@ -53,14 +57,13 @@ void ff_free(i64 *p) { free(p); }
    entries in one malloc'd block, to be released with ff_free. */
 i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
                   const i64 *cell_idx, const i64 *caps, const i64 *orb_row_ptr,
-                  const i64 *orb_row, const i64 *orb_row_wt, const i64 *orb_row_cnt,
-                  const i64 *row_target, const i64 *row_sq_bound, const i64 *row_capacity,
-                  const i64 *eq_ptr, const i64 *eq_data, const i64 *sym,
-                  const i64 *init_tensor, i64 node_budget, i64 max_results, i64 *counts,
-                  i64 **results)
+                  const i64 *orb_row, const i64 *orb_row_wt, const i64 *row_target,
+                  const i64 *row_capacity, const i64 *eq_ptr, const i64 *eq_data,
+                  const i64 *sym, const i64 *init_tensor, i64 node_budget, i64 max_results,
+                  i64 *counts, i64 **results)
 {
     const i64 mm = m * m, ncells = mm * m, nwait = norb * nsym;
-    i64 *N = malloc((ncells + 3 * nrows + 4 * norb + 3 * nwait) * sizeof(i64));
+    i64 *N = malloc((ncells + 2 * nrows + 4 * norb + 3 * nwait) * sizeof(i64));
     i64 *found = NULL, *grown;
     i64 nfound = 0, room = 0, nodes = 0, prune_knap = 0, prune_assoc = 0, prune_sym = 0;
     i64 status = 0, o = 0, vv, t, e, q, s, r, w, x, lo, hi, g, p, a, i;
@@ -73,13 +76,12 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
     /* wait_g/wait_p + a * nsym: the (g, p) waiting on depth a, wait_n[a]
        of them; pushed + o * nsym: the depths that depth o's current value
        added an entry to, npushed[o] of them */
-    i64 *R = N + ncells, *CAPR = R + nrows, *SS = CAPR + nrows, *v = SS + nrows,
-        *vhi = v + norb, *wait_n = vhi + norb, *npushed = wait_n + norb,
-        *wait_g = npushed + norb, *wait_p = wait_g + nwait, *pushed = wait_p + nwait;
+    i64 *R = N + ncells, *CAPR = R + nrows, *v = CAPR + nrows, *vhi = v + norb,
+        *wait_n = vhi + norb, *npushed = wait_n + norb, *wait_g = npushed + norb,
+        *wait_p = wait_g + nwait, *pushed = wait_p + nwait;
     memcpy(N, init_tensor, ncells * sizeof(i64));
     memcpy(R, row_target, nrows * sizeof(i64));
     memcpy(CAPR, row_capacity, nrows * sizeof(i64));
-    memset(SS, 0, nrows * sizeof(i64));
     memset(v, 0, 4 * norb * sizeof(i64));
     for (g = 0; g < nsym; g++) {
         a = sym[g * norb];
@@ -97,10 +99,6 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
                 w = orb_row_wt[q];
                 if (R[r] / w < hi)
                     hi = R[r] / w;
-                x = (row_sq_bound[r] - SS[r]) / orb_row_cnt[q];
-                /* Newton steps from above end at the integer square root */
-                while (hi * hi > x)
-                    hi = (hi + x / hi) / 2;
                 x = R[r] - CAPR[r] + caps[o] * w;
                 if (x > lo * w)
                     lo = (x + w - 1) / w;
@@ -155,7 +153,6 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
                 r = orb_row[q];
                 R[r] -= vv * orb_row_wt[q];
                 CAPR[r] -= caps[o] * orb_row_wt[q];
-                SS[r] += vv * vv * orb_row_cnt[q];
             }
             ok = 1;
             for (e = eq_ptr[o]; e < eq_ptr[o + 1]; e++) {
@@ -205,7 +202,6 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
             r = orb_row[q];
             R[r] += vv * orb_row_wt[q];
             CAPR[r] += caps[o] * orb_row_wt[q];
-            SS[r] -= vv * vv * orb_row_cnt[q];
         }
         while (npushed[o] > 0)
             wait_n[pushed[o * nsym + --npushed[o]]]--;

@@ -3,7 +3,7 @@
 Subcommands operate on corpus ids (or aliases) or on FRT files; reports
 go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 mathematical negative under ``--gate`` (e.g. the Schur criterion fails),
-2 usage or parse errors.
+2 usage, parse or file errors.
 """
 
 from __future__ import annotations
@@ -170,7 +170,9 @@ def cmd_classify(args) -> int:
         for tr in report.types:
             print(f"type {tr.signature}: {len(tr.rings)} ring(s), "
                   f"{len(tr.simple)} simple, {len(tr.schur_pass)} Schur-pass "
-                  f"[nodes {tr.stats.nodes}, prune_symmetry {tr.stats.prune_symmetry}]")
+                  f"[nodes {tr.stats.nodes}, prune_knapsack {tr.stats.prune_knapsack}, "
+                  f"prune_associativity {tr.stats.prune_associativity}, "
+                  f"prune_symmetry {tr.stats.prune_symmetry}]")
         rings_shown = report.simple_rings if args.simple else report.all_rings
         if args.schur:
             rings_shown = [fd for fd in rings_shown if fd in report.schur_rings]
@@ -197,7 +199,9 @@ def cmd_rank5_family(args) -> int:
     )
     print(f"multiplicity <= {args.max_mult}: {len(fam)} ring(s) up to equivalence, "
           f"{n_simple} simple, Schur fails on {n_fail}")
-    print(f"nodes: {stats.nodes}  prune_symmetry: {stats.prune_symmetry}", file=sys.stderr)
+    print(f"nodes: {stats.nodes}  prune_knapsack: {stats.prune_knapsack}  "
+          f"prune_associativity: {stats.prune_associativity}  "
+          f"prune_symmetry: {stats.prune_symmetry}", file=sys.stderr)
     if args.emit:
         for fd in fam:
             print(corpus.serialize_fusion_ring(fd))
@@ -347,7 +351,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchTimeout as exc:

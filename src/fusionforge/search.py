@@ -15,8 +15,12 @@ on three facts:
   linear in an orbit's value, so before an orbit is tried the kernel
   narrows it to the interval of values that leave every row it touches
   feasible, and only values in that interval become search nodes.
-* The unconditional coefficient bounds N[j,k,s] <= min(d_j,d_k,d_s) and
-  sum_s N[j,k,s]^2 <= min(d_j^2, d_k^2) cap the domains and the interval.
+* Each orbit is capped by the least row-sum cap floor(d_j d_k / d_s) of
+  its cells (j,k,s), (j*,s,k), (k,s*,j*).  With their dimensions sorted
+  as a <= b <= c that is at most ab/c <= a, so N[j,k,s] <= min(d_j,d_k,d_s);
+  and N <= d_s min(d_j,d_k)/max(d_j,d_k), so summing N^2 over a row gives
+  sum_s N[j,k,s]^2 <= min(d_j,d_k)^2 - [k = j*].  Neither bound is applied
+  separately.
 
 Associativity instances (i, j, k, t >= 1) are checked the moment their
 last cell is assigned.  The relabelings of a unit are the permutations
@@ -240,7 +244,7 @@ def enumerate_involutions(sig: TypeSignature) -> list:
 # orbit structure
 
 
-def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
+def _build_problem(dims, dual, max_mult=None):
     """Flatten the orbit/row/equation structure for the DFS kernel.
 
     Built array at a time over the free cells N[j,k,s] (j, k, s >= 1),
@@ -255,17 +259,17 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     columns first.  Without, the greedy associativity order applies.
     The kernel's cell arrays list the cells by (search position, flat
     index), and its orbit-row arrays list the distinct rows (j, k) of
-    each orbit by (search position, row) with the orbit's summed d_s and
-    number of cells in the row; there are none without dimensions.
+    each orbit by (search position, row) with the orbit's summed d_s in
+    the row; there are none without dimensions.  Each orbit is capped by
+    the least row-sum cap floor(d_j d_k / d_s) over its cells, which
+    implies the coefficient and square-sum bounds (see the module
+    docstring), and by ``max_mult``.
     ``group`` holds the unit's relabelings (``_dedup_group``), the
     identity first, and ``sym`` their action on search positions for the
     kernel's lex-leader test, one row per relabeling but the identity.
 
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
-    ``prune_bounds=False`` drops the coefficient-bound caps and the
-    square-sum prune (keeping only what the dimension equations force);
-    used to check that the bounds are admissible.
     """
     m = len(dual)
     use_dims = dims is not None
@@ -290,22 +294,15 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     cell_row, cell_col = np.divmod(c, n)  # row (j, k) is (j - 1) * n + k - 1
     cell_wt = dd[cell_col]  # d_s
 
-    dprod, dmin = np.multiply.outer(dd, dd), np.minimum.outer(dd, dd)
+    dprod = np.multiply.outer(dd, dd)
     unit = dn[:, None] == np.arange(n)  # N[j,k,0] = 1 when k = j*
     row_target = (dprod - unit).ravel()
-    if prune_bounds:
-        row_sq_bound = (dmin**2 - unit).ravel()
-    else:
-        row_sq_bound = np.full(n * n, _INT64_MAX // 4, dtype=np.int64)
 
-    # caps per orbit: the coefficient bound min(d_j, d_k, d_s) over the
-    # orbit when dimensions are known, else the multiplicity cap alone
+    # caps per orbit: the least row-sum cap floor(d_j d_k / d_s) over the
+    # orbit when dimensions are known, and the multiplicity cap
     cap = np.full(norb, _INT64_MAX if max_mult is None else max_mult, dtype=np.int64)
     if use_dims:
-        bound = dprod[:, :, None] // dd  # forced by the row sum
-        if prune_bounds:
-            bound = np.minimum(bound, np.minimum(dmin[:, :, None], dd))
-        np.minimum.at(cap, orbit, bound.ravel())
+        np.minimum.at(cap, orbit, (dprod[:, :, None] // dd).ravel())
 
     # search order: rows by (d_j d_k, j, k), cells of a row by (-d_s, s);
     # orbits by their first cell in that order
@@ -337,19 +334,18 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
     row_capacity = np.zeros(n * n, dtype=np.int64)
     np.add.at(row_capacity, cell_row, cap[orbit] * cell_wt)
 
-    # the distinct rows of each orbit, by (search position, row): W is the
-    # summed d_s and C the number of the orbit's cells in the row.  Without
-    # dimensions there is no row equation, so every orbit has none.
+    # the distinct rows of each orbit, by (search position, row), with the
+    # summed d_s of the orbit's cells in the row.  Without dimensions there
+    # is no row equation, so every orbit has none.
     orb_row_ptr = np.zeros(norb + 1, dtype=np.int64)
     if use_dims:
-        key, inv, orb_row_cnt = np.unique(cell_pos.astype(np.int64) * n * n + cell_row,
-                                          return_inverse=True, return_counts=True)
+        key, inv = np.unique(cell_pos.astype(np.int64) * n * n + cell_row, return_inverse=True)
         orb_row_pos, orb_row = np.divmod(key, n * n)
         # float sums of small integers are exact
         orb_row_wt = np.bincount(inv, weights=cell_wt).astype(np.int64)
         orb_row_ptr[1:] = np.bincount(orb_row_pos, minlength=norb).cumsum()
     else:
-        orb_row = orb_row_wt = orb_row_cnt = np.zeros(0, dtype=np.int64)
+        orb_row = orb_row_wt = np.zeros(0, dtype=np.int64)
 
     # associativity instances (i, j, k, t >= 1), triggered at the orbit
     # that completes their last free cell: the latest search position among
@@ -403,9 +399,7 @@ def _build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "orb_row_ptr": orb_row_ptr,
         "orb_row": orb_row,
         "orb_row_wt": orb_row_wt,
-        "orb_row_cnt": orb_row_cnt,
         "row_target": row_target,
-        "row_sq_bound": row_sq_bound,
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
@@ -449,8 +443,8 @@ def _greedy_assoc_order(orb, norb):
 # the problem arrays in the order the C kernel takes them, after m, norb,
 # the number of rows and the number of rows of sym
 _KERNEL_ARRAYS = (
-    "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "orb_row_cnt",
-    "row_target", "row_sq_bound", "row_capacity", "eq_ptr", "eq_data", "sym", "init_tensor",
+    "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "row_target",
+    "row_capacity", "eq_ptr", "eq_data", "sym", "init_tensor",
 )
 
 
@@ -467,12 +461,12 @@ def _dfs_kernel(prob, node_budget, max_results):
     of values that every row (j, k) the orbit touches allows, given the
     orbits before it.  Let R be the row's residual (d_j d_k less what is
     placed), CAPR the summed cap * d_s of its open cells (this orbit's
-    included), SS the square sum of its placed cells, and W and C the
-    summed d_s and the number of this orbit's cells in it.  Then
-    v W <= R, v W >= R - (CAPR - caps[o] W) and SS + C v^2 <= sq_bound.
-    A row the orbit completes has CAPR = caps[o] W, so there the first
-    two force v W = R; hi is also at most caps[o].  The values from 0 to
-    caps[o] outside lo..hi are counted as knapsack prunes.
+    included), and W the summed d_s of this orbit's cells in it.  Then
+    v W <= R and v W >= R - (CAPR - caps[o] W).  A row the orbit
+    completes has CAPR = caps[o] W, so there the two force v W = R; hi is
+    also at most caps[o].  The values from 0 to caps[o] outside lo..hi
+    are counted as knapsack prunes.  The caps already imply the
+    coefficient and square-sum bounds (see the module docstring).
 
     Each value in lo..hi then meets the lex-leader test: it is rejected,
     and counted as a symmetry prune, if some relabeling g (row g of
@@ -494,14 +488,12 @@ def _dfs_kernel(prob, node_budget, max_results):
     v[o] is the next candidate of orbit o, not yet applied.
     """
     m, norb = prob["m"], prob["norb"]
-    (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, orb_row_cnt, row_target,
-     row_sq_bound, row_capacity, eq_ptr, eq_data, sym, init_tensor) = (
-        prob[k].tolist() for k in _KERNEL_ARRAYS)
+    (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, row_target, row_capacity,
+     eq_ptr, eq_data, sym, init_tensor) = (prob[k].tolist() for k in _KERNEL_ARRAYS)
     mm = m * m
     N = init_tensor
     R = row_target
     CAPR = row_capacity
-    SS = [0] * len(row_target)
     v = [0] * norb
     vhi = [0] * norb
     # wait[a]: the (g, p) waiting on depth a; pushed[o]: the depths that
@@ -528,9 +520,6 @@ def _dfs_kernel(prob, node_budget, max_results):
                 r = orb_row[q]
                 w = orb_row_wt[q]
                 hi = min(hi, R[r] // w)
-                x = (row_sq_bound[r] - SS[r]) // orb_row_cnt[q]
-                if hi * hi > x:
-                    hi = math.isqrt(x)
                 x = R[r] - CAPR[r] + caps[o] * w
                 if x > lo * w:
                     lo = -(-x // w)
@@ -581,7 +570,6 @@ def _dfs_kernel(prob, node_budget, max_results):
                 r = orb_row[q]
                 R[r] -= vv * orb_row_wt[q]
                 CAPR[r] -= caps[o] * orb_row_wt[q]
-                SS[r] += vv * vv * orb_row_cnt[q]
             ok = True
             for e in range(eq_ptr[o], eq_ptr[o + 1]):
                 i_, j_, k_, t_ = eq_data[e]
@@ -612,7 +600,6 @@ def _dfs_kernel(prob, node_budget, max_results):
             r = orb_row[q]
             R[r] += vv * orb_row_wt[q]
             CAPR[r] += caps[o] * orb_row_wt[q]
-            SS[r] -= vv * vv * orb_row_cnt[q]
         for a in pushed[o]:
             wait[a].pop()
         pushed[o].clear()
@@ -657,10 +644,11 @@ def _c_cache_dir() -> str:
 
 def _check_kernel_args(a):
     """The layout, sizes, index bounds and signs the C kernel relies on
-    without checking, in the problem ``a``: among them the row weights
-    and counts it divides by, the nonnegative row residuals and
-    square-sum bounds that make its integer division a floor, and the
-    search positions in ``sym``, whose rows must permute them."""
+    without checking, in the problem ``a``: among them the row weights it
+    divides by, the nonnegative row residuals that make its integer
+    division a floor, and the search positions in ``sym``, whose rows
+    must permute them.  The kernel takes no coefficient or square-sum
+    bound: the orbit caps imply both (see the module docstring)."""
     m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
 
     def at_least(x, lo):
@@ -674,21 +662,18 @@ def _check_kernel_args(a):
         and norb >= 1
         and len(a["caps"]) == norb
         and len(a["init_tensor"]) == m**3
-        and all(len(a[k]) == nrows for k in ("row_sq_bound", "row_capacity"))
+        and len(a["row_capacity"]) == nrows
         and all(len(a[k]) == norb + 1 and a[k][0] == 0 and np.all(np.diff(a[k]) >= 0)
                 for k in ("orb_ptr", "orb_row_ptr", "eq_ptr"))
         and a["orb_ptr"][-1] == len(a["cell_idx"])
-        and (a["orb_row_ptr"][-1] == len(a["orb_row"]) == len(a["orb_row_wt"])
-             == len(a["orb_row_cnt"]))
+        and a["orb_row_ptr"][-1] == len(a["orb_row"]) == len(a["orb_row_wt"])
         and a["eq_data"].shape == (a["eq_ptr"][-1], 4)
         and a["sym"].ndim == 2 and a["sym"].shape[1] == norb
         and (np.sort(a["sym"], axis=1) == np.arange(norb)).all()  # rows permute 0..norb-1
         and within(a["cell_idx"], m**3)
         and within(a["orb_row"], nrows)
         and at_least(a["orb_row_wt"], 1)
-        and at_least(a["orb_row_cnt"], 1)
         and at_least(a["row_target"], 0)
-        and at_least(a["row_sq_bound"], 0)
         and within(a["eq_data"], m)
     )
     if not ok:
@@ -872,21 +857,21 @@ def enumerate_fusion_rings(
     node_budget: int = 10**9,
     max_results: int = 100_000,
     stats: Optional[SearchStats] = None,
-    prune_bounds: bool = True,
 ) -> list:
     """All fusion rings with the given integral type and involution, up to
     isomorphism.
 
-    Raises SearchTimeout (with the partial list attached) if the node
-    budget is exhausted.  ``prune_bounds=False`` disables the
-    coefficient-bound pruning (admissibility checks only; slower).
+    Each orbit of structure constants is capped by its least row-sum cap
+    floor(d_j d_k / d_s), which implies the coefficient and square-sum
+    bounds (see the module docstring).  Raises SearchTimeout (with the
+    partial list attached) if the node budget is exhausted.
     """
     if not sig.integral:
         raise ValueError("tensor enumeration requires an integral type")
     dims = list(sig.dims)
     dual = list(involution)
     max_mult = constraints.max_multiplicity if constraints else None
-    prob = _build_problem(dims, dual, max_mult=max_mult, prune_bounds=prune_bounds)
+    prob = _build_problem(dims, dual, max_mult=max_mult)
     if prob["norb"] == 0:  # rank 1: only the unit-only ring, no free cells
         fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0], "exact")
         if stats is not None:

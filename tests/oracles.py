@@ -11,11 +11,15 @@ order from sorted Python lists and the greedy associativity order from
 set arithmetic.  The array-built problem must equal it array for array.
 
 ``reference_dfs_kernel`` is the kernel that tried every value of an
-orbit from 0 to its cap and checked the rows' dimension equations after
-applying each one, then the lex-leader test by a full rescan of every
-relabeling.  The interval kernel must find the same solutions in the
-same order with the same prune counts, and skip exactly the values this
-one applied only to prune them.
+orbit from 0 to its cap and checked the rows' dimension equations and
+square-sum bounds after applying each one, then the lex-leader test by
+a full rescan of every relabeling.  The interval kernel must find the
+same solutions in the same order with the same prune counts, and skip
+exactly the values this one applied only to prune them.
+
+Both references keep the coefficient and square-sum bounds that the
+search leaves to its orbit caps, so matching them shows the caps imply
+those bounds.
 
 ``reference_enumerate_types`` is the type enumeration that applies the
 rank and growth-cap conditions only to complete types.
@@ -121,14 +125,14 @@ def frobenius_orbit(cell, dual):
     return seen
 
 
-def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
+def reference_build_problem(dims, dual, max_mult=None):
     """Flatten the orbit/row/equation structure for the DFS kernel.
 
+    Each orbit is capped by the row-sum caps d_j d_k / d_s and the
+    coefficient bounds min(d_j, d_k, d_s) of its cells, both taken
+    explicitly; ``search._build_problem`` takes the row-sum caps alone.
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
-    ``prune_bounds=False`` drops the coefficient-bound caps and the
-    square-sum prune (keeping only what the dimension equations force);
-    used to check that the bounds are admissible.
     """
     m = len(dual)
     use_dims = dims is not None
@@ -150,16 +154,9 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
 
     nrows = (m - 1) * (m - 1)
     row_target = np.zeros(nrows, dtype=np.int64)
-    row_sq_bound = np.zeros(nrows, dtype=np.int64)
     for j in range(1, m):
         for k in range(1, m):
-            r = row_id(j, k)
-            unit = 1 if dual[j] == k else 0
-            row_target[r] = d[j] * d[k] - unit
-            if prune_bounds:
-                row_sq_bound[r] = min(d[j] ** 2, d[k] ** 2) - unit
-            else:
-                row_sq_bound[r] = np.iinfo(np.int64).max // 4
+            row_target[row_id(j, k)] = d[j] * d[k] - (1 if dual[j] == k else 0)
 
     # caps per orbit: the coefficient bound min(d_j, d_k, d_s) over the
     # orbit when dimensions are known, else the multiplicity cap alone
@@ -167,8 +164,7 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
     for oi, orb in enumerate(orbits):
         if use_dims:
             cap = min(d[j] * d[k] // d[s] for j, k, s in orb)  # forced by the row sum
-            if prune_bounds:
-                cap = min(cap, min(min(d[j], d[k], d[s]) for j, k, s in orb))
+            cap = min(cap, min(min(d[j], d[k], d[s]) for j, k, s in orb))
             if max_mult is not None:
                 cap = min(cap, max_mult)
         else:
@@ -222,21 +218,18 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
             row_capacity[cell_row[t]] += caps[oi] * cell_wt[t]
 
     # the distinct rows of each orbit, in row order, with the summed d_s
-    # (W) and the number (C) of the orbit's cells in each; none without
-    # dimensions
+    # of the orbit's cells in each; none without dimensions
     orb_rows = []
     row_ptr = [0]
     for oi in range(norb):
         per_row = {}
         for t in range(orb_ptr[oi], orb_ptr[oi + 1]):
             if use_dims:
-                wt, cnt = per_row.get(int(cell_row[t]), (0, 0))
-                per_row[int(cell_row[t])] = (wt + int(cell_wt[t]), cnt + 1)
-        orb_rows += [(r, wt, cnt) for r, (wt, cnt) in sorted(per_row.items())]
+                per_row[int(cell_row[t])] = per_row.get(int(cell_row[t]), 0) + int(cell_wt[t])
+        orb_rows += sorted(per_row.items())
         row_ptr.append(len(orb_rows))
     orb_row_ptr = np.array(row_ptr, dtype=np.int64)
-    orb_row, orb_row_wt, orb_row_cnt = (
-        np.array([x[i] for x in orb_rows], dtype=np.int64) for i in range(3))
+    orb_row, orb_row_wt = (np.array([x[i] for x in orb_rows], dtype=np.int64) for i in range(2))
 
     # associativity instances (i, j, k, t >= 1), triggered at the orbit
     # that completes their last free cell: the latest search position among
@@ -289,9 +282,7 @@ def reference_build_problem(dims, dual, max_mult=None, prune_bounds=True):
         "orb_row_ptr": orb_row_ptr,
         "orb_row": orb_row,
         "orb_row_wt": orb_row_wt,
-        "orb_row_cnt": orb_row_cnt,
         "row_target": row_target,
-        "row_sq_bound": row_sq_bound,
         "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
@@ -348,7 +339,9 @@ def reference_greedy_assoc_order(m, orbits, orbit_of):
 
 def reference_dfs_kernel(prob, node_budget, max_results):
     """The per-value DFS kernel: every value from 0 to the orbit's cap is
-    a node, applied and then checked against the rows it touches, then
+    a node, applied and then checked against the rows it touches (their
+    dimension equations and the square-sum bound
+    sum_s N[j,k,s]^2 <= min(d_j, d_k)^2 - [k = j*]), then
     against every relabeling g of ``sym`` by comparing the assigned
     values with their images from position 0 on (the lex-leader test),
     then against the associativity instances it completes.
@@ -363,11 +356,14 @@ def reference_dfs_kernel(prob, node_budget, max_results):
     """
     m, norb = prob["m"], prob["norb"]
     use_dims = len(prob["orb_row"]) > 0  # only a problem with dimensions has orbit rows
-    (orb_ptr, cell_idx, caps, row_target, row_sq_bound, row_capacity0, eq_ptr, eq_data,
-     sym) = (
+    (orb_ptr, cell_idx, caps, row_target, row_capacity0, eq_ptr, eq_data, sym) = (
         prob[k].tolist() for k in ("orb_ptr", "cell_idx", "caps", "row_target",
-                                   "row_sq_bound", "row_capacity", "eq_ptr", "eq_data",
-                                   "sym"))
+                                   "row_capacity", "eq_ptr", "eq_data", "sym"))
+    # the square-sum bound min(d_j, d_k)^2 - [k = j*] of each row, read off
+    # the dimensions and the unit column N[j,k,0] = [k = j*]
+    dd = prob["d"][1:]
+    unit = prob["init_tensor"].reshape(m, m, m)[1:, 1:, 0]
+    row_sq_bound = (np.minimum.outer(dd, dd) ** 2 - unit).ravel().tolist()
     # the row (j, k) and the weight d_s of each cell, from its flat index
     j, k, s = np.unravel_index(prob["cell_idx"], (m, m, m))
     cell_row = ((j - 1) * (m - 1) + k - 1).tolist()

@@ -207,15 +207,15 @@ def test_criterion_09_property_suites(corpus_entries):
         total_violations += rep.theorem_violations
     assert total_violations == 0
 
-    # search completeness: pruning on vs off vs the naive enumerator
+    # search completeness: the search vs the naive enumerator, which uses no
+    # coefficient bounds
     c = SearchConstraints(fpdim=(1, 40), rank=(1, 4))
     for sig in enumerate_types(c):
         for inv in enumerate_involutions(sig):
             fast = enumerate_fusion_rings(sig, inv, c)
-            bare = enumerate_fusion_rings(sig, inv, c, prune_bounds=False)
             naive = naive_enumerate_fusion_rings(sig, inv)
-            assert len(fast) == len(bare) == len(naive), (str(sig), inv)
-    report(9, "zero violations across 13 checkers x corpus x grid; counts agree 3 ways", t0, 600)
+            assert len(fast) == len(naive), (str(sig), inv)
+    report(9, "zero violations across 13 checkers x corpus x grid; counts agree 2 ways", t0, 600)
 
 
 def test_criterion_10_long_jobs_not_gated():

@@ -62,6 +62,11 @@ class TestBasicCommands:
         code, _, _ = run(capsys, "no-such-command")
         assert code == EXIT_USAGE
 
+    def test_ring_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_file_input(self, capsys, tmp_path, psl25):
         p = tmp_path / "ring.frt"
         p.write_text(corpus.serialize_fusion_ring(psl25))
@@ -94,7 +99,8 @@ class TestSearchCommands:
         code, out, _ = run(capsys, "classify", "--fpdim", "60", "--rank", "5", "--perfect",
                            "--frobenius")
         assert code == EXIT_OK
-        assert "[nodes 91, prune_symmetry 5]" in out
+        assert ("[nodes 91, prune_knapsack 211, prune_associativity 4, prune_symmetry 5]"
+                in out)
 
     def test_classify_bad_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "run.jsonl"
@@ -104,11 +110,21 @@ class TestSearchCommands:
         assert code == EXIT_USAGE
         assert "line 1: bad checkpoint record" in err
 
+    def test_classify_unusable_checkpoint_path(self, capsys, tmp_path):
+        """A checkpoint path that is a directory, or a file under a missing
+        directory, is a usage error with one line, not a traceback."""
+        for path in (tmp_path, tmp_path / "missing" / "run.jsonl"):
+            code, out, err = run(capsys, "classify", "--fpdim", "6", "--rank", "3",
+                                 "--resume", str(path))
+            assert code == EXIT_USAGE and out == "", path
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
     def test_rank5_family_smoke(self, capsys):
         code, out, err = run(capsys, "rank5-family", "--max-mult", "1")
         assert code == EXIT_OK
         assert "5 ring(s)" in out
-        assert "prune_symmetry: " in err
+        assert all(f"{k}: " in err for k in ("prune_knapsack", "prune_associativity",
+                                             "prune_symmetry"))
 
     def test_bialg_rank3(self, capsys):
         code, out, _ = run(

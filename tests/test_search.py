@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -154,15 +155,6 @@ class TestEnumerateFusionRings:
                 naive = naive_enumerate_fusion_rings(sig, inv)
                 assert len(fast) == len(naive), (str(sig), inv)
 
-    def test_prune_admissibility_210(self):
-        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
-        sig = TypeSignature(((1, 1), (5, 3), (6, 1), (7, 2)), True)
-        for inv in enumerate_involutions(sig):
-            with_p = enumerate_fusion_rings(sig, inv, c, prune_bounds=True)
-            without = enumerate_fusion_rings(sig, inv, c, prune_bounds=False,
-                                             node_budget=10**10)
-            assert len(with_p) == len(without)
-
     def test_determinism(self):
         sig = TypeSignature(((1, 1), (3, 2), (4, 1), (5, 1)), True)
         a = enumerate_fusion_rings(sig, tuple(range(5)))
@@ -197,30 +189,55 @@ class TestBuildProblem:
     ``oracles.reference_build_problem``: every array with its dtype and
     shape, and every scalar with its type."""
 
-    def assert_same(self, dims, dual, max_mult=None, prune_bounds=True):
+    @staticmethod
+    def census_rows_and_small_types() -> list:
+        """The units of the census rows and of FPdim 1-60 at rank <= 6."""
+        rows = [u for f, r in CENSUS_ROWS for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        small = units(SearchConstraints(fpdim=(1, 60), rank=(1, 6)))
+        assert (len(rows), len(small)) == (90, 520)
+        assert {sig.rank for sig, _ in small} == set(range(1, 7))
+        return rows + small
+
+    def assert_same(self, dims, dual, max_mult=None):
         from fusionforge.search import _build_problem
 
-        got = _build_problem(dims, dual, max_mult, prune_bounds)
-        want = reference_build_problem(dims, dual, max_mult, prune_bounds)
+        got = _build_problem(dims, dual, max_mult)
+        want = reference_build_problem(dims, dual, max_mult)
         assert got.keys() == want.keys()
         for key, w in want.items():
             g = got[key]
             assert type(g) is type(w), (key, dims, dual)
             if isinstance(w, np.ndarray):
                 assert (g.dtype, g.shape) == (w.dtype, w.shape), (key, dims, dual)
-                assert g.tobytes() == w.tobytes(), (key, dims, dual, max_mult, prune_bounds)
+                assert g.tobytes() == w.tobytes(), (key, dims, dual, max_mult)
             else:
                 assert g == w, (key, dims, dual)
 
     def test_census_rows_and_small_types(self):
-        rows = [u for f, r in CENSUS_ROWS for u in
-                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
-        small = units(SearchConstraints(fpdim=(1, 60), rank=(1, 6)))
-        assert (len(rows), len(small)) == (90, 520)
-        assert {sig.rank for sig, _ in small} == set(range(1, 7))
-        for sig, inv in rows + small:
-            for max_mult, prune in itertools.product((None, 2), (True, False)):
-                self.assert_same(list(sig.dims), list(inv), max_mult, prune)
+        """The reference caps each orbit by the coefficient bound as well,
+        so equal caps also show that the row-sum caps imply it."""
+        for sig, inv in self.census_rows_and_small_types():
+            for max_mult in (None, 2):
+                self.assert_same(list(sig.dims), list(inv), max_mult)
+
+    def test_orbit_caps_imply_coefficient_bounds(self):
+        """Every free cell's orbit cap c is at most min(d_j, d_k, d_s), and
+        c max(d_j, d_k) <= min(d_j, d_k) d_s.  The second makes every value
+        v in row (j, k) obey v^2 <= v d_s min(d_j, d_k) / max(d_j, d_k), so
+        the row's square sum is at most min(d_j, d_k)^2 - [k = j*]: the
+        search needs neither bound besides its caps."""
+        from fusionforge.search import _build_problem
+
+        for sig, inv in self.census_rows_and_small_types():
+            d = np.asarray(sig.dims, dtype=np.int64)
+            for max_mult in (None, 2):
+                prob = _build_problem(list(sig.dims), list(inv), max_mult)
+                cap = np.repeat(prob["caps"], np.diff(prob["orb_ptr"]))
+                dj, dk, ds = d[np.array(np.unravel_index(prob["cell_idx"], (sig.rank,) * 3))]
+                where = (str(sig), inv, max_mult)
+                assert (cap <= np.minimum(np.minimum(dj, dk), ds)).all(), where
+                assert (cap * np.maximum(dj, dk) <= np.minimum(dj, dk) * ds).all(), where
 
     def test_without_dimensions(self):
         """The greedy associativity order: the rank-5 template at
@@ -232,7 +249,7 @@ class TestBuildProblem:
             sig = TypeSignature(((1, m),), True)
             for inv in enumerate_involutions(sig):
                 self.assert_same(None, list(inv), 2)
-                self.assert_same(None, list(inv), 1, prune_bounds=False)
+                self.assert_same(None, list(inv), 1)
 
     def test_dimensions_or_cap_required(self):
         from fusionforge.search import _build_problem
@@ -317,9 +334,9 @@ class TestKernelFallback:
         each backend finds the solutions of the per-value kernel in
         ``oracles.reference_dfs_kernel``, in order, with the same prune
         counts, taking as nodes exactly the values that kernel pruned on
-        neither a dimension equation nor the lex-leader test.  The
-        square-sum bound never binds on these units, so they also run with
-        it lowered to at most 2."""
+        neither a dimension equation nor the lex-leader test.  That kernel
+        also checks the square-sum bound, which this one leaves to the
+        orbit caps, so equal counts show the caps imply it."""
         from fusionforge.search import _build_problem
 
         rows = [u for f, r in CENSUS_ROWS[:2] for u in
@@ -328,42 +345,35 @@ class TestKernelFallback:
                  if u[0].rank > 1]
         backends = kernel_backends()
 
-        def nodes_alike(prob, where):
-            old = reference_dfs_kernel(prob, 10**9, 10**6)
-            assert old[0] == 0
-            for name, kernel in backends.items():
-                new = kernel(prob, 10**9, 10**6)
-                assert (new[0], *new[2:5]) == (old[0], *old[2:5]), (name, *where)
-                assert np.array_equal(new[5], old[5]), (name, *where)
-                assert new[1] == old[1] - old[2] - old[4], (name, *where)
-            nonlocal symmetric
-            symmetric += old[4] > 0
-            return new[1]
-
-        symmetric = tightened = 0
+        symmetric = 0
         for sig, inv in rows + small:
-            for max_mult, prune in itertools.product((None, 2), (True, False)):
-                prob = _build_problem(list(sig.dims), list(inv), max_mult, prune)
-                nodes = nodes_alike(prob, (str(sig), inv, max_mult, prune))
-                if prune:
-                    tight = dict(prob, row_sq_bound=np.minimum(prob["row_sq_bound"], 2))
-                    tightened += nodes_alike(tight, (str(sig), inv, max_mult, "tight")) < nodes
-        assert tightened > 0 and symmetric > 0
+            for max_mult in (None, 2):
+                prob = _build_problem(list(sig.dims), list(inv), max_mult)
+                where = (str(sig), inv, max_mult)
+                old = reference_dfs_kernel(prob, 10**9, 10**6)
+                assert old[0] == 0, where
+                for name, kernel in backends.items():
+                    new = kernel(prob, 10**9, 10**6)
+                    assert (new[0], *new[2:5]) == (old[0], *old[2:5]), (name, *where)
+                    assert np.array_equal(new[5], old[5]), (name, *where)
+                    assert new[1] == old[1] - old[2] - old[4], (name, *where)
+                symmetric += old[4] > 0
+        assert symmetric > 0
 
     def test_malformed_rows_rejected(self):
-        """The C kernel divides by each orbit row's weight and cell count and
+        """The C kernel divides by each orbit row's weight and
         indexes the row state by its row id and the values by the search
         positions in ``sym``, whose rows its lex-leader test takes for
-        permutations; the checks refuse a zero weight, a zero count, a row
-        id past the last row, a position outside 0..norb-1, a repeated
+        permutations; the checks refuse a zero weight, a row id past the
+        last row, a position outside 0..norb-1, a repeated
         position and a ``sym`` whose rows are not norb long."""
         from fusionforge.search import _build_problem, _check_kernel_args
 
         prob = _build_problem([1, 3, 3, 4, 5], list(range(5)))
         _check_kernel_args(prob)
         assert prob["sym"].shape == (1, prob["norb"])
-        for key, value in (("orb_row_wt", 0), ("orb_row_cnt", 0),
-                           ("orb_row", len(prob["row_target"])), ("sym", prob["norb"]),
+        for key, value in (("orb_row_wt", 0), ("orb_row", len(prob["row_target"])),
+                           ("sym", prob["norb"]),
                            ("sym", -1), ("sym", prob["sym"][0, 0])):
             bad = dict(prob, **{key: prob[key].copy()})
             bad[key].reshape(-1)[-1] = value
@@ -561,9 +571,9 @@ class TestLexLeader:
         small = units(SearchConstraints(fpdim=(1, 60), rank=(2, 6)))
         pruned = 0
         for sig, inv in rows + small:
-            for max_mult, prune in itertools.product((None, 2), (True, False)):
-                prob = _build_problem(list(sig.dims), list(inv), max_mult, prune)
-                pruned += self.assert_one_per_class(prob, (str(sig), inv, max_mult, prune)) > 0
+            for max_mult in (None, 2):
+                prob = _build_problem(list(sig.dims), list(inv), max_mult)
+                pruned += self.assert_one_per_class(prob, (str(sig), inv, max_mult)) > 0
         assert pruned > 0
 
     @pytest.mark.parametrize("mult", [2, 4])
@@ -598,6 +608,18 @@ class TestLexLeader:
         assert enumerate_fusion_rings(sig, tuple(range(8)), node_budget=2 * 10**7,
                                       stats=st) == []
         assert st.complete and st.nodes <= 2 * 10**7
+
+
+def test_c_kernel_parameters_match_kernel_arrays():
+    """ctypes passes each problem array to ``ff_dfs_kernel`` as a bare
+    address, so a parameter reordered or dropped in ``_kernel.c`` would
+    bind the wrong array without any error: the parameter names must be
+    the scalars, ``_KERNEL_ARRAYS`` in order, then the limits and outputs."""
+    with open(search._C_SOURCE) as f:
+        params = re.search(r"\bi64 ff_dfs_kernel\(([^)]*)\)", f.read()).group(1)
+    names = [re.search(r"(\w+)\s*$", p).group(1) for p in params.split(",")]
+    assert names == ["m", "norb", "nrows", "nsym", *search._KERNEL_ARRAYS,
+                     "node_budget", "max_results", "counts", "results"]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
