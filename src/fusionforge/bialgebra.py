@@ -29,7 +29,6 @@ import numpy as np
 from . import criteria, spectral
 from .errors import (
     BadExponent,
-    ConvergenceFailure,
     DegenerateSpectrum,
     InfeasibleParams,
     NormalizationFailure,
@@ -605,8 +604,7 @@ _CHECK_NAMES = (
     "conv_norm_identity", "sumset", "dual_young_positive", "dual_young_falsify",
 )
 _SPECTRAL_ERRORS = (
-    NotCommutative, DegenerateSpectrum, NormalizationFailure, ConvergenceFailure,
-    np.linalg.LinAlgError,
+    NotCommutative, DegenerateSpectrum, NormalizationFailure, np.linalg.LinAlgError,
 )
 
 

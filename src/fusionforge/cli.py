@@ -64,6 +64,11 @@ def cmd_info(args) -> int:
           f"frobenius_type: {rep.frobenius_type}")
     if rep.schur is not None:
         print(f"  schur: {rep.schur}")
+    if rep.falsifier is not None:
+        print(f"  schur falsifier: counterexample, value {rep.falsifier.value:.9g}")
+    elif not rep.commutative:
+        print(f"  schur falsifier: no counterexample in {criteria.FALSIFIER_SAMPLES} samples "
+              "(NOT a proof)")
     print(f"  coefficient bounds hold: {rep.coefficient_bounds_hold}")
     return EXIT_OK
 
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--csv", action="store_true")
     q = ring_cmd("schur", cmd_schur, help="Schur product criterion")
     q.add_argument("--all-triples", action="store_true")
-    q.add_argument("--samples", type=int, default=10_000)
+    q.add_argument("--samples", type=int, default=criteria.FALSIFIER_SAMPLES)
     ring_cmd("subrings", cmd_subrings, help="proper fusion subrings")
 
     def search_flags(q):

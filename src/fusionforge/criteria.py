@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from . import rings
-from .errors import NotIntegral
 from .rings import FusionData, fp_dimensions, global_fpdim
 from .spectral import CharacterTable, character_table
 
@@ -36,6 +35,9 @@ __all__ = [
     "obstruction_report",
     "decision_tol",
 ]
+
+#: samples the falsifier draws unless told otherwise
+FALSIFIER_SAMPLES = 10_000
 
 
 def decision_tol(mu: float) -> float:
@@ -130,7 +132,7 @@ class FalsifierWitness:
 
 def schur_noncommutative_falsify(
     fd: FusionData,
-    num_samples: int = 10_000,
+    num_samples: int = FALSIFIER_SAMPLES,
     seed: int = 0,
     tol: Optional[float] = None,
 ) -> Optional[FalsifierWitness]:
@@ -218,15 +220,13 @@ def obstruction_report(
 
     For commutative rings the decisive character-table criterion is
     used; the sampling falsifier runs only when requested
-    (``falsifier_samples > 0``) or when the ring is noncommutative.
+    (``falsifier_samples > 0``) or when the ring is noncommutative, then
+    with ``FALSIFIER_SAMPLES`` samples when none are requested.
     """
     sig = rings.type_signature(fd)
     integral = sig.integral
     commutative = rings.is_commutative(fd)
-    try:
-        frob = rings.is_frobenius_type(fd) if integral else None
-    except NotIntegral:  # pragma: no cover - guarded by `integral`
-        frob = None
+    frob = rings.is_frobenius_type(fd) if integral else None
     schur = None
     witness = None
     if commutative:
@@ -234,7 +234,7 @@ def obstruction_report(
         if falsifier_samples:
             witness = schur_noncommutative_falsify(fd, falsifier_samples, seed)
     else:
-        witness = schur_noncommutative_falsify(fd, falsifier_samples or 10_000, seed)
+        witness = schur_noncommutative_falsify(fd, falsifier_samples or FALSIFIER_SAMPLES, seed)
     return ObstructionReport(
         label=fd.label,
         rank=fd.rank,

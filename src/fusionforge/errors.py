@@ -25,10 +25,6 @@ class BadInvolution(FusionError):
     """The derived duality map is not an involution fixing the unit."""
 
 
-class ConvergenceFailure(FusionError):
-    """An eigenvalue computation did not converge."""
-
-
 class RankTooLarge(FusionError):
     """The requested operation exceeds its configured rank cap."""
 

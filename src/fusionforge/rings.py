@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     BadInvolution,
-    ConvergenceFailure,
     NegativeEntry,
     NoDuality,
     NonSquare,
@@ -56,10 +55,6 @@ __all__ = [
     "coefficient_bounds_report",
     "permuted",
 ]
-
-#: power-iteration convergence threshold for Frobenius-Perron data
-FP_TOL = 1e-12
-FP_MAX_ITER = 100_000
 
 #: |d_i - round(d_i)| below this counts as an integer dimension
 INTEGER_TOL = 1e-6
@@ -354,36 +349,26 @@ def fp_dimensions(fd: FusionData) -> np.ndarray:
 
     d_i is the spectral radius of the fusion matrix M_i, and the vector
     (d_1, ..., d_m) is the common Perron eigenvector of all M_i with
-    d_1 = 1.  The vector is found by power iteration on the strictly
-    positive total matrix sum_j M_j (the individual M_i may be periodic,
-    e.g. permutation matrices of a group ring, where plain per-matrix
-    power iteration cycles), then each d_i is read off by a Rayleigh
-    quotient and validated; full eigendecomposition is the fallback.
+    d_1 = 1.  The total matrix T = sum_j M_j is symmetric, since
+    M_j^T = M_{j*} (Frobenius reciprocity), and entrywise positive, so
+    the top eigenvector from one ``eigh`` is its Perron vector (the
+    individual M_i may be periodic, e.g. permutation matrices of a group
+    ring, and have no unique top eigenvector).  Each d_i is read off by a
+    Rayleigh quotient and v is checked as an eigenvector of every M_i.
+    Input that ``new_fusion_data`` accepts but that is no fusion ring,
+    such as a file breaking Frobenius reciprocity, has a nonsymmetric T,
+    of which ``eigh`` reads one triangle only; the check fails there and
+    the spectral radius of each M_i is used instead.
     """
     if fd._fp_dims is not None:
         return fd._fp_dims
     N = fd.tensor.astype(np.float64)
-    m = fd.rank
-    total = N.sum(axis=0)
-    v = np.ones(m)
-    for _ in range(FP_MAX_ITER):
-        w = total @ v
-        w /= w[0]
-        if np.max(np.abs(w - v)) <= FP_TOL * np.max(w):
-            v = w
-            break
-        v = w
-    else:
-        raise ConvergenceFailure("power iteration on the total fusion matrix did not converge")
-
-    dims = np.array([float(v @ (N[i] @ v)) / float(v @ v) for i in range(m)])
-    ok = all(
-        np.max(np.abs(N[i] @ v - dims[i] * v)) <= 1e-9 * (1 + dims[i]) * np.max(v)
-        for i in range(m)
-    )
-    if not ok:
-        # fallback: spectral radius of each fusion matrix
-        dims = np.array([np.max(np.linalg.eigvals(N[i]).real) for i in range(m)])
+    v = np.abs(np.linalg.eigh(N.sum(axis=0))[1][:, -1])  # eigh fixes no sign
+    Nv = N @ v  # Nv[i] = M_i v
+    dims = Nv @ v / (v @ v)
+    err = np.max(np.abs(Nv - dims[:, None] * v), axis=1)
+    if not np.all(err <= 1e-9 * (1 + dims) * np.max(v)):
+        dims = np.linalg.eigvals(N).real.max(axis=1)  # spectral radius of each M_i
     dims[0] = 1.0
     dims.setflags(write=False)  # cached on fd, shared by every caller
     fd._fp_dims = dims

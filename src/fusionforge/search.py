@@ -710,6 +710,14 @@ def _load_c_kernel():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if cache == _C_CACHE_DIR:  # the shared temp directory may hold other checkouts' builds
+            for name in os.listdir(cache):  # drop the builds of older sources
+                old = os.path.join(cache, name)
+                if name.startswith("_kernel-") and name.endswith(".so") and old != path:
+                    try:
+                        os.unlink(old)
+                    except FileNotFoundError:
+                        pass
     lib = ctypes.CDLL(path)
     i64, arr = ctypes.c_int64, ctypes.c_void_p
     out_ptr = ctypes.POINTER(i64)

@@ -120,30 +120,24 @@ def character_table(fd: FusionData, tol: float = RESIDUAL_TOL, seed: int = _SEED
 
 
 def _column_order(lam: np.ndarray, d: np.ndarray) -> list:
-    """Perron column first, the rest sorted by rounded column values."""
-    m = lam.shape[0]
-    perron = None
-    for j in range(m):
-        col = lam[:, j]
-        if np.max(np.abs(col.imag)) < 1e-6 * (1 + np.max(np.abs(col))) and np.all(
-            col.real > 0
-        ):
-            if np.max(np.abs(col.real - d)) < 1e-6 * (1 + np.max(d)):
-                perron = j
-                break
-    if perron is None:
+    """Column permutation of the raw table ``lam``: the Perron column
+    first, then the rest in lexicographic order of their values rounded
+    to 6 places, row by row and real part before imaginary part, ties
+    kept in eigensolver order.
+
+    The Perron column is the first one whose values are real, positive
+    and within 1e-6 (1 + max d) of the FP dimensions d; without one the
+    table raises ``DegenerateSpectrum``.
+    """
+    real = np.max(np.abs(lam.imag), axis=0) < 1e-6 * (1 + np.max(np.abs(lam), axis=0))
+    fp = np.max(np.abs(lam.real - d[:, None]), axis=0) < 1e-6 * (1 + np.max(d))
+    perron = np.flatnonzero(real & np.all(lam.real > 0, axis=0) & fp)
+    if not perron.size:
         raise DegenerateSpectrum("no Frobenius-Perron column found")
-    rest = [j for j in range(m) if j != perron]
-
-    def key(j):
-        col = lam[:, j]
-        # built from a list: tuple(generator) starts at a guessed size and
-        # resizes, which strands one tuple per call in CPython's free list for
-        # size m, so memory crept up over repeated calls
-        return tuple([(round(float(x.real), 6), round(float(x.imag), 6)) for x in col])
-
-    rest.sort(key=key)
-    return [perron] + rest
+    rest = np.delete(np.arange(lam.shape[1]), perron[0])
+    # keys row 0 re, row 0 im, row 1 re, ...; lexsort takes its primary key last
+    keys = np.stack([lam[:, rest].real, lam[:, rest].imag], axis=1).reshape(2 * len(d), -1)
+    return [int(perron[0])] + rest[np.lexsort(np.round(keys, 6)[::-1])].tolist()
 
 
 def _eigen_residual(N: np.ndarray, V: np.ndarray, lam=None) -> tuple:

@@ -23,6 +23,12 @@ those bounds.
 
 ``reference_enumerate_types`` is the type enumeration that applies the
 rank and growth-cap conditions only to complete types.
+
+``reference_fp_dimensions`` finds the Frobenius-Perron vector by power
+iteration on the total fusion matrix, and ``reference_column_order``
+orders the character columns by a per-column Python sort key: the
+earlier ``rings.fp_dimensions`` and ``spectral._column_order``, which
+now use one symmetric eigensolve and one ``np.lexsort``.
 """
 
 import functools
@@ -33,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from fusionforge import rings
+from fusionforge.errors import DegenerateSpectrum
 from fusionforge.rings import FusionData, TypeSignature, are_isomorphic
 from fusionforge.search import _excluded_fpdim
 
@@ -537,3 +544,55 @@ def reference_enumerate_types(constraints) -> list:
             extend(1, rest, [], 0)
     out.sort(key=lambda t: (t.fpdim, t.rank, t.entries))
     return out
+
+
+def reference_fp_dimensions(fd: FusionData) -> np.ndarray:
+    """The power-iteration ``rings.fp_dimensions``: the Perron vector of the
+    total matrix sum_j M_j by repeated multiplication until successive
+    vectors agree to 1e-12, then one Rayleigh quotient and one eigenvector
+    check per fusion matrix, with the per-matrix spectral radius as the
+    fallback.  Uncached."""
+    N = fd.tensor.astype(np.float64)
+    m = fd.rank
+    total = N.sum(axis=0)
+    v = np.ones(m)
+    for _ in range(100_000):
+        w = total @ v
+        w /= w[0]
+        if np.max(np.abs(w - v)) <= 1e-12 * np.max(w):
+            v = w
+            break
+        v = w
+    else:
+        raise AssertionError("power iteration on the total fusion matrix did not converge")
+    dims = np.array([float(v @ (N[i] @ v)) / float(v @ v) for i in range(m)])
+    ok = all(
+        np.max(np.abs(N[i] @ v - dims[i] * v)) <= 1e-9 * (1 + dims[i]) * np.max(v)
+        for i in range(m)
+    )
+    if not ok:
+        dims = np.array([np.max(np.linalg.eigvals(N[i]).real) for i in range(m)])
+    dims[0] = 1.0
+    return dims
+
+
+def reference_column_order(lam: np.ndarray, d: np.ndarray) -> list:
+    """The per-column ``spectral._column_order``: the first real positive
+    column within 1e-6 (1 + max d) of d, then the other columns sorted by
+    the tuple of their values rounded to 6 places, (real, imag) row by row."""
+    m = lam.shape[0]
+    perron = None
+    for j in range(m):
+        col = lam[:, j]
+        if np.max(np.abs(col.imag)) < 1e-6 * (1 + np.max(np.abs(col))) and np.all(
+            col.real > 0
+        ):
+            if np.max(np.abs(col.real - d)) < 1e-6 * (1 + np.max(d)):
+                perron = j
+                break
+    if perron is None:
+        raise DegenerateSpectrum("no Frobenius-Perron column found")
+    rest = [j for j in range(m) if j != perron]
+    rest.sort(key=lambda j: tuple((round(float(x.real), 6), round(float(x.imag), 6))
+                                  for x in lam[:, j]))
+    return [perron] + rest

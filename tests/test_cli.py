@@ -1,7 +1,18 @@
 import json
 
+import pytest
+
 from fusionforge import corpus
 from fusionforge.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from test_bialgebra import _s3_group_ring
+
+
+@pytest.fixture
+def s3_file(tmp_path):
+    """The group ring of S3, the smallest noncommutative fusion ring, as an FRT file."""
+    path = tmp_path / "s3.frt"
+    path.write_text(corpus.serialize_fusion_ring(_s3_group_ring()))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -21,6 +32,24 @@ class TestBasicCommands:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["simple"] is True and payload["schur_holds"] is True
+
+    def test_info_text(self, capsys):
+        code, out, _ = run(capsys, "info", "psl25")
+        assert code == EXIT_OK
+        assert "  FPdim: 60\n" in out and "  simple: True" in out
+        assert "  schur: Schur product criterion holds" in out
+        assert "schur falsifier" not in out  # commutative: the character table decides
+
+    def test_info_noncommutative_reports_falsifier(self, capsys, s3_file):
+        code, out, _ = run(capsys, "info", s3_file)
+        assert code == EXIT_OK
+        assert "  commutative: False" in out
+        assert ("  schur falsifier: no counterexample in 10000 samples (NOT a proof)\n"
+                in out)
+        code, out, err = run(capsys, "--gate", "schur", s3_file, "--samples", "500")
+        assert code == EXIT_OK
+        assert "sampling falsifier (500 samples" in err
+        assert "no counterexample found in 500 samples (NOT a proof" in out
 
     def test_schur_ruled_out(self, capsys):
         code, out, _ = run(capsys, "schur", "r7-210-ruledout")
@@ -140,21 +169,11 @@ class TestSearchCommands:
         assert "theorem-backed violations: 0" in out
         assert "probes skipped" not in out
 
-    def test_ineq_suite_reports_skipped_probes(self, capsys, tmp_path):
-        import itertools
-
-        import numpy as np
-
-        from fusionforge import rings
-
-        perms = sorted(itertools.permutations(range(3)))
-        table = [[perms.index(tuple(g[h[k]] for k in range(3))) for h in perms] for g in perms]
-        path = tmp_path / "s3.frt"
-        path.write_text(corpus.serialize_fusion_ring(rings.group_ring(np.array(table))))
-        code, out, _ = run(capsys, "ineq-suite", str(path), "--samples", "5")
+    def test_ineq_suite_reports_skipped_probes(self, capsys, s3_file):
+        code, out, _ = run(capsys, "ineq-suite", s3_file, "--samples", "5")
         assert code == EXIT_OK
         assert "targeted dual-projection probes skipped: NotCommutative" in out
-        code, out, _ = run(capsys, "ineq-suite", "--json", str(path), "--samples", "5")
+        code, out, _ = run(capsys, "ineq-suite", "--json", s3_file, "--samples", "5")
         assert json.loads(out)["probes_skipped"].startswith("NotCommutative")
 
 

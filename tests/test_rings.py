@@ -131,6 +131,22 @@ class TestFPDimensions:
             rhs = np.einsum("jks,s->jk", N, d)
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.max(lhs), e.id
 
+    def test_broken_reciprocity_falls_back_to_spectral_radii(self):
+        """A tensor that breaks Frobenius reciprocity has a nonsymmetric
+        total matrix, so its ``eigh`` vector is no common eigenvector; the
+        result is then the spectral radius of each M_i."""
+        m2 = [[0, 1, 0], [1, 1, 2], [0, 0, 1]]
+        m3 = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        fd = new_fusion_data([np.eye(3, dtype=int), m2, m3], label="no-reciprocity")
+        assert not verify_axioms(fd)["frobenius_reciprocity"].ok
+        N = fd.tensor.astype(float)
+        total = N.sum(axis=0)
+        assert not np.array_equal(total, total.T)
+        radii = [max(abs(np.linalg.eigvals(M))) for M in N]
+        assert np.allclose(fp_dimensions(fd), radii, rtol=1e-12, atol=0)
+        v = np.abs(np.linalg.eigh(total)[1][:, -1])
+        assert not np.allclose(N @ v @ v / (v @ v), radii, atol=1e-3)
+
     def test_dims_respect_duality(self, corpus_entries):
         for e in corpus_entries:
             d = fp_dimensions(e.fd)

@@ -399,7 +399,9 @@ class TestKernelFallback:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_concurrent_builds_share_one_cache(self, tmp_path):
-        """Two processes building into one empty cache both load the C kernel."""
+        """Two processes building into one cache both load the C kernel, and
+        the build of an older source planted there is removed."""
+        (tmp_path / "_kernel-0000000000000000.so").write_bytes(b"")
         script = ("import sys; from fusionforge import search; "
                   "search._C_CACHE_DIR = sys.argv[1]; print(search.KERNEL_BACKEND)")
         procs = [run_python(script, str(tmp_path)) for _ in range(2)]
@@ -408,6 +410,7 @@ class TestKernelFallback:
         assert [out.strip() for out, _ in outs] == ["c", "c"], outs
         built = [f.name for f in tmp_path.iterdir()]
         assert len(built) == 1 and built[0].endswith(".so"), built
+        assert built[0] != "_kernel-0000000000000000.so"
 
     def test_no_compiler_falls_back_with_one_warning(self, tmp_path):
         script = (

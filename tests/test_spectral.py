@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fusionforge import corpus, rings, spectral
-from fusionforge.bialgebra import Rank3Type1Params, rank3_from_mnq, rank3_type1
-from fusionforge.errors import DegenerateSpectrum, NotCommutative
+from fusionforge import corpus, rings, search, spectral
+from fusionforge.bialgebra import (
+    Rank3Type1Params,
+    rank2_family,
+    rank3_from_mnq,
+    rank3_type1,
+    rank3_type2,
+)
+from fusionforge.errors import DegenerateSpectrum, InfeasibleParams, NotCommutative
 from fusionforge.rings import cyclic_group_ring, fp_dimensions
 from fusionforge.spectral import (
     CharacterTable,
@@ -14,6 +20,8 @@ from fusionforge.spectral import (
     dual_projections,
     verify_character_table,
 )
+from oracles import reference_column_order, reference_fp_dimensions
+from test_search import CENSUS_ROWS, PAPER_FLAGS, units
 
 
 def match_columns(computed, expected, tol=1e-8):
@@ -96,8 +104,9 @@ def rank3_closed_form_table(m, n, q):
 
 def reference_character_table(fd, tol=spectral.RESIDUAL_TOL, seed=spectral._SEED):
     """The earlier character_table, which validated every eigenvector
-    against every fusion matrix in a double loop; the reference for the
-    stacked residual."""
+    against every fusion matrix in a double loop and ordered the columns
+    by a per-column sort key; the reference for the stacked residual and
+    the lexsorted column order."""
     m = fd.rank
     N = np.asarray(fd.tensor, dtype=float)
     d = fp_dimensions(fd)
@@ -121,7 +130,7 @@ def reference_character_table(fd, tol=spectral.RESIDUAL_TOL, seed=spectral._SEED
             v = V[:, j]
             k = int(np.argmax(np.abs(v)))
             V[:, j] = v / (v[k] / abs(v[k]))
-        order = spectral._column_order(lam, d)
+        order = reference_column_order(lam, d)
         lam, V = lam[:, order], V[:, order]
         lam[:, 0] = lam[:, 0].real
         return lam, V, worst, tuple(order)
@@ -268,6 +277,60 @@ class TestCharacterTable:
         assert not rings.is_commutative(s3)
         with pytest.raises(NotCommutative):
             character_table(s3)
+
+
+def spectral_test_rings() -> list:
+    """The corpus, the rank-5 family at multiplicity 4, the census rows up
+    to the 660 row, FPdim 1-60 at rank <= 6 without flags, points of the
+    rank-2 and rank-3 type II families and 200 random rank-3 (m, n, q)
+    points: integral and float rings, ranks 1-12."""
+    fds = [e.fd for e in corpus.corpus()] + search.rank5_three_selfadjoint_family(4)
+    rows = [search.SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS) for f, r in CENSUS_ROWS[:-1]]
+    for c in rows + [search.SearchConstraints(fpdim=(1, 60), rank=(1, 6))]:
+        fds += [fd for sig, inv in units(c) for fd in search.enumerate_fusion_rings(sig, inv, c)]
+    fds += [rank2_family(mu).fd for mu in (2.0, 2.5, 3.0, 5.0, 10.0, 100.0)]
+    fds += [rank3_type2(mu).fd for mu in (3.0, 4.0, 7.0, 20.0, 100.0)]
+    rng = np.random.default_rng(0)
+    points = 0
+    while points < 200:
+        m, n, q = rng.uniform(0, 3), rng.uniform(0.3, 4), rng.uniform(0, 4)
+        try:
+            fds.append(rank3_type1(rank3_from_mnq(m, n, q)).fd)
+        except InfeasibleParams:
+            continue
+        points += 1
+    return fds
+
+
+class TestAgainstReference:
+    """The single ``eigh`` of ``fp_dimensions`` and the lexsort of
+    ``_column_order`` against the power iteration and the per-column sort
+    key they replaced."""
+
+    def test_fp_dimensions_and_column_order(self, monkeypatch):
+        fds = spectral_test_rings()
+        assert len(fds) == 52 + 47 + 47 + 55 + 6 + 5 + 200
+        for fd in fds:
+            d, ref = fp_dimensions(fd), reference_fp_dimensions(fd)
+            assert np.all(np.abs(d - ref) <= 1e-12 * ref), fd.label
+        calls = []
+        column_order = spectral._column_order
+        monkeypatch.setattr(spectral, "_column_order",
+                            lambda lam, d: calls.append((lam, d)) or column_order(lam, d))
+        for fd in fds:
+            if rings.is_commutative(fd):
+                character_table(fd)
+        assert len(calls) == len(fds) - 1  # all but the group ring of S3 (FPdim 6)
+        for lam, d in calls:
+            assert column_order(lam, d) == reference_column_order(lam, d)
+
+    def test_no_perron_column_raises(self, psl25):
+        lam = character_table(psl25).lam.copy()
+        d = fp_dimensions(psl25)
+        assert spectral._column_order(lam, d) == reference_column_order(lam, d) == list(range(5))
+        lam[1, 0] = -lam[1, 0]
+        with pytest.raises(DegenerateSpectrum, match="no Frobenius-Perron column"):
+            spectral._column_order(lam, d)
 
 
 class TestDualProjections:
