@@ -30,7 +30,7 @@ FLAGS = dict(
 for fpdim, rank in [(60, 5), (210, 7), (660, 8)]:
     constraints = search.SearchConstraints(fpdim=fpdim, rank=rank, **FLAGS)
     t0 = time.time()
-    report = search.classify(constraints, {"simple": True}, node_budget=10**10)
+    report = search.classify(constraints, node_budget=10**10)
     dt = time.time() - t0
     print(f"FPdim {fpdim}, rank {rank}  ({dt:.1f}s)")
     for tr in report.types:

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 SUPPORT_RTOL = 1e-8
+#: a theorem-backed check fails when its slack is below -SLACK_TOL times its scale
+SLACK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,14 @@ def _norms(t: np.ndarray, weights: np.ndarray, ps) -> np.ndarray:
     return out
 
 
-def _support_mask(t: np.ndarray, rank_tol: float) -> np.ndarray:
-    """The moduli above ``rank_tol`` times the largest one; none when all vanish."""
-    return t > rank_tol * t.max(axis=-1, keepdims=True)
+def _support_mask(t: np.ndarray) -> np.ndarray:
+    """The moduli above ``SUPPORT_RTOL`` times the largest one; none when all vanish."""
+    return t > SUPPORT_RTOL * t.max(axis=-1, keepdims=True)
 
 
-def _supports(t: np.ndarray, weights: np.ndarray, rank_tol: float = SUPPORT_RTOL) -> np.ndarray:
+def _supports(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Trace of the range projection: the weights of the nonzero moduli."""
-    return np.sum(np.where(_support_mask(t, rank_tol), weights, 0.0), axis=-1)
+    return np.sum(np.where(_support_mask(t), weights, 0.0), axis=-1)
 
 
 def _entropies(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -261,14 +263,14 @@ class CanonicalBialgebra:
             raise BadExponent(f"p = {p} is outside [1, inf]")
         return float(_norms(*self._moduli(x), [p])[0])
 
-    def support(self, x: Element, rank_tol: float = SUPPORT_RTOL) -> float:
+    def support(self, x: Element) -> float:
         """S(x) = trace of the range projection of x (d on A, tau on B)."""
-        return float(_supports(*self._moduli(x), rank_tol))
+        return float(_supports(*self._moduli(x)))
 
-    def range_projection(self, x: Element, rank_tol: float = SUPPORT_RTOL) -> Element:
+    def range_projection(self, x: Element) -> Element:
         """R(x) for side A: the sum of the minimal projections supporting x."""
         self._expect(x, "A")
-        mask = _support_mask(self._moduli(x)[0], rank_tol)
+        mask = _support_mask(self._moduli(x)[0])
         return Element(np.where(mask, self.dims, 0.0).astype(complex), "A")
 
     def entropy(self, x: Element) -> float:
@@ -276,10 +278,13 @@ class CanonicalBialgebra:
         return float(_entropies(*self._moduli(x)))
 
     def renyi_entropy(self, x: Element, t: float) -> float:
-        """Renyi entropy H_t(x) = (t/(1-t)) log ||x||_t (t != 1)."""
+        """Renyi entropy H_t(x) = (t/(1-t)) log ||x||_t, 0 < t < inf, t != 1;
+        below t = 1, ||x||_t = trace(|x|^t)^(1/t) is a quasi-norm."""
         if t == 1:
             raise BadExponent("Renyi entropy is undefined at t = 1 (take the vN limit)")
-        return float(t / (1.0 - t) * np.log(self.norm(x, t)))
+        if not 0 < t < np.inf:
+            raise BadExponent(f"t = {t} is outside (0, inf)")
+        return float(t / (1.0 - t) * np.log(_norms(*self._moduli(x), [t])[0]))
 
     # -- internals -----------------------------------------------------------
 
@@ -326,13 +331,13 @@ class Rank3Type1Params:
     def b(self) -> float:
         return 1.0 - self.a
 
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
         if self.d2 < 1 or self.d3 < 1 or not (0 <= self.a <= 1):
             raise InfeasibleParams(f"{self} violates d2, d3 >= 1, 0 <= a <= 1")
-        scale = 1.0 + max(self.d2, self.d3) ** 2  # boundary points hit fp fuzz
-        if self.d2**2 - 1 - self.a * self.d3**2 < -tol * scale:
+        slack = 1e-9 * (1.0 + max(self.d2, self.d3) ** 2)  # boundary points hit fp fuzz
+        if self.d2**2 - 1 - self.a * self.d3**2 < -slack:
             raise InfeasibleParams(f"{self}: d2^2 - 1 - a d3^2 < 0")
-        if self.d3**2 - 1 - self.b * self.d2**2 < -tol * scale:
+        if self.d3**2 - 1 - self.b * self.d2**2 < -slack:
             raise InfeasibleParams(f"{self}: d3^2 - 1 - b d2^2 < 0")
 
 
@@ -410,13 +415,13 @@ class Rank3DualData:
     q3: Element
 
 
-def rank3_dual_data(params: Rank3Type1Params, tol: float = 1e-8) -> Rank3DualData:
+def rank3_dual_data(params: Rank3Type1Params) -> Rank3DualData:
     """Minimal projections of the dual per the closed rank-3 formulas.
 
     The labeling follows the counterexample analysis: lambda2 is the
     smaller root (the one with lambda2/d2^2 -> -b^2 in the large-d2
     regime), lambda3 the larger.  Idempotency and mutual orthogonality
-    are verified to relative tolerance; a double root raises
+    are verified to relative tolerance 1e-8; a double root raises
     DegenerateSpectrum.
     """
     params.validate()
@@ -448,14 +453,14 @@ def rank3_dual_data(params: Rank3Type1Params, tol: float = 1e-8) -> Rank3DualDat
         for j, qj in enumerate(qs):
             prod = bialg.mult(qi, qj).coeffs
             want = qi.coeffs if i == j else np.zeros(3)
-            if np.max(np.abs(prod - want)) > tol * (1 + np.max(np.abs(qi.coeffs))):
+            if np.max(np.abs(prod - want)) > 1e-8 * (1 + np.max(np.abs(qi.coeffs))):
                 raise DegenerateSpectrum(
                     f"Q_{i + 1} Q_{j + 1} deviates from the projection relations"
                 )
     return Rank3DualData(params, lam2, lam3, nu2, nu3, q1, q2, q3)
 
 
-def rank3_dual_schur(params: Rank3Type1Params, tol: Optional[float] = None) -> dict:
+def rank3_dual_schur(params: Rank3Type1Params) -> dict:
     """Evaluate d(F^{-1}(nu_i Q_i) <> F^{-1}(nu_j Q_j) <> F^{-1}(nu_k Q_k)).
 
     The scaled projections nu_j Q_j have coefficients
@@ -467,7 +472,8 @@ def rank3_dual_schur(params: Rank3Type1Params, tol: Optional[float] = None) -> d
     tolerance (nu_2 ~ 1e4 already at d2 = 1000).
 
     The minimum over triples is negative exactly when the Schur product
-    property fails on the dual of this rank-3 fusion algebra.
+    property fails on the dual of this rank-3 fusion algebra; the
+    verdict uses the commutative criterion's ``decision_tol``.
     """
     data = rank3_dual_data(params)
     # the scaled projections are the columns of the character table
@@ -476,7 +482,7 @@ def rank3_dual_schur(params: Rank3Type1Params, tol: Optional[float] = None) -> d
         data.nu2 * data.q2.coeffs.real,
         data.nu3 * data.q3.coeffs.real,
     ])
-    rep = criteria._schur_report(lam, tol)
+    rep = criteria._schur_report(lam)
     return {"min_value": rep.worst_value, "holds": rep.holds,
             "worst_triple": rep.worst_triple, "data": data}
 
@@ -673,7 +679,7 @@ def _check_batch(bialg: CanonicalBialgebra, z: np.ndarray, start: int, K: np.nda
     # side A: moduli over the minimal projections of x_a, y_a, F~(x_b) =
     # x_b[dual] and of the convolutions x_a * y_a, |x_a| * |y_a|, R(x_a) * R(y_a)
     t_xy = np.abs(c[:, :2] / d)
-    ranges = np.where(_support_mask(t_xy, SUPPORT_RTOL), d, 0.0)
+    ranges = np.where(_support_mask(t_xy), d, 0.0)
     factors = np.stack([c[:, :2], np.abs(c[:, :2]), ranges], axis=2)
     outer = (factors[:, 0, :, :, None] * factors[:, 1, :, None, :]).reshape(-1, 3, m * m)
     conv = outer @ bialg._tensor.reshape(m * m, m)  # sum_jk x_j y_k N[j, k, :]
@@ -754,19 +760,17 @@ def _check_batch(bialg: CanonicalBialgebra, z: np.ndarray, start: int, K: np.nda
 
 
 def inequality_suite(
-    bialg: CanonicalBialgebra,
-    num_samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-8,
+    bialg: CanonicalBialgebra, num_samples: int = 1000, seed: int = 0
 ) -> InequalitySuiteReport:
     """Exercise the theorem-backed inequalities on random elements.
 
     Each check records its worst slack over ``num_samples`` random
     elements and the exponent grid 1/p in {0, 0.1, ..., 1} clipped to
     the inequality's validity region.  For the theorem-backed checks a
-    negative slack beyond tolerance signals an implementation bug; for
-    the dual Young falsifier a violation is a legitimate mathematical
-    finding (it implies the Schur product property fails on the dual).
+    slack below -``SLACK_TOL`` (times the check's scale) signals an
+    implementation bug; for the dual Young falsifier a violation is a
+    legitimate mathematical finding (it implies the Schur product
+    property fails on the dual).
 
     Samples are drawn and checked ``SUITE_CHUNK`` at a time as whole
     arrays.  The random stream is that of drawing, sample by sample,
@@ -775,6 +779,7 @@ def inequality_suite(
     dual-projection probes among them cannot be built, the report's
     ``probes_skipped`` says why.
     """
+    tol = SLACK_TOL
     rng = np.random.default_rng(seed)
     K = _k_table(bialg.mu)
     checks = {name: CheckResult(name, math.inf, 0, 0, {}, name == "dual_young_falsify")

@@ -156,14 +156,8 @@ def cmd_classify_types(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    filters = {}
-    if args.simple:
-        filters["simple"] = True
-    if args.schur:
-        filters["schur"] = True
     report = search.classify(
         _constraints_from(args),
-        filters,
         node_budget=args.budget_nodes,
         wall_budget=args.budget_secs,
         threads=args.threads,
@@ -172,15 +166,18 @@ def cmd_classify(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
+        rings_shown = []
         for tr in report.types:
             print(f"type {tr.signature}: {len(tr.rings)} ring(s), "
                   f"{len(tr.simple)} simple, {len(tr.schur_pass)} Schur-pass "
                   f"[nodes {tr.stats.nodes}, prune_knapsack {tr.stats.prune_knapsack}, "
                   f"prune_associativity {tr.stats.prune_associativity}, "
                   f"prune_symmetry {tr.stats.prune_symmetry}]")
-        rings_shown = report.simple_rings if args.simple else report.all_rings
-        if args.schur:
-            rings_shown = [fd for fd in rings_shown if fd in report.schur_rings]
+            shown = tr.simple if args.simple else tr.rings
+            if args.schur:  # tr.schur_pass holds the very objects of tr.rings
+                passed = {id(fd) for fd in tr.schur_pass}
+                shown = [fd for fd in shown if id(fd) in passed]
+            rings_shown += shown
         print(f"total rings: {len(rings_shown)}"
               + ("" if report.complete else "  (INCOMPLETE: budget exhausted)"))
         if args.emit:
@@ -265,6 +262,13 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fusionforge",
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--exclude-ppp", action="store_true", dest="exclude_ppp",
                        help="skip FPdim of the form p^a q^b or pqr")
         q.add_argument("--growth-cap", action="store_true", dest="growth_cap")
-        q.add_argument("--max-mult", type=int, default=None, dest="max_mult")
+        q.add_argument("--max-mult", type=_nonnegative_int, default=None, dest="max_mult")
 
     q = sub.add_parser("classify-types", help="enumerate candidate types")
     search_flags(q)
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("rank5-family",
                        help="rank-5 rings with exactly three self-adjoint objects")
-    q.add_argument("--max-mult", type=int, required=True, dest="max_mult")
+    q.add_argument("--max-mult", type=_nonnegative_int, required=True, dest="max_mult")
     q.add_argument("--emit", action="store_true")
     q.add_argument("--budget-nodes", type=int, default=10**10, dest="budget_nodes")
     q.set_defaults(fn=cmd_rank5_family)

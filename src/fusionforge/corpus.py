@@ -47,7 +47,6 @@ __all__ = [
     "serialize_fusion_ring",
     "load_fusion_ring",
     "corpus",
-    "corpus_ids",
     "get",
     "verify_checksums",
 ]
@@ -249,23 +248,22 @@ def _paper_corpus() -> tuple:
     )
 
 
-def corpus(include_groups: bool = True) -> list:
+def corpus() -> list:
     """Every embedded corpus entry, paper fixtures first, as a new list.
 
     Cyclic group rings Z/n (n <= 12) are generated; extra entries are
     loaded from ``FUSIONFORGE_CORPUS_DIR`` when set, on every call.
     """
     out = list(_paper_corpus())
-    if include_groups:
-        for n in range(2, 13):
-            fd = cyclic_group_ring(n)
-            is_prime = n > 1 and all(n % k for k in range(2, n))
-            out.append(
-                CorpusEntry(
-                    f"z{n}", fd, "generated cyclic group ring",
-                    f"[[1,{n}]]", is_prime, True, f"Z/{n}",
-                )
+    for n in range(2, 13):
+        fd = cyclic_group_ring(n)
+        is_prime = n > 1 and all(n % k for k in range(2, n))
+        out.append(
+            CorpusEntry(
+                f"z{n}", fd, "generated cyclic group ring",
+                f"[[1,{n}]]", is_prime, True, f"Z/{n}",
             )
+        )
     extra_dir = os.environ.get("FUSIONFORGE_CORPUS_DIR")
     if extra_dir and os.path.isdir(extra_dir):
         for name in sorted(os.listdir(extra_dir)):
@@ -275,10 +273,6 @@ def corpus(include_groups: bool = True) -> list:
                 out.append(CorpusEntry(eid, fd, f"external ({extra_dir})",
                                        None, None, None))
     return out
-
-
-def corpus_ids() -> list:
-    return [e.id for e in corpus()]
 
 
 def get(id_or_alias: str) -> CorpusEntry:
@@ -291,4 +285,4 @@ def get(id_or_alias: str) -> CorpusEntry:
 
 def frobenius34() -> list:
     """The 34 simple integral Frobenius-type entries."""
-    return [e for e in corpus(include_groups=False) if e.id in _FROBENIUS_34]
+    return [e for e in _paper_corpus() if e.id in _FROBENIUS_34]

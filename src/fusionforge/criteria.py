@@ -92,11 +92,11 @@ def schur_triple_sum(ct: CharacterTable, j1: int, j2: int, j3: int) -> complex:
     return complex(_triple_sums(ct.lam)[j1, j2, j3])
 
 
-def _schur_report(lam: np.ndarray, tol: Optional[float] = None) -> SchurReport:
+def _schur_report(lam: np.ndarray) -> SchurReport:
     """The Schur verdict on the character table ``lam`` (Perron column
-    first); the worst triple is the first minimum in a <= b <= c order."""
-    if tol is None:
-        tol = decision_tol(float(np.sum(lam[:, 0].real ** 2)))
+    first) at ``decision_tol``; the worst triple is the first minimum in
+    a <= b <= c order."""
+    tol = decision_tol(float(np.sum(lam[:, 0].real ** 2)))
     sums = _triple_sums(lam)
     triples = _sorted_triples(lam.shape[0])
     values = sums.real[tuple(triples.T)]
@@ -113,14 +113,15 @@ def _schur_report(lam: np.ndarray, tol: Optional[float] = None) -> SchurReport:
     )
 
 
-def schur_commutative(ct: CharacterTable, tol: Optional[float] = None) -> SchurReport:
+def schur_commutative(ct: CharacterTable) -> SchurReport:
     """Scan all column triples j1 <= j2 <= j3 (the sum is symmetric).
 
     Every triple sum comes from one contraction of the table; the report
     names the smallest, the first in loop order on a tie.  Values in
-    (-tol, 0) are flagged inconclusive rather than failed.
+    (-tol, 0) are flagged inconclusive rather than failed, with tol the
+    ``decision_tol`` of the ring.
     """
-    return _schur_report(ct.lam, tol)
+    return _schur_report(ct.lam)
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,6 @@ def schur_noncommutative_falsify(
     fd: FusionData,
     num_samples: int = FALSIFIER_SAMPLES,
     seed: int = 0,
-    tol: Optional[float] = None,
 ) -> Optional[FalsifierWitness]:
     """Search for vectors violating the representation-based criterion.
 
@@ -142,13 +142,11 @@ def schur_noncommutative_falsify(
     complex Gaussian triples; when the ring is commutative the joint
     eigenvectors of the character table are tried first (a failing
     triple sum transfers directly to a witness).  Returns the first
-    witness with value < -tol, else None.  Absence of a witness is NOT
-    a proof that the property holds.
+    witness with value below -``decision_tol``, else None.  Absence of
+    a witness is NOT a proof that the property holds.
     """
     d = fp_dimensions(fd)
-    mu = float(d @ d)
-    if tol is None:
-        tol = decision_tol(mu)
+    tol = decision_tol(float(d @ d))
     N = np.asarray(fd.tensor, dtype=complex)
     m = fd.rank
 
@@ -213,15 +211,12 @@ class ObstructionReport:
         }
 
 
-def obstruction_report(
-    fd: FusionData, falsifier_samples: int = 0, seed: int = 0
-) -> ObstructionReport:
+def obstruction_report(fd: FusionData) -> ObstructionReport:
     """Bundle the structural predicates with the Schur obstruction.
 
     For commutative rings the decisive character-table criterion is
-    used; the sampling falsifier runs only when requested
-    (``falsifier_samples > 0``) or when the ring is noncommutative, then
-    with ``FALSIFIER_SAMPLES`` samples when none are requested.
+    used; noncommutative rings run the sampling falsifier with its
+    defaults (``FALSIFIER_SAMPLES`` samples, seed 0).
     """
     sig = rings.type_signature(fd)
     integral = sig.integral
@@ -231,10 +226,8 @@ def obstruction_report(
     witness = None
     if commutative:
         schur = schur_commutative(character_table(fd))
-        if falsifier_samples:
-            witness = schur_noncommutative_falsify(fd, falsifier_samples, seed)
     else:
-        witness = schur_noncommutative_falsify(fd, falsifier_samples or FALSIFIER_SAMPLES, seed)
+        witness = schur_noncommutative_falsify(fd)
     return ObstructionReport(
         label=fd.label,
         rank=fd.rank,

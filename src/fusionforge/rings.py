@@ -104,13 +104,6 @@ class FusionData:
     def exact(self) -> bool:
         return self.mode == "exact"
 
-    def fusion_matrix(self, j: int) -> np.ndarray:
-        """Left-multiplication data of x_j: entry (k, s) = N_{j,k}^s."""
-        return self.tensor[j]
-
-    def fusion_matrices(self) -> np.ndarray:
-        return self.tensor
-
     def __repr__(self):
         name = f" {self.label!r}" if self.label else ""
         return f"<FusionData{name} rank={self.rank} mode={self.mode}>"
@@ -219,7 +212,7 @@ def new_fusion_data(matrices: Sequence, mode: str = "exact", label=None) -> Fusi
         raise NegativeEntry(f"N[{j + 1},{k + 1},{s + 1}] = {tensor[j, k, s]} < 0")
 
     eye = np.eye(m, dtype=tensor.dtype)
-    tol = 0 if mode == "exact" else 1e-9 * (1 + float(tensor.max()))
+    tol = _entry_tol(tensor, mode == "exact")
     if not _close(tensor[0], eye, tol):
         raise NoUnit("matrix 1 is not the identity")
     if not _close(tensor[:, 0, :], eye, tol):
@@ -262,6 +255,12 @@ def cyclic_group_ring(n: int) -> FusionData:
     return group_ring(table, label=f"z{n}")
 
 
+def _entry_tol(tensor: np.ndarray, exact: bool) -> float:
+    """Tolerance on structure constants: 0 for exact (integer) data, else
+    1e-9 (1 + largest entry)."""
+    return 0.0 if exact else 1e-9 * (1 + float(tensor.max()))
+
+
 def _close(a, b, tol) -> bool:
     if tol == 0:
         return np.array_equal(np.asarray(a), np.asarray(b))
@@ -272,22 +271,19 @@ def _close(a, b, tol) -> bool:
 # axiom verification
 
 
-def verify_axioms(fd: FusionData, tol: Optional[float] = None) -> VerificationReport:
+def verify_axioms(fd: FusionData) -> VerificationReport:
     """Check unit, duality, Frobenius reciprocity, associativity, nonnegativity.
 
-    Exact mode compares integers (tol is forced to 0); float mode uses
-    ``tol`` scaled from the largest tensor entry when not given.
+    Exact mode compares integers; float mode allows ``_entry_tol``, scaled
+    once more for associativity.
     """
     N = fd.tensor
     m = fd.rank
-    if fd.exact:
-        tol = 0.0
-    elif tol is None:
-        tol = 1e-9 * (1 + float(N.max()))
+    tol = _entry_tol(N, fd.exact)
     checks = []
 
     neg = N.min()
-    if neg < -tol if not fd.exact else neg < 0:
+    if neg < -tol:
         idx = np.unravel_index(int(np.argmin(N.reshape(-1))), N.shape)
         checks.append(AxiomCheck("nonnegativity", False, _w(idx), float(-neg)))
     else:
@@ -381,10 +377,11 @@ def global_fpdim(fd: FusionData) -> float:
     return float(d @ d)
 
 
-def type_signature(fd: FusionData, integer_tol: float = INTEGER_TOL) -> TypeSignature:
-    """Group the FP dimensions into [[n_i, m_i], ...] sorted ascending."""
+def type_signature(fd: FusionData) -> TypeSignature:
+    """Group the FP dimensions into [[n_i, m_i], ...] sorted ascending,
+    at ``INTEGER_TOL`` resolution."""
     d = np.sort(fp_dimensions(fd))
-    integral = bool(np.max(np.abs(d - np.round(d))) <= integer_tol)
+    integral = bool(np.max(np.abs(d - np.round(d))) <= INTEGER_TOL)
     entries = []
     if integral:
         for n in np.round(d).astype(int):
@@ -395,7 +392,7 @@ def type_signature(fd: FusionData, integer_tol: float = INTEGER_TOL) -> TypeSign
                 entries.append([n, 1])
     else:
         for x in d:
-            if entries and abs(entries[-1][0] - x) <= integer_tol:
+            if entries and abs(entries[-1][0] - x) <= INTEGER_TOL:
                 entries[-1][1] += 1
             else:
                 entries.append([float(x), 1])
@@ -406,16 +403,12 @@ def type_signature(fd: FusionData, integer_tol: float = INTEGER_TOL) -> TypeSign
 # subrings and predicates
 
 
-def _support_tol(fd: FusionData) -> float:
-    return 0.0 if fd.exact else 1e-9 * (1 + float(fd.tensor.max()))
-
-
 def _closures(fd: FusionData, gens: np.ndarray) -> np.ndarray:
     """Close every row of the boolean (b, m) array ``gens`` at once: add
     the unit, then the duals and the fusion support of each set until no
     row changes.  Each round adds an element to every row not yet closed,
     so at most m rounds run."""
-    support = (fd.tensor > _support_tol(fd)).astype(np.int64)  # [j, k, s]
+    support = (fd.tensor > _entry_tol(fd.tensor, fd.exact)).astype(np.int64)  # [j, k, s]
     S = np.array(gens, dtype=bool)
     S[:, 0] = True
     while True:
@@ -439,16 +432,17 @@ def subring_closure(fd: FusionData, generators: Iterable[int]) -> frozenset:
     return frozenset(np.flatnonzero(_closures(fd, gens)[0]).tolist())
 
 
-def proper_subrings(fd: FusionData, rank_cap: int = SUBRING_RANK_CAP) -> list:
+def proper_subrings(fd: FusionData) -> list:
     """All fusion subrings S with {1} != S != everything.
 
     Built as the union-closure of the single-generator closures; every
     subring is the closure of the union of the singleton closures of its
-    members, so the generated lattice is complete.
+    members, so the generated lattice is complete.  Ranks above
+    ``SUBRING_RANK_CAP`` raise RankTooLarge.
     """
     m = fd.rank
-    if m > rank_cap:
-        raise RankTooLarge(f"rank {m} exceeds subring enumeration cap {rank_cap}")
+    if m > SUBRING_RANK_CAP:
+        raise RankTooLarge(f"rank {m} exceeds subring enumeration cap {SUBRING_RANK_CAP}")
 
     def close(sets):
         gens = np.zeros((len(sets), m), dtype=bool)
@@ -486,9 +480,9 @@ def is_perfect(fd: FusionData) -> bool:
     return int(np.sum(np.abs(d - 1.0) <= INTEGER_TOL)) == 1
 
 
-def is_integral(fd: FusionData, tol: float = INTEGER_TOL) -> bool:
+def is_integral(fd: FusionData) -> bool:
     d = fp_dimensions(fd)
-    return bool(np.max(np.abs(d - np.round(d))) <= tol)
+    return bool(np.max(np.abs(d - np.round(d))) <= INTEGER_TOL)
 
 
 def is_frobenius_type(fd: FusionData) -> bool:
@@ -504,8 +498,7 @@ def is_commutative(fd: FusionData) -> bool:
     N = fd.tensor
     if fd.exact:
         return bool(np.array_equal(N, N.transpose(1, 0, 2)))
-    tol = _support_tol(fd)
-    return bool(np.max(np.abs(N - N.transpose(1, 0, 2))) <= tol)
+    return bool(np.max(np.abs(N - N.transpose(1, 0, 2))) <= _entry_tol(N, False))
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +516,19 @@ def permuted(fd: FusionData, perm: Sequence[int]) -> FusionData:
     return FusionData(N, dual, fd.mode, label=fd.label)
 
 
-def are_isomorphic(
-    fd1: FusionData, fd2: FusionData, rank_cap: int = ISO_RANK_CAP
-) -> Optional[tuple]:
+def are_isomorphic(fd1: FusionData, fd2: FusionData) -> Optional[tuple]:
     """Basis relabeling sigma with sigma(1)=1 carrying tensor1 to tensor2.
 
     Returns the permutation (as a tuple: new index of old j) or None.
     Candidates are pruned by FP dimension, self-duality and the sorted
-    entry multiset of each fusion matrix before backtracking.
+    entry multiset of each fusion matrix before backtracking.  Ranks
+    above ``ISO_RANK_CAP`` raise RankTooLarge.
     """
     if fd1.rank != fd2.rank:
         return None
     m = fd1.rank
-    if m > rank_cap:
-        raise RankTooLarge(f"rank {m} exceeds isomorphism search cap {rank_cap}")
+    if m > ISO_RANK_CAP:
+        raise RankTooLarge(f"rank {m} exceeds isomorphism search cap {ISO_RANK_CAP}")
     d1, d2 = fp_dimensions(fd1), fp_dimensions(fd2)
     if not np.allclose(np.sort(d1), np.sort(d2), atol=1e-8):
         return None

@@ -275,6 +275,8 @@ def _build_problem(dims, dual, max_mult=None):
     use_dims = dims is not None
     if not use_dims and max_mult is None:
         raise ValueError("max_multiplicity is required without dimensions")
+    if max_mult is not None and max_mult < 0:
+        raise ValueError(f"max_multiplicity must be nonnegative, got {max_mult}")
     d = np.asarray(dims if use_dims else [1] * m, dtype=np.int64)
     du = np.asarray(dual, dtype=np.int64)
     n = m - 1
@@ -858,12 +860,15 @@ def _canonical_key(tensor_flat, m, group):
     return best
 
 
+#: rings one (type, involution) unit may find before its search stops
+UNIT_MAX_RESULTS = 100_000
+
+
 def enumerate_fusion_rings(
     sig: TypeSignature,
     involution: Sequence[int],
     constraints: Optional[SearchConstraints] = None,
     node_budget: int = 10**9,
-    max_results: int = 100_000,
     stats: Optional[SearchStats] = None,
 ) -> list:
     """All fusion rings with the given integral type and involution, up to
@@ -872,7 +877,8 @@ def enumerate_fusion_rings(
     Each orbit of structure constants is capped by its least row-sum cap
     floor(d_j d_k / d_s), which implies the coefficient and square-sum
     bounds (see the module docstring).  Raises SearchTimeout (with the
-    partial list attached) if the node budget is exhausted.
+    partial list attached) if the node budget is exhausted or more than
+    ``UNIT_MAX_RESULTS`` rings exist.
     """
     if not sig.integral:
         raise ValueError("tensor enumeration requires an integral type")
@@ -885,7 +891,7 @@ def enumerate_fusion_rings(
         if stats is not None:
             stats.merge(SearchStats(raw_solutions=1))
         return [fd] if rings.verify_axioms(fd).all_ok else []
-    return _search(prob, dual, "found", node_budget, max_results, stats)
+    return _search(prob, dual, "found", node_budget, UNIT_MAX_RESULTS, stats)
 
 
 def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
@@ -966,7 +972,6 @@ class TypeResult:
 @dataclass
 class ClassificationReport:
     constraints: SearchConstraints
-    filters: dict
     types: list  # list[TypeResult]
     wall_time: float
     complete: bool
@@ -994,7 +999,6 @@ class ClassificationReport:
     def to_dict(self) -> dict:
         return {
             "constraints": asdict(self.constraints),
-            "filters": self.filters,
             "complete": self.complete,
             "wall_time": self.wall_time,
             "kernel_backend": self.kernel_backend,
@@ -1039,8 +1043,8 @@ def _read_checkpoint(f) -> dict:
     """The units stored in the open checkpoint file ``f`` (binary, append
     mode): key -> rings.  Each record is written with its newline in one
     write, so a last line without one is what a run killed mid-write
-    leaves; it is cut off, so its unit reruns.  Any other unreadable line
-    raises ParseError."""
+    leaves; it is cut off, so its unit reruns.  Any other unreadable line,
+    or a record whose key or rings are not strings, raises ParseError."""
     from . import corpus
 
     f.seek(0)
@@ -1051,7 +1055,10 @@ def _read_checkpoint(f) -> dict:
             break
         try:
             rec = json.loads(line)
-            done[rec["key"]] = [corpus.parse_fusion_ring(t) for t in rec["rings"]]
+            key, texts = rec["key"], rec["rings"]
+            if not isinstance(key, str) or not all(isinstance(t, str) for t in texts):
+                raise TypeError("the key and every ring must be strings")
+            done[key] = [corpus.parse_fusion_ring(t) for t in texts]
         except (ValueError, LookupError, TypeError, FusionError) as exc:
             raise ParseError(f"bad checkpoint record in {f.name}: {exc}", line=n) from exc
         size += len(line)
@@ -1060,7 +1067,6 @@ def _read_checkpoint(f) -> dict:
 
 def classify(
     constraints: SearchConstraints,
-    filters: Optional[dict] = None,
     node_budget: int = 10**9,
     wall_budget: Optional[float] = None,
     threads: int = 1,
@@ -1068,12 +1074,12 @@ def classify(
 ) -> ClassificationReport:
     """Run types -> involutions -> tensors -> predicates.
 
-    ``filters`` may contain ``simple: True`` and/or ``schur: True``; the
-    report keeps per-type counts either way.  On budget exhaustion the
-    report is returned with ``complete=False`` instead of raising:
-    ``node_budget`` applies to each (type, involution) unit, and once
-    ``wall_budget`` seconds have passed no further unit is taken and the
-    remaining ones are reported incomplete with no rings.
+    Every type keeps all its rings and the simple and Schur-passing ones
+    among them.  On budget exhaustion the report is returned with
+    ``complete=False`` instead of raising: ``node_budget`` applies to
+    each (type, involution) unit, and once ``wall_budget`` seconds have
+    passed no further unit is taken and the remaining ones are reported
+    incomplete with no rings.
 
     ``threads > 1`` runs the units in a process pool; results are taken
     in task order either way, so the report and the checkpoint do not
@@ -1092,7 +1098,6 @@ def classify(
 
     from . import corpus
 
-    filters = filters or {}
     t0 = time.perf_counter()
     sigs = enumerate_types(constraints)
     units = [(sig, inv) for sig in sigs for inv in enumerate_involutions(sig)]
@@ -1136,6 +1141,6 @@ def classify(
         tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
                          and criteria.schur_commutative(character_table(fd)).holds]
     return ClassificationReport(
-        constraints, filters, list(types.values()), time.perf_counter() - t0,
+        constraints, list(types.values()), time.perf_counter() - t0,
         all(tr.stats.complete for tr in types.values()),
     )

@@ -74,14 +74,15 @@ class CharacterTable:
         return k
 
 
-def character_table(fd: FusionData, tol: float = RESIDUAL_TOL, seed: int = _SEED) -> CharacterTable:
+def character_table(fd: FusionData, seed: int = _SEED) -> CharacterTable:
     """Compute the character table by joint diagonalization.
 
     A random Hermitian combination sum_i c_i M_i (with c_{i*} = conj(c_i),
     coefficients drawn from the unit disk, deterministic seed) is
     diagonalized; generic coefficients separate the joint eigenspaces
     with probability one.  Every eigenvector is validated against every
-    fusion matrix; on failure the combination is redrawn up to 8 times.
+    fusion matrix to ``RESIDUAL_TOL`` times a scale of the ring; on
+    failure the combination is redrawn up to ``REDRAWS`` times.
     The validated table does not depend on the seed (eigenvector phases
     are fixed and columns are canonically ordered).
     """
@@ -100,7 +101,7 @@ def character_table(fd: FusionData, tol: float = RESIDUAL_TOL, seed: int = _SEED
         T = np.einsum("i,ikl->kl", c, N.astype(complex))
         _, V = np.linalg.eigh(T)
         lam, last_residual = _eigen_residual(N, V)
-        if last_residual > tol * scale:
+        if last_residual > RESIDUAL_TOL * scale:
             continue
 
         # phase fix: largest-magnitude component real positive
@@ -111,7 +112,7 @@ def character_table(fd: FusionData, tol: float = RESIDUAL_TOL, seed: int = _SEED
         lam = lam[:, order]
         V = V[:, order]
         lam[:, 0] = lam[:, 0].real
-        return CharacterTable(lam, V, last_residual, tol, tuple(order))
+        return CharacterTable(lam, V, last_residual, RESIDUAL_TOL, tuple(order))
 
     raise DegenerateSpectrum(
         f"joint eigenvector validation failed after {REDRAWS} draws "
@@ -177,11 +178,11 @@ class DualProjection:
     normalization: float
 
 
-def dual_projections(fd: FusionData, ct: CharacterTable, tol: float = RESIDUAL_TOL) -> list:
+def dual_projections(fd: FusionData, ct: CharacterTable) -> list:
     """Minimal projections P_j of the dual algebra, one per character.
 
     Verifies P_j P_j = P_j, P_j P_k = 0 for j != k, and sum_j P_j = 1
-    within tolerance.
+    within ``RESIDUAL_TOL`` times a scale of the table.
     """
     if not is_commutative(fd):
         raise NotCommutative("dual projections require a commutative ring")
@@ -204,7 +205,7 @@ def dual_projections(fd: FusionData, ct: CharacterTable, tol: float = RESIDUAL_T
     prod[np.arange(m), np.arange(m)] -= P
     err = np.max(np.abs(prod), axis=2)
     scale = 1.0 + float(np.max(np.abs(ct.lam)))
-    bad = np.argwhere(np.triu(err > tol * scale))
+    bad = np.argwhere(np.triu(err > RESIDUAL_TOL * scale))
     if len(bad):
         a, b = bad[0]
         raise NormalizationFailure(
@@ -213,33 +214,30 @@ def dual_projections(fd: FusionData, ct: CharacterTable, tol: float = RESIDUAL_T
     total = sum(p.coeffs for p in out)
     unit = np.zeros(m, dtype=complex)
     unit[0] = 1.0
-    if float(np.max(np.abs(total - unit))) > tol * scale:
+    if float(np.max(np.abs(total - unit))) > RESIDUAL_TOL * scale:
         raise NormalizationFailure("projections do not sum to the unit")
     return out
 
 
-def dual_fusion_coefficients(
-    fd: FusionData, ct: CharacterTable, tol: float = RESIDUAL_TOL
-) -> np.ndarray:
+def dual_fusion_coefficients(fd: FusionData, ct: CharacterTable) -> np.ndarray:
     """Structure constants of the dual convolution on the projections.
 
     The dual convolution acts coefficientwise on the fusion basis,
     (x ._B y)_i = x_i y_i / d_i; expanding P_j ._B P_k over {P_s} by
     evaluating characters gives Nhat[j,k,s].  Imaginary parts below
-    tolerance are dropped.  All entries >= 0 is exactly the Schur
-    product property on the dual.
+    ``RESIDUAL_TOL`` (relative) are dropped.  All entries >= 0 is
+    exactly the Schur product property on the dual.
     """
-    return _dual_coefficients(np.array([p.coeffs for p in dual_projections(fd, ct, tol)]),
-                              ct, tol)
+    return _dual_coefficients(np.array([p.coeffs for p in dual_projections(fd, ct)]), ct)
 
 
-def _dual_coefficients(P: np.ndarray, ct: CharacterTable, tol: float = RESIDUAL_TOL):
+def _dual_coefficients(P: np.ndarray, ct: CharacterTable):
     """``dual_fusion_coefficients`` from the dual projections already
     built and verified, stacked as the rows of ``P``."""
     # conv[j, k] = P_j ._B P_k; chi_s(conv[j, k]) = coefficient of P_s
     conv = P[:, None, :] * P[None, :, :] / ct.fp_column
     nhat = conv @ ct.lam
     imag = float(np.max(np.abs(nhat.imag)))
-    if imag > tol * (1 + float(np.max(np.abs(nhat)))):
+    if imag > RESIDUAL_TOL * (1 + float(np.max(np.abs(nhat)))):
         raise NormalizationFailure(f"dual coefficients have imaginary mass {imag:.3g}")
     return nhat.real

@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from fusionforge import corpus, criteria, rings, search
 from fusionforge.bialgebra import (
@@ -61,7 +62,8 @@ def test_criterion_02_schur_census(frobenius34):
     passing = set()
     for e in frobenius34:
         mu = rings.global_fpdim(e.fd)
-        rep = criteria.schur_commutative(character_table(e.fd), tol=1e-9 * (1 + mu))
+        rep = criteria.schur_commutative(character_table(e.fd))
+        assert rep.tolerance == pytest.approx(1e-9 * (1 + mu), rel=1e-12), e.id
         if rep.holds:
             passing.add(e.id)
     assert len(passing) == 6, passing

@@ -148,6 +148,13 @@ class TestSearchCommands:
             assert code == EXIT_USAGE and out == "", path
             assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
+    def test_negative_max_mult_is_a_usage_error(self, capsys):
+        for argv in (("classify", "--fpdim", "60", "--rank", "5", "--max-mult", "-2"),
+                     ("rank5-family", "--max-mult", "-1")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE and out == "", argv
+            assert "argument --max-mult: must be nonnegative" in err, err
+
     def test_rank5_family_smoke(self, capsys):
         code, out, err = run(capsys, "rank5-family", "--max-mult", "1")
         assert code == EXIT_OK

@@ -3,7 +3,6 @@ import pytest
 
 from fusionforge import corpus, criteria, rings
 from fusionforge.corpus import (
-    corpus_ids,
     get,
     parse_fusion_ring,
     serialize_fusion_ring,
@@ -89,13 +88,30 @@ class TestCorpus:
     def test_checksums(self):
         assert verify_checksums()
 
-    def test_counts(self, corpus_entries, frobenius34):
+    def test_counts(self, corpus_entries, frobenius34, tmp_path, monkeypatch):
         assert len(frobenius34) == 34
-        ids = corpus_ids()
+        ids = [e.id for e in corpus_entries]
         assert len(ids) == len(set(ids))
         assert {"nf143", "nf924", "nf1320", "nf560", "nf798"} <= set(ids)
         assert {"r5sa-a", "r5sa-b"} <= set(ids)
         assert {f"z{n}" for n in range(2, 13)} <= set(ids)
+        # an external file extends the corpus, not the 34 paper entries
+        (tmp_path / "si60-1.frt").write_text(serialize_fusion_ring(get("si60-1").fd))
+        monkeypatch.setenv("FUSIONFORGE_CORPUS_DIR", str(tmp_path))
+        assert len(corpus.corpus()) == len(ids) + 1
+        assert len(corpus.frobenius34()) == 34
+
+    def test_one_isomorphic_pair_among_frobenius34(self, frobenius34):
+        """The 34 entries hold 33 isomorphism classes: si1320-2 is si1320-1
+        with basis elements 6 and 7 (1-based) swapped, and no other pair is
+        isomorphic."""
+        found = {}
+        for i, a in enumerate(frobenius34):
+            for b in frobenius34[i + 1:]:
+                sigma = rings.are_isomorphic(a.fd, b.fd)
+                if sigma is not None:
+                    found[a.id, b.id] = sigma
+        assert found == {("si1320-1", "si1320-2"): (0, 1, 2, 3, 4, 6, 5, 7)}
 
     def test_aliases(self):
         assert get("psl25").id == "si60-1"

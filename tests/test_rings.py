@@ -197,7 +197,10 @@ class TestSubrings:
 
     def test_rank_cap(self):
         with pytest.raises(RankTooLarge):
-            proper_subrings(cyclic_group_ring(4), rank_cap=3)
+            proper_subrings(cyclic_group_ring(rings.SUBRING_RANK_CAP + 1))
+        big = cyclic_group_ring(rings.ISO_RANK_CAP + 1)
+        with pytest.raises(RankTooLarge):
+            are_isomorphic(big, big)
 
 
 class TestPredicates:

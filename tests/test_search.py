@@ -256,6 +256,8 @@ class TestBuildProblem:
 
         with pytest.raises(ValueError, match="max_multiplicity is required"):
             _build_problem(None, [0, 2, 1])
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            _build_problem([1, 1, 1], [0, 2, 1], max_mult=-1)
 
 
 def test_is_simple_matches_subring_lattice(corpus_entries, dims112):
@@ -659,7 +661,7 @@ class TestCensusRows:
 class TestClassify:
     def test_report_on_60(self, psl25):
         c = SearchConstraints(fpdim=60, rank=5, **PAPER_FLAGS)
-        report = classify(c, {"simple": True})
+        report = classify(c)
         assert report.complete
         assert len(report.all_rings) == 1
         assert len(report.simple_rings) == 1
@@ -758,6 +760,9 @@ class TestClassify:
         "not json\n",
         '{"key": "k", "rings": ["not a ring"]}\n',
         '{"key": "k", "rings": ["frt 1\\nrank 1\\ndual 1\\nmatrix 1\\ninf\\n"]}\n',
+        '{"key": "k", "rings": [5]}\n',
+        '{"key": "k", "rings": [null]}\n',
+        '{"key": 5, "rings": []}\n',
     ])
     def test_bad_complete_record_is_an_error(self, tmp_path, text):
         """Only a last line without its newline counts as torn: a complete

@@ -225,8 +225,9 @@ class TestCharacterTable:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(1) or eigh(T))
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
         with pytest.raises(DegenerateSpectrum, match=f"after {spectral.REDRAWS} draws"):
-            character_table(psl25, tol=0.0)
+            character_table(psl25)
         assert len(calls) == spectral.REDRAWS
 
     def test_residual_and_verify(self, f660):
