@@ -31,8 +31,6 @@ from .bialgebra import (
     rank3_type1,
     rank3_type2,
 )
-from .corpus import corpus as corpus_entries
-from .corpus import get as corpus_get
 from .corpus import load_fusion_ring, parse_fusion_ring, serialize_fusion_ring
 from .criteria import obstruction_report, schur_commutative, schur_triple_sum
 from .rings import (

@@ -332,6 +332,8 @@ class Rank3Type1Params:
         return 1.0 - self.a
 
     def validate(self):
+        if not all(map(math.isfinite, (self.d2, self.d3, self.a))):
+            raise InfeasibleParams(f"{self}: d2, d3 and a must be finite")
         if self.d2 < 1 or self.d3 < 1 or not (0 <= self.a <= 1):
             raise InfeasibleParams(f"{self} violates d2, d3 >= 1, 0 <= a <= 1")
         slack = 1e-9 * (1.0 + max(self.d2, self.d3) ** 2)  # boundary points hit fp fuzz

@@ -75,7 +75,7 @@ def cmd_info(args) -> int:
 
 def cmd_chartable(args) -> int:
     fd = _load(args.ring)
-    ct = spectral.character_table(fd, seed=args.seed or spectral._SEED)
+    ct = spectral.character_table(fd)
     if args.json:
         sig12 = lambda v: float(f"{v:.12g}")  # 12 significant digits
         payload = {
@@ -133,7 +133,7 @@ def cmd_subrings(args) -> int:
     return EXIT_OK
 
 
-def _constraints_from(args) -> search.SearchConstraints:
+def _constraints_from(args, max_mult) -> search.SearchConstraints:
     return search.SearchConstraints(
         fpdim=args.fpdim,
         rank=args.rank,
@@ -143,12 +143,12 @@ def _constraints_from(args) -> search.SearchConstraints:
         require_gcd_one=args.gcd_one,
         exclude_prime_power_products=args.exclude_ppp,
         growth_cap=args.growth_cap,
-        max_multiplicity=args.max_mult,
+        max_multiplicity=max_mult,
     )
 
 
 def cmd_classify_types(args) -> int:
-    types = search.enumerate_types(_constraints_from(args))
+    types = search.enumerate_types(_constraints_from(args, None))
     for sig in types:
         print(f"{sig}  rank={sig.rank} fpdim={sig.fpdim}")
     print(f"total: {len(types)} type(s)", file=sys.stderr)
@@ -157,7 +157,7 @@ def cmd_classify_types(args) -> int:
 
 def cmd_classify(args) -> int:
     report = search.classify(
-        _constraints_from(args),
+        _constraints_from(args, args.max_mult),
         node_budget=args.budget_nodes,
         wall_budget=args.budget_secs,
         threads=args.threads,
@@ -252,21 +252,26 @@ def cmd_corpus(args) -> int:
             group = f" group={e.group}" if e.group else ""
             print(f"{e.id}{alias}: rank {e.fd.rank}, type {e.expected_type}{group}")
     elif args.action == "export":
-        outdir = args.outdir or "."
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.outdir, exist_ok=True)
         for e in corpus.corpus():
-            path = os.path.join(outdir, f"{e.id}.frt")
+            path = os.path.join(args.outdir, f"{e.id}.frt")
             with open(path, "w") as f:
                 f.write(corpus.serialize_fusion_ring(e.fd, label=e.id))
-        print(f"exported {len(corpus.corpus())} rings to {outdir}", file=sys.stderr)
+        print(f"exported {len(corpus.corpus())} rings to {args.outdir}", file=sys.stderr)
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _at_least(kind, minimum):
+    """An argparse ``type``: ``kind(text)``, at least ``minimum`` (0 or 1)."""
+    def parse(text):
+        value = kind(text)
+        if not value >= minimum:  # also rejects a NaN
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive' if minimum else 'nonnegative'}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fusionforge",
         description="fusion rings, categorification obstructions, classification search",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for classify")
-    p.add_argument("--gate", action="store_true",
-                   help="exit 1 on a mathematical negative")
     sub = p.add_subparsers(dest="command", required=True)
 
     def ring_cmd(name, fn, **kw):
@@ -287,29 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(fn=fn)
         return q
 
-    ring_cmd("verify", cmd_verify, help="check the fusion ring axioms")
+    verify = ring_cmd("verify", cmd_verify, help="check the fusion ring axioms")
     q = ring_cmd("info", cmd_info, help="predicates and obstruction summary")
     q.add_argument("--json", action="store_true")
     q = ring_cmd("chartable", cmd_chartable, help="character table")
     q.add_argument("--json", action="store_true")
     q.add_argument("--csv", action="store_true")
-    q = ring_cmd("schur", cmd_schur, help="Schur product criterion")
-    q.add_argument("--all-triples", action="store_true")
-    q.add_argument("--samples", type=int, default=criteria.FALSIFIER_SAMPLES)
-    ring_cmd("subrings", cmd_subrings, help="proper fusion subrings")
+    schur = ring_cmd("schur", cmd_schur, help="Schur product criterion")
+    schur.add_argument("--all-triples", action="store_true")
+    schur.add_argument("--samples", type=_at_least(int, 0), default=criteria.FALSIFIER_SAMPLES)
+    subrings = ring_cmd("subrings", cmd_subrings, help="proper fusion subrings")
 
     def search_flags(q):
-        q.add_argument("--fpdim", type=int, required=True)
-        q.add_argument("--rank", type=int, default=None)
+        q.add_argument("--fpdim", type=_at_least(int, 1), required=True)
+        q.add_argument("--rank", type=_at_least(int, 1))
         q.add_argument("--perfect", action="store_true")
         q.add_argument("--frobenius", action="store_true",
                        help="require every dimension to divide FPdim")
-        q.add_argument("--min-d2", type=int, default=1, dest="min_d2")
-        q.add_argument("--gcd-one", action="store_true", dest="gcd_one")
-        q.add_argument("--exclude-ppp", action="store_true", dest="exclude_ppp",
+        q.add_argument("--min-d2", type=int, default=1)
+        q.add_argument("--gcd-one", action="store_true")
+        q.add_argument("--exclude-ppp", action="store_true",
                        help="skip FPdim of the form p^a q^b or pqr")
-        q.add_argument("--growth-cap", action="store_true", dest="growth_cap")
-        q.add_argument("--max-mult", type=_nonnegative_int, default=None, dest="max_mult")
+        q.add_argument("--growth-cap", action="store_true")
 
     q = sub.add_parser("classify-types", help="enumerate candidate types")
     search_flags(q)
@@ -317,37 +316,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("classify", help="full classification search")
     search_flags(q)
+    q.add_argument("--max-mult", type=_at_least(int, 0))
     q.add_argument("--simple", action="store_true")
     q.add_argument("--schur", action="store_true")
     q.add_argument("--json", action="store_true")
     q.add_argument("--emit", action="store_true", help="print found rings as FRT")
-    q.add_argument("--budget-nodes", type=int, default=10**9, dest="budget_nodes")
-    q.add_argument("--budget-secs", type=float, default=None, dest="budget_secs")
-    q.add_argument("--resume", default=None, metavar="FILE",
+    q.add_argument("--budget-nodes", type=_at_least(int, 0), default=10**9)
+    q.add_argument("--budget-secs", type=_at_least(float, 0))
+    q.add_argument("--resume", metavar="FILE",
                    help="JSONL checkpoint of completed (type, involution) units")
+    q.add_argument("--threads", type=_at_least(int, 1), default=1, help="worker processes")
     q.set_defaults(fn=cmd_classify)
 
     q = sub.add_parser("rank5-family",
                        help="rank-5 rings with exactly three self-adjoint objects")
-    q.add_argument("--max-mult", type=_nonnegative_int, required=True, dest="max_mult")
+    q.add_argument("--max-mult", type=_at_least(int, 0), required=True)
     q.add_argument("--emit", action="store_true")
-    q.add_argument("--budget-nodes", type=int, default=10**10, dest="budget_nodes")
+    q.add_argument("--budget-nodes", type=_at_least(int, 0), default=10**10)
     q.set_defaults(fn=cmd_rank5_family)
 
-    q = sub.add_parser("bialg-rank3", help="rank-3 dual Schur test")
-    q.add_argument("--d2", type=float, required=True)
-    q.add_argument("--d3", type=float, required=True)
-    q.add_argument("--a", type=float, required=True)
-    q.set_defaults(fn=cmd_bialg_rank3)
+    rank3 = sub.add_parser("bialg-rank3", help="rank-3 dual Schur test")
+    rank3.add_argument("--d2", type=float, required=True)
+    rank3.add_argument("--d3", type=float, required=True)
+    rank3.add_argument("--a", type=float, required=True)
+    rank3.set_defaults(fn=cmd_bialg_rank3)
 
-    q = ring_cmd("ineq-suite", cmd_ineq_suite,
-                 help="run the Fourier-analytic inequality checkers")
-    q.add_argument("--samples", type=int, default=1000)
-    q.add_argument("--json", action="store_true")
+    ineq = ring_cmd("ineq-suite", cmd_ineq_suite,
+                    help="run the Fourier-analytic inequality checkers")
+    ineq.add_argument("--samples", type=_at_least(int, 1), default=1000)
+    ineq.add_argument("--json", action="store_true")
+
+    # the shared flags, each on exactly the commands that read it
+    for q in (verify, schur, subrings, rank3, ineq):
+        q.add_argument("--gate", action="store_true", help="exit 1 on a mathematical negative")
+    for q in (schur, ineq):
+        q.add_argument("--seed", type=_at_least(int, 0), default=0,
+                       help="seed of the random samples")
 
     q = sub.add_parser("corpus", help="list or export the embedded corpus")
     q.add_argument("action", choices=["list", "export"])
-    q.add_argument("--outdir", default=None)
+    q.add_argument("--outdir", default=".")
     q.set_defaults(fn=cmd_corpus)
     return p
 

@@ -20,10 +20,8 @@ integral rings not of Frobenius type, the two displayed members of the
 rank-5 three-self-adjoint family, and generated cyclic group rings
 Z/n for n <= 12.  A checksum file pins the data files; the expected
 flags below are validated against computed values by the test suite,
-which guards transcription errors.
-
-Set ``FUSIONFORGE_CORPUS_DIR`` to point at a directory of extra ``.frt``
-files; they are appended to the corpus with their stem as id.
+which guards transcription errors.  Rings outside the corpus are read
+from FRT files with ``load_fusion_ring``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -56,7 +53,6 @@ __all__ = [
 class CorpusEntry:
     id: str
     fd: FusionData
-    provenance: str
     expected_type: str
     expected_simple: Optional[bool]
     expected_schur: Optional[bool]
@@ -235,54 +231,44 @@ def verify_checksums() -> bool:
 
 
 @functools.cache
-def _paper_corpus() -> tuple:
-    """The embedded paper entries, parsed once per process.
+def _entries() -> tuple:
+    """The paper entries, then the cyclic group rings Z/n (n <= 12),
+    built once per process.
 
-    They are checksum-pinned package data and ``FusionData`` arrays are
-    read-only, so every caller can share them.
+    The paper entries are checksum-pinned package data and ``FusionData``
+    arrays are read-only, so every caller can share them.
     """
-    return tuple(
+    paper = tuple(
         CorpusEntry(eid, parse_fusion_ring(_data_text(f"{eid}.frt"), label=eid),
-                    "printed fusion matrices", typ, simple, schur, group, aliases)
+                    typ, simple, schur, group, aliases)
         for eid, typ, simple, schur, group, aliases in _PAPER_ENTRIES
+    )
+    return paper + tuple(
+        CorpusEntry(f"z{n}", cyclic_group_ring(n), f"[[1,{n}]]",
+                    all(n % k for k in range(2, n)), True, f"Z/{n}")
+        for n in range(2, 13)
     )
 
 
-def corpus() -> list:
-    """Every embedded corpus entry, paper fixtures first, as a new list.
+@functools.cache
+def _names() -> dict:
+    """Each id and alias mapped to the first entry that carries it."""
+    return {name: e for e in reversed(_entries()) for name in (e.id, *e.aliases)}
 
-    Cyclic group rings Z/n (n <= 12) are generated; extra entries are
-    loaded from ``FUSIONFORGE_CORPUS_DIR`` when set, on every call.
-    """
-    out = list(_paper_corpus())
-    for n in range(2, 13):
-        fd = cyclic_group_ring(n)
-        is_prime = n > 1 and all(n % k for k in range(2, n))
-        out.append(
-            CorpusEntry(
-                f"z{n}", fd, "generated cyclic group ring",
-                f"[[1,{n}]]", is_prime, True, f"Z/{n}",
-            )
-        )
-    extra_dir = os.environ.get("FUSIONFORGE_CORPUS_DIR")
-    if extra_dir and os.path.isdir(extra_dir):
-        for name in sorted(os.listdir(extra_dir)):
-            if name.endswith(".frt"):
-                eid = name[: -len(".frt")]
-                fd = load_fusion_ring(os.path.join(extra_dir, name), label=eid)
-                out.append(CorpusEntry(eid, fd, f"external ({extra_dir})",
-                                       None, None, None))
-    return out
+
+def corpus() -> list:
+    """Every embedded corpus entry, paper fixtures first, as a new list."""
+    return list(_entries())
 
 
 def get(id_or_alias: str) -> CorpusEntry:
     """Look up a corpus entry by id or alias."""
-    for e in corpus():
-        if e.id == id_or_alias or id_or_alias in e.aliases:
-            return e
-    raise KeyError(f"no corpus entry named {id_or_alias!r}")
+    try:
+        return _names()[id_or_alias]
+    except KeyError:
+        raise KeyError(f"no corpus entry named {id_or_alias!r}") from None
 
 
 def frobenius34() -> list:
     """The 34 simple integral Frobenius-type entries."""
-    return [e for e in _paper_corpus() if e.id in _FROBENIUS_34]
+    return [e for e in _entries() if e.id in _FROBENIUS_34]

@@ -74,17 +74,17 @@ class CharacterTable:
         return k
 
 
-def character_table(fd: FusionData, seed: int = _SEED) -> CharacterTable:
+def character_table(fd: FusionData) -> CharacterTable:
     """Compute the character table by joint diagonalization.
 
     A random Hermitian combination sum_i c_i M_i (with c_{i*} = conj(c_i),
-    coefficients drawn from the unit disk, deterministic seed) is
+    coefficients drawn from the unit disk, seeded with ``_SEED``) is
     diagonalized; generic coefficients separate the joint eigenspaces
     with probability one.  Every eigenvector is validated against every
     fusion matrix to ``RESIDUAL_TOL`` times a scale of the ring; on
     failure the combination is redrawn up to ``REDRAWS`` times.
-    The validated table does not depend on the seed (eigenvector phases
-    are fixed and columns are canonically ordered).
+    The validated table does not depend on the seed beyond rounding
+    (eigenvector phases are fixed and columns are canonically ordered).
     """
     if not is_commutative(fd):
         raise NotCommutative("character tables are defined for commutative rings")
@@ -93,7 +93,7 @@ def character_table(fd: FusionData, seed: int = _SEED) -> CharacterTable:
     dual = fd.dual
     d = fp_dimensions(fd)
     scale = float(np.max(np.abs(N))) * m + 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
 
     for _ in range(REDRAWS):
         c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)

@@ -269,6 +269,13 @@ class TestFamilies:
             Rank3Type1Params(5.0, 1.2, 0.5).validate()  # d3^2 - 1 - b d2^2 < 0
         with pytest.raises(InfeasibleParams):
             Rank3Type1Params(2.0, 2.0, 1.5).validate()
+        # NaN fails every bound comparison and infinity meets the bounds
+        for bad in (math.nan, math.inf, -math.inf):
+            for params in (Rank3Type1Params(bad, 500.0, 0.5),
+                           Rank3Type1Params(1000.0, bad, 0.5),
+                           Rank3Type1Params(1000.0, 500.0, bad)):
+                with pytest.raises(InfeasibleParams, match="must be finite"):
+                    params.validate()
 
 
 def sign_agreement_points():

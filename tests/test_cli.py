@@ -1,10 +1,18 @@
+import argparse
+import glob
 import json
+import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
 from fusionforge import corpus
-from fusionforge.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from fusionforge.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from test_bialgebra import _s3_group_ring
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -46,7 +54,7 @@ class TestBasicCommands:
         assert "  commutative: False" in out
         assert ("  schur falsifier: no counterexample in 10000 samples (NOT a proof)\n"
                 in out)
-        code, out, err = run(capsys, "--gate", "schur", s3_file, "--samples", "500")
+        code, out, err = run(capsys, "schur", s3_file, "--samples", "500", "--gate")
         assert code == EXIT_OK
         assert "sampling falsifier (500 samples" in err
         assert "no counterexample found in 500 samples (NOT a proof" in out
@@ -68,9 +76,9 @@ class TestBasicCommands:
         assert abs(min(values) - (-65.0 / 42.0)) <= 1e-8
 
     def test_schur_gate_exit(self, capsys):
-        code, _, _ = run(capsys, "--gate", "schur", "r7-210-ruledout")
+        code, _, _ = run(capsys, "schur", "r7-210-ruledout", "--gate")
         assert code == EXIT_NEGATIVE
-        code, _, _ = run(capsys, "--gate", "schur", "f210")
+        code, _, _ = run(capsys, "schur", "f210", "--gate")
         assert code == EXIT_OK
 
     def test_chartable_csv(self, capsys):
@@ -149,11 +157,31 @@ class TestSearchCommands:
             assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
     def test_negative_max_mult_is_a_usage_error(self, capsys):
-        for argv in (("classify", "--fpdim", "60", "--rank", "5", "--max-mult", "-2"),
-                     ("rank5-family", "--max-mult", "-1")):
+        """A count, budget or size below its least meaningful value is
+        rejected at parse time, naming the option."""
+        classify = ("classify", "--fpdim", "60", "--rank", "5")
+        for argv, message in (
+            (classify + ("--max-mult", "-2"), "--max-mult: must be nonnegative"),
+            (("rank5-family", "--max-mult", "-1"), "--max-mult: must be nonnegative"),
+            (("ineq-suite", "psl25", "--samples", "-5"), "--samples: must be positive"),
+            (("ineq-suite", "psl25", "--samples", "0"), "--samples: must be positive"),
+            (("ineq-suite", "psl25", "--seed", "-1"), "--seed: must be nonnegative"),
+            (("schur", "psl25", "--samples", "-1"), "--samples: must be nonnegative"),
+            (("schur", "psl25", "--seed", "-1"), "--seed: must be nonnegative"),
+            (classify + ("--budget-nodes", "-3"), "--budget-nodes: must be nonnegative"),
+            (("rank5-family", "--max-mult", "1", "--budget-nodes", "-3"),
+             "--budget-nodes: must be nonnegative"),
+            (classify + ("--budget-secs", "-1"), "--budget-secs: must be nonnegative"),
+            (classify + ("--budget-secs", "nan"), "--budget-secs: must be nonnegative"),
+            (classify + ("--threads", "-2"), "--threads: must be positive"),
+            (classify + ("--threads", "0"), "--threads: must be positive"),
+            (("classify", "--fpdim", "-5"), "--fpdim: must be positive"),
+            (("classify-types", "--fpdim", "0"), "--fpdim: must be positive"),
+            (classify[:3] + ("--rank", "0"), "--rank: must be positive"),
+        ):
             code, out, err = run(capsys, *argv)
             assert code == EXIT_USAGE and out == "", argv
-            assert "argument --max-mult: must be nonnegative" in err, err
+            assert f"argument {message}" in err, err
 
     def test_rank5_family_smoke(self, capsys):
         code, out, err = run(capsys, "rank5-family", "--max-mult", "1")
@@ -164,11 +192,16 @@ class TestSearchCommands:
 
     def test_bialg_rank3(self, capsys):
         code, out, _ = run(
-            capsys, "--gate", "bialg-rank3", "--d2", "1000", "--d3", "500",
-            "--a", "0.750001",
+            capsys, "bialg-rank3", "--d2", "1000", "--d3", "500",
+            "--a", "0.750001", "--gate",
         )
         assert code == EXIT_NEGATIVE
         assert "holds=False" in out
+        for d2 in ("nan", "inf"):
+            code, out, err = run(capsys, "bialg-rank3", "--d2", d2, "--d3", "500", "--a", "0.5")
+            assert code == EXIT_USAGE and out == ""
+            assert err == (f"error: Rank3Type1Params(d2={d2}, d3=500.0, a=0.5): "
+                           "d2, d3 and a must be finite\n")
 
     def test_ineq_suite(self, capsys):
         code, out, _ = run(capsys, "ineq-suite", "z5", "--samples", "20")
@@ -200,3 +233,63 @@ class TestCorpusCommands:
         _, out1, _ = run(capsys, "chartable", "f210")
         _, out2, _ = run(capsys, "chartable", "f210")
         assert out1 == out2
+
+
+class TestSurface:
+    def test_each_option_on_the_commands_that_read_it(self):
+        """Every subcommand accepts exactly the options it reads; the
+        top-level parser takes only the help flag."""
+        search = {"--fpdim", "--rank", "--perfect", "--frobenius", "--min-d2",
+                  "--gcd-one", "--exclude-ppp", "--growth-cap"}
+        expected = {
+            "verify": {"--gate"},
+            "info": {"--json"},
+            "chartable": {"--json", "--csv"},
+            "schur": {"--all-triples", "--samples", "--gate", "--seed"},
+            "subrings": {"--gate"},
+            "classify-types": search,
+            "classify": search | {"--max-mult", "--simple", "--schur", "--json", "--emit",
+                                  "--budget-nodes", "--budget-secs", "--resume",
+                                  "--threads"},
+            "rank5-family": {"--max-mult", "--emit", "--budget-nodes"},
+            "bialg-rank3": {"--d2", "--d3", "--a", "--gate"},
+            "ineq-suite": {"--samples", "--json", "--gate", "--seed"},
+            "corpus": {"--outdir"},
+        }
+        parser = build_parser()
+        options = lambda p: {s for a in p._actions for s in a.option_strings}
+        assert options(parser) == {"-h", "--help"}
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {name: options(q) - {"-h", "--help"} for name, q in sub.choices.items()}
+        assert found == expected
+
+
+def _readme_commands():
+    """The command lines of the README's "Command line" block, with the
+    backslash continuations joined."""
+    text = open(os.path.join(ROOT, "README.md")).read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+class TestDocs:
+    def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # corpus export writes under the cwd
+        failed = []
+        for argv in _readme_commands():
+            assert argv[0] == "fusionforge", argv
+            code, _, err = run(capsys, *argv[1:])
+            if code != EXIT_OK:
+                failed.append((" ".join(argv), code, err.splitlines()[-1:]))
+        assert not failed
+
+    @pytest.mark.parametrize("demo", sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))),
+                             ids=os.path.basename)
+    def test_demo_runs(self, demo):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, demo], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

@@ -75,31 +75,18 @@ class TestFormat:
         text = "# hello\n\nfrt 1\n# rank next\nrank 1\ndual 1\nmatrix 1\n1\n"
         assert parse_fusion_ring(text).rank == 1
 
-    def test_env_override(self, tmp_path, monkeypatch, psl25):
-        p = tmp_path / "mine.frt"
-        p.write_text(serialize_fusion_ring(psl25))
-        monkeypatch.setenv("FUSIONFORGE_CORPUS_DIR", str(tmp_path))
-        entries = corpus.corpus()
-        assert entries[-1].id == "mine"
-        assert entries[-1].fd == psl25
-
 
 class TestCorpus:
     def test_checksums(self):
         assert verify_checksums()
 
-    def test_counts(self, corpus_entries, frobenius34, tmp_path, monkeypatch):
+    def test_counts(self, corpus_entries, frobenius34):
         assert len(frobenius34) == 34
         ids = [e.id for e in corpus_entries]
         assert len(ids) == len(set(ids))
         assert {"nf143", "nf924", "nf1320", "nf560", "nf798"} <= set(ids)
         assert {"r5sa-a", "r5sa-b"} <= set(ids)
         assert {f"z{n}" for n in range(2, 13)} <= set(ids)
-        # an external file extends the corpus, not the 34 paper entries
-        (tmp_path / "si60-1.frt").write_text(serialize_fusion_ring(get("si60-1").fd))
-        monkeypatch.setenv("FUSIONFORGE_CORPUS_DIR", str(tmp_path))
-        assert len(corpus.corpus()) == len(ids) + 1
-        assert len(corpus.frobenius34()) == 34
 
     def test_one_isomorphic_pair_among_frobenius34(self, frobenius34):
         """The 34 entries hold 33 isomorphism classes: si1320-2 is si1320-1
@@ -147,16 +134,18 @@ class TestCorpus:
 
 
 class TestCache:
-    def test_paper_entries_parsed_once_env_dir_read_each_call(
-        self, tmp_path, monkeypatch, psl25
-    ):
-        monkeypatch.setenv("FUSIONFORGE_CORPUS_DIR", str(tmp_path))
+    def test_entries_built_once_each_caller_owns_its_list(self):
         first = corpus.corpus()
-        (tmp_path / "late.frt").write_text(serialize_fusion_ring(psl25))
         second = corpus.corpus()
         assert first is not second
-        assert first[0] is second[0] and first[0].fd is second[0].fd
-        assert "late" not in [e.id for e in first]
-        assert second[-1].id == "late" and second[-1].fd == psl25
+        assert all(a is b and a.fd is b.fd for a, b in zip(first, second))
+        assert get("psl25") is first[0] and get("z12") is first[-1]
         first.clear()  # each caller owns its list
         assert len(corpus.corpus()) == len(second)
+
+    def test_get_takes_the_first_entry_carrying_a_name(self):
+        """``get`` resolves a name as a scan of ``corpus()`` in order would:
+        the first entry whose id or alias it is."""
+        for name in {n for e in corpus.corpus() for n in (e.id, *e.aliases)}:
+            first = next(e for e in corpus.corpus() if name == e.id or name in e.aliases)
+            assert get(name) is first, name
