@@ -656,7 +656,7 @@ def _dual_young_probes(bialg: CanonicalBialgebra):
     pairs = (np.arange(m), np.full(m, m))
     try:
         ct = spectral.character_table(bialg.fd)
-        projs = np.array([p.coeffs for p in spectral.dual_projections(bialg.fd, ct)])
+        projs = spectral.dual_projections(bialg.fd, ct)
         nhat = spectral._dual_coefficients(projs, ct)
     except _SPECTRAL_ERRORS as exc:
         return (basis, *pairs), f"{type(exc).__name__}: {exc}"

@@ -109,6 +109,9 @@ def cmd_schur(args) -> int:
                 print(f"  ({a + 1},{b + 1},{c + 1}) -> {sums[a, b, c]:.12g}")
         ok = rep.holds
     else:
+        if args.all_triples:
+            print("--all-triples: a noncommutative ring has no character table "
+                  "to list", file=sys.stderr)
         print("noncommutative ring: sampling falsifier "
               f"({args.samples} samples, seed {args.seed})", file=sys.stderr)
         witness = criteria.schur_noncommutative_falsify(fd, args.samples, args.seed)
@@ -247,17 +250,21 @@ def cmd_ineq_suite(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.action == "list":
+        if args.outdir is not None:
+            print("error: --outdir applies to 'corpus export' only", file=sys.stderr)
+            return EXIT_USAGE
         for e in corpus.corpus():
             alias = f" ({', '.join(e.aliases)})" if e.aliases else ""
             group = f" group={e.group}" if e.group else ""
             print(f"{e.id}{alias}: rank {e.fd.rank}, type {e.expected_type}{group}")
     elif args.action == "export":
-        os.makedirs(args.outdir, exist_ok=True)
+        outdir = "." if args.outdir is None else args.outdir
+        os.makedirs(outdir, exist_ok=True)
         for e in corpus.corpus():
-            path = os.path.join(args.outdir, f"{e.id}.frt")
+            path = os.path.join(outdir, f"{e.id}.frt")
             with open(path, "w") as f:
                 f.write(corpus.serialize_fusion_ring(e.fd, label=e.id))
-        print(f"exported {len(corpus.corpus())} rings to {args.outdir}", file=sys.stderr)
+        print(f"exported {len(corpus.corpus())} rings to {outdir}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("corpus", help="list or export the embedded corpus")
     q.add_argument("action", choices=["list", "export"])
-    q.add_argument("--outdir", default=".")
+    q.add_argument("--outdir", help="directory for 'export' (default: the current one)")
     q.set_defaults(fn=cmd_corpus)
     return p
 

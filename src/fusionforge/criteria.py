@@ -47,13 +47,25 @@ def decision_tol(mu: float) -> float:
 
 @dataclass(frozen=True)
 class SchurReport:
-    holds: bool
-    worst_triple: tuple  # 1-based column indices
+    """The Schur verdict: the least triple sum ``worst_value`` (at the
+    1-based columns ``worst_triple``) against ``tolerance``, the
+    ``decision_tol`` of the ring.  It holds when the worst value is at
+    least -tolerance, and is inconclusive when it lies in [-tolerance, 0).
+    """
+
+    worst_triple: tuple
     worst_value: float
     tolerance: float
     n_triples: int
     max_imag: float
-    inconclusive: bool = False
+
+    @property
+    def holds(self) -> bool:
+        return self.worst_value >= -self.tolerance
+
+    @property
+    def inconclusive(self) -> bool:
+        return -self.tolerance <= self.worst_value < 0
 
     def __str__(self):
         verdict = "holds" if self.holds else "FAILS"
@@ -101,15 +113,12 @@ def _schur_report(lam: np.ndarray) -> SchurReport:
     triples = _sorted_triples(lam.shape[0])
     values = sums.real[tuple(triples.T)]
     k = int(np.argmin(values))
-    worst = float(values[k])
     return SchurReport(
-        worst >= -tol,
         tuple(int(i) + 1 for i in triples[k]),
-        worst,
+        float(values[k]),
         tol,
         len(triples),
         float(np.max(np.abs(sums.imag))),
-        inconclusive=-tol <= worst < 0,
     )
 
 
@@ -118,7 +127,7 @@ def schur_commutative(ct: CharacterTable) -> SchurReport:
 
     Every triple sum comes from one contraction of the table; the report
     names the smallest, the first in loop order on a tie.  Values in
-    (-tol, 0) are flagged inconclusive rather than failed, with tol the
+    [-tol, 0) are flagged inconclusive rather than failed, with tol the
     ``decision_tol`` of the ring.
     """
     return _schur_report(ct.lam)

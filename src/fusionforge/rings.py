@@ -74,27 +74,27 @@ class FusionData:
     rank : int
         Number of basis elements m.
     tensor : (m, m, m) ndarray
-        ``tensor[j, k, s] = N_{j,k}^s``, integer dtype in exact mode,
-        float dtype otherwise.
+        ``tensor[j, k, s] = N_{j,k}^s``.  An integer dtype makes the ring
+        exact (integer arithmetic, no tolerances); any other dtype is
+        compared with the float tolerances.
     dual : (m,) ndarray of int
         The duality involution; ``dual[0] == 0``.
-    mode : str
-        ``"exact"`` (integer arithmetic) or ``"float"``.
     label : str or None
-        Free-form name used by the corpus.
+        Free-form name used by the corpus; keyword-only.
 
-    Instances are immutable; the Frobenius-Perron dimension vector is
-    computed lazily and cached (write-once).
+    ``exact`` and ``mode`` (``"exact"`` or ``"float"``) are read off the
+    tensor's dtype, so they cannot disagree with the data.  Instances are
+    immutable; the Frobenius-Perron dimension vector is computed lazily
+    and cached (write-once).
     """
 
-    __slots__ = ("rank", "tensor", "dual", "mode", "label", "_fp_dims")
+    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims")
 
-    def __init__(self, tensor, dual, mode, label=None):
+    def __init__(self, tensor, dual, *, label=None):
         tensor = np.asarray(tensor)
         self.rank = tensor.shape[0]
         self.tensor = tensor
         self.dual = np.asarray(dual, dtype=np.int64)
-        self.mode = mode
         self.label = label
         self._fp_dims = None
         self.tensor.setflags(write=False)
@@ -102,7 +102,11 @@ class FusionData:
 
     @property
     def exact(self) -> bool:
-        return self.mode == "exact"
+        return np.issubdtype(self.tensor.dtype, np.integer)
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.exact else "float"
 
     def __repr__(self):
         name = f" {self.label!r}" if self.label else ""
@@ -189,7 +193,8 @@ def new_fusion_data(matrices: Sequence, mode: str = "exact", label=None) -> Fusi
 
     ``matrices[i]`` is the m-by-m matrix with entry (k, s) = N_{i,k}^s;
     matrix 0 must be the identity.  The duality involution is derived
-    from the unit column N[j,k,0].
+    from the unit column N[j,k,0].  ``mode="exact"`` rounds the entries
+    to int64 (they must be integers), ``"float"`` casts them to float64.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -230,7 +235,7 @@ def new_fusion_data(matrices: Sequence, mode: str = "exact", label=None) -> Fusi
         raise BadInvolution("dual(1) != 1")
     if not np.array_equal(dual[dual], np.arange(m)):
         raise BadInvolution("derived duality is not an involution")
-    return FusionData(tensor, dual, mode, label=label)
+    return FusionData(tensor, dual, label=label)
 
 
 def group_ring(mult_table: np.ndarray, label=None) -> FusionData:
@@ -246,7 +251,7 @@ def group_ring(mult_table: np.ndarray, label=None) -> FusionData:
         for h in range(n):
             tensor[g, h, table[g, h]] = 1
     dual = np.array([int(np.nonzero(table[g] == 0)[0][0]) for g in range(n)])
-    return FusionData(tensor, dual, "exact", label=label)
+    return FusionData(tensor, dual, label=label)
 
 
 def cyclic_group_ring(n: int) -> FusionData:
@@ -513,7 +518,7 @@ def permuted(fd: FusionData, perm: Sequence[int]) -> FusionData:
     inv[p] = np.arange(m)
     N = fd.tensor[inv][:, inv][:, :, inv]
     dual = p[fd.dual[inv]]
-    return FusionData(N, dual, fd.mode, label=fd.label)
+    return FusionData(N, dual, label=fd.label)
 
 
 def are_isomorphic(fd1: FusionData, fd2: FusionData) -> Optional[tuple]:
@@ -631,7 +636,6 @@ def coefficient_bounds_report(fd: FusionData) -> CoefficientBoundsReport:
     """
     N = np.asarray(fd.tensor, dtype=float)
     d = fp_dimensions(fd)
-    m = fd.rank
 
     sq = np.einsum("jkl,jkl->jk", N, N)
     bound1 = np.minimum.outer(d**2, d**2)
@@ -647,14 +651,11 @@ def coefficient_bounds_report(fd: FusionData) -> CoefficientBoundsReport:
     slack3 = bound3 - N
     i3 = np.unravel_index(int(np.argmin(slack3)), slack3.shape)
 
+    # the least d_j d_j' over the pairs of (j1, j2, j3, j4) is the product
+    # of the two smallest of the four dimensions
     pair = np.einsum("abs,cds->abcd", N, N)
-    dd = np.multiply.outer(d, d)
-    best = np.full((m, m, m, m), np.inf)
-    idx = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    grids = np.meshgrid(*(np.arange(m),) * 4, indexing="ij")
-    for a, b in idx:
-        best = np.minimum(best, dd[grids[a], grids[b]])
-    slack4 = best - pair
+    four = np.sort(np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1), axis=-1)
+    slack4 = four[..., 0] * four[..., 1] - pair
     i4 = np.unravel_index(int(np.argmin(slack4)), slack4.shape)
 
     return CoefficientBoundsReport(

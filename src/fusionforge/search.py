@@ -261,9 +261,8 @@ def _build_problem(dims, dual, max_mult=None):
     index), and its orbit-row arrays list the distinct rows (j, k) of
     each orbit by (search position, row) with the orbit's summed d_s in
     the row; there are none without dimensions.  Each orbit is capped by
-    the least row-sum cap floor(d_j d_k / d_s) over its cells, which
-    implies the coefficient and square-sum bounds (see the module
-    docstring), and by ``max_mult``.
+    the least row-sum cap floor(d_j d_k / d_s) over its cells and by
+    ``max_mult``.
     ``group`` holds the unit's relabelings (``_dedup_group``), the
     identity first, and ``sym`` their action on search positions for the
     kernel's lex-leader test, one row per relabeling but the identity.
@@ -467,8 +466,7 @@ def _dfs_kernel(prob, node_budget, max_results):
     v W <= R and v W >= R - (CAPR - caps[o] W).  A row the orbit
     completes has CAPR = caps[o] W, so there the two force v W = R; hi is
     also at most caps[o].  The values from 0 to caps[o] outside lo..hi
-    are counted as knapsack prunes.  The caps already imply the
-    coefficient and square-sum bounds (see the module docstring).
+    are counted as knapsack prunes.
 
     Each value in lo..hi then meets the lex-leader test: it is rejected,
     and counted as a symmetry prune, if some relabeling g (row g of
@@ -649,8 +647,7 @@ def _check_kernel_args(a):
     without checking, in the problem ``a``: among them the row weights it
     divides by, the nonnegative row residuals that make its integer
     division a floor, and the search positions in ``sym``, whose rows
-    must permute them.  The kernel takes no coefficient or square-sum
-    bound: the orbit caps imply both (see the module docstring)."""
+    must permute them."""
     m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
 
     def at_least(x, lo):
@@ -875,9 +872,8 @@ def enumerate_fusion_rings(
     isomorphism.
 
     Each orbit of structure constants is capped by its least row-sum cap
-    floor(d_j d_k / d_s), which implies the coefficient and square-sum
-    bounds (see the module docstring).  Raises SearchTimeout (with the
-    partial list attached) if the node budget is exhausted or more than
+    floor(d_j d_k / d_s).  Raises SearchTimeout (with the partial list
+    attached) if the node budget is exhausted or more than
     ``UNIT_MAX_RESULTS`` rings exist.
     """
     if not sig.integral:
@@ -887,7 +883,7 @@ def enumerate_fusion_rings(
     max_mult = constraints.max_multiplicity if constraints else None
     prob = _build_problem(dims, dual, max_mult=max_mult)
     if prob["norb"] == 0:  # rank 1: only the unit-only ring, no free cells
-        fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0], "exact")
+        fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0])
         if stats is not None:
             stats.merge(SearchStats(raw_solutions=1))
         return [fd] if rings.verify_axioms(fd).all_ok else []
@@ -922,7 +918,7 @@ def _collect(found, group, dual, label_prefix) -> list:
         by_key[key] = np.asarray(flat).reshape(m, m, m)
     out = []
     for i, (key, N) in enumerate(sorted(by_key.items())):
-        fd = FusionData(N.copy(), np.asarray(dual), "exact", label=f"{label_prefix}-{i + 1}")
+        fd = FusionData(N.copy(), np.asarray(dual), label=f"{label_prefix}-{i + 1}")
         check = rings.verify_axioms(fd)
         if not check.all_ok:
             raise InvalidSearchResult(f"search emitted an invalid ring: {check.summary()}")
@@ -974,7 +970,11 @@ class ClassificationReport:
     constraints: SearchConstraints
     types: list  # list[TypeResult]
     wall_time: float
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        """No unit of any type stopped on a budget."""
+        return all(tr.stats.complete for tr in self.types)
 
     @property
     def all_rings(self) -> list:
@@ -1028,9 +1028,8 @@ def _search_task(args):
     st = SearchStats()
     try:
         found = enumerate_fusion_rings(sig, inv, constraints, node_budget, stats=st)
-    except SearchTimeout as exc:
+    except SearchTimeout as exc:  # st, merged before the raise, says complete=False
         found = list(exc.partial or [])
-        st.complete = False
     return found, st
 
 
@@ -1140,7 +1139,4 @@ def classify(
         tr.simple = [fd for fd in tr.rings if rings.is_simple(fd)]
         tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
                          and criteria.schur_commutative(character_table(fd)).holds]
-    return ClassificationReport(
-        constraints, list(types.values()), time.perf_counter() - t0,
-        all(tr.stats.complete for tr in types.values()),
-    )
+    return ClassificationReport(constraints, list(types.values()), time.perf_counter() - t0)

@@ -24,7 +24,6 @@ from .rings import FusionData, fp_dimensions, is_commutative
 
 __all__ = [
     "CharacterTable",
-    "DualProjection",
     "character_table",
     "verify_character_table",
     "dual_projections",
@@ -45,7 +44,8 @@ class CharacterTable:
     the FP dimensions).  ``vectors[:, j]`` is the unit joint eigenvector
     of character j, phase-fixed so its largest-magnitude component is
     real positive.  ``residual`` is max_{i,j} ||M_i v_j - lam[i,j] v_j||,
-    and ``column_order`` records the permutation applied to the raw
+    at most ``RESIDUAL_TOL`` times a scale of the ring, and
+    ``column_order`` records the permutation applied to the raw
     eigensolver output (Perron column first, the rest sorted by rounded
     values).
     """
@@ -53,7 +53,6 @@ class CharacterTable:
     lam: np.ndarray
     vectors: np.ndarray
     residual: float
-    tol: float
     column_order: tuple = ()
 
     @property
@@ -112,7 +111,7 @@ def character_table(fd: FusionData) -> CharacterTable:
         lam = lam[:, order]
         V = V[:, order]
         lam[:, 0] = lam[:, 0].real
-        return CharacterTable(lam, V, last_residual, RESIDUAL_TOL, tuple(order))
+        return CharacterTable(lam, V, last_residual, tuple(order))
 
     raise DegenerateSpectrum(
         f"joint eigenvector validation failed after {REDRAWS} draws "
@@ -162,45 +161,30 @@ def verify_character_table(fd: FusionData, ct: CharacterTable) -> float:
 # dual projections
 
 
-@dataclass(frozen=True)
-class DualProjection:
-    """Minimal projection of the dual algebra attached to character j.
+def dual_projections(fd: FusionData, ct: CharacterTable) -> np.ndarray:
+    """Minimal projections P_j of the dual algebra, one per character, as
+    the rows of an (m, m) complex array over the fusion basis {x_k}.
 
-    ``coeffs`` expresses P_j over the fusion basis {x_k}.  The defining
-    formula P_j ~ sum_k chi_j(x_k) x_{k*} only fixes P_j up to scale;
-    the normalization constant is recovered by enforcing idempotency,
-    which gives 1 / sum_k |lambda_{k,j}|^2.
-    """
-
-    index: int
-    coeffs: np.ndarray
-    trace: float
-    normalization: float
-
-
-def dual_projections(fd: FusionData, ct: CharacterTable) -> list:
-    """Minimal projections P_j of the dual algebra, one per character.
-
-    Verifies P_j P_j = P_j, P_j P_k = 0 for j != k, and sum_j P_j = 1
-    within ``RESIDUAL_TOL`` times a scale of the table.
+    The defining formula P_j ~ sum_k chi_j(x_k) x_{k*} fixes P_j only up
+    to scale; idempotency gives the normalization 1 / sum_k |lambda_{k,j}|^2.
+    The trace of P_j is ``P[j, 0].real``.  Verifies P_j P_j = P_j,
+    P_j P_k = 0 for j != k, and sum_j P_j = 1 within ``RESIDUAL_TOL``
+    times a scale of the table.
     """
     if not is_commutative(fd):
         raise NotCommutative("dual projections require a commutative ring")
     m = fd.rank
     N = np.asarray(fd.tensor, dtype=float)
-    dual = fd.dual
-    out = []
-    for j in range(m):
-        raw = ct.lam[dual, j]  # coefficient of x_k is chi_j(x_{k*})
-        c = float(np.sum(np.abs(ct.lam[:, j]) ** 2))
-        if c <= 0:
-            raise NormalizationFailure(f"projection {j + 1} has vanishing norm")
-        coeffs = raw / c
-        out.append(DualProjection(j, coeffs, float(coeffs[0].real), c))
+    # one sum per column: an axis-0 sum adds in another order
+    norm = np.array([np.sum(np.abs(ct.lam[:, j]) ** 2) for j in range(m)])
+    if np.any(norm <= 0):
+        raise NormalizationFailure(
+            f"projection {np.argmax(norm <= 0) + 1} has vanishing norm")
+    # row j is P_j: its coefficient of x_k is chi_j(x_{k*}) / norm[j]
+    P = np.ascontiguousarray((ct.lam[fd.dual] / norm).T)
 
     # verification: idempotency, orthogonality, partition of unity, all
     # pairs in one contraction; the first failing pair a <= b is reported
-    P = np.array([p.coeffs for p in out])
     prod = np.einsum("aj,bk,jks->abs", P, P, N, optimize=True)
     prod[np.arange(m), np.arange(m)] -= P
     err = np.max(np.abs(prod), axis=2)
@@ -211,12 +195,11 @@ def dual_projections(fd: FusionData, ct: CharacterTable) -> list:
         raise NormalizationFailure(
             f"P_{a + 1} * P_{b + 1} deviates from a projection system by {err[a, b]:.3g}"
         )
-    total = sum(p.coeffs for p in out)
     unit = np.zeros(m, dtype=complex)
     unit[0] = 1.0
-    if float(np.max(np.abs(total - unit))) > RESIDUAL_TOL * scale:
+    if float(np.max(np.abs(P.sum(axis=0) - unit))) > RESIDUAL_TOL * scale:
         raise NormalizationFailure("projections do not sum to the unit")
-    return out
+    return P
 
 
 def dual_fusion_coefficients(fd: FusionData, ct: CharacterTable) -> np.ndarray:
@@ -228,7 +211,7 @@ def dual_fusion_coefficients(fd: FusionData, ct: CharacterTable) -> np.ndarray:
     ``RESIDUAL_TOL`` (relative) are dropped.  All entries >= 0 is
     exactly the Schur product property on the dual.
     """
-    return _dual_coefficients(np.array([p.coeffs for p in dual_projections(fd, ct)]), ct)
+    return _dual_coefficients(dual_projections(fd, ct), ct)
 
 
 def _dual_coefficients(P: np.ndarray, ct: CharacterTable):

@@ -24,6 +24,11 @@ those bounds.
 ``reference_enumerate_types`` is the type enumeration that applies the
 rank and growth-cap conditions only to complete types.
 
+``reference_pair_sum_slack`` is bound (4) of
+``rings.coefficient_bounds_report`` as six ``np.minimum`` passes over a
+4-D index meshgrid, one per pair of the four indices; the report takes
+the product of the two smallest of the four dimensions instead.
+
 ``reference_fp_dimensions`` finds the Frobenius-Perron vector by power
 iteration on the total fusion matrix, and ``reference_column_order``
 orders the character columns by a per-column Python sort key: the
@@ -99,7 +104,7 @@ def naive_enumerate_fusion_rings(sig: TypeSignature, involution: Sequence[int]) 
 
     def rec(t):
         if t == len(rows):
-            fd = FusionData(N.copy(), np.asarray(dual), "exact")
+            fd = FusionData(N.copy(), np.asarray(dual))
             if rings.verify_axioms(fd).all_ok:
                 if np.max(np.abs(rings.fp_dimensions(fd) - np.asarray(dims, float))) < 1e-6:
                     out.append(fd)
@@ -544,6 +549,23 @@ def reference_enumerate_types(constraints) -> list:
             extend(1, rest, [], 0)
     out.sort(key=lambda t: (t.fpdim, t.rank, t.entries))
     return out
+
+
+def reference_pair_sum_slack(fd: FusionData) -> tuple:
+    """(min slack, 1-based witness) of sum_s N[j1,j2,s] N[j3,j4,s] <= the
+    least d_j d_j' over the pairs j != j' of (j1, j2, j3, j4)."""
+    N = np.asarray(fd.tensor, dtype=float)
+    d = rings.fp_dimensions(fd)
+    m = fd.rank
+    pair = np.einsum("abs,cds->abcd", N, N)
+    dd = np.multiply.outer(d, d)
+    best = np.full((m, m, m, m), np.inf)
+    grids = np.meshgrid(*(np.arange(m),) * 4, indexing="ij")
+    for a, b in itertools.combinations(range(4), 2):
+        best = np.minimum(best, dd[grids[a], grids[b]])
+    slack = best - pair
+    i = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    return float(slack[i]), tuple(int(x) + 1 for x in i)
 
 
 def reference_fp_dimensions(fd: FusionData) -> np.ndarray:

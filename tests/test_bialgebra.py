@@ -119,13 +119,13 @@ class TestProducts:
         n = 6
         for j in range(n):
             for k in range(n):
-                pj = Bz6.element(projs[j].coeffs, "B")
-                pk = Bz6.element(projs[k].coeffs, "B")
+                pj = Bz6.element(projs[j], "B")
+                pk = Bz6.element(projs[k], "B")
                 z = Bz6.conv_b(pj, pk)
                 matches = [
                     c
                     for c in range(n)
-                    if np.allclose(z.coeffs, projs[c].coeffs / n, atol=1e-10)
+                    if np.allclose(z.coeffs, projs[c] / n, atol=1e-10)
                 ]
                 assert len(matches) == 1, (j, k)
 
@@ -567,7 +567,7 @@ def reference_inequality_suite(B, num_samples, seed, tol=1e-8):
     targeted = [(B.basis(j, "B"), Element(B.dims.astype(complex), "B")) for j in range(m)]
     try:
         ct = spectral.character_table(B.fd)
-        projs = [Element(p.coeffs, "B") for p in spectral.dual_projections(B.fd, ct)]
+        projs = [Element(p, "B") for p in spectral.dual_projections(B.fd, ct)]
         nhat = spectral.dual_fusion_coefficients(B.fd, ct)
         for a in range(m):
             for b in range(a, m):

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fusionforge import corpus
@@ -74,6 +75,15 @@ class TestBasicCommands:
         assert triples == sorted(triples) and all(a <= b <= c for a, b, c in triples)
         values = [float(ln.split("->")[1]) for ln in lines]
         assert abs(min(values) - (-65.0 / 42.0)) <= 1e-8
+
+    def test_schur_all_triples_on_noncommutative_ring(self, capsys, s3_file):
+        """The falsifier runs as without the flag, and one stderr line says
+        there is no character table to list."""
+        plain = run(capsys, "schur", s3_file, "--samples", "50")
+        code, out, err = run(capsys, "schur", s3_file, "--samples", "50", "--all-triples")
+        assert (code, out) == plain[:2]
+        assert err == ("--all-triples: a noncommutative ring has no character table "
+                       "to list\n" + plain[2])
 
     def test_schur_gate_exit(self, capsys):
         code, _, _ = run(capsys, "schur", "r7-210-ruledout", "--gate")
@@ -223,6 +233,11 @@ class TestCorpusCommands:
         assert code == EXIT_OK
         assert "si60-1 (psl25)" in out
 
+    def test_list_rejects_outdir(self, capsys, tmp_path):
+        code, out, err = run(capsys, "corpus", "list", "--outdir", str(tmp_path / "none"))
+        assert code == EXIT_USAGE and out == ""
+        assert "--outdir" in err and err.startswith("error: ")
+
     def test_export_and_reload(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", "export", "--outdir", str(tmp_path))
         assert code == EXIT_OK
@@ -264,11 +279,17 @@ class TestSurface:
         assert found == expected
 
 
+def _readme_block(heading):
+    """The first fenced block of the README after ``heading``, without its
+    language tag."""
+    text = open(os.path.join(ROOT, "README.md")).read()
+    return text.split(heading, 1)[1].split("```", 2)[1].split("\n", 1)[1]
+
+
 def _readme_commands():
     """The command lines of the README's "Command line" block, with the
     backslash continuations joined."""
-    text = open(os.path.join(ROOT, "README.md")).read()
-    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    block = _readme_block("## Command line")
     return [shlex.split(line, comments=True)
             for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
@@ -283,6 +304,19 @@ class TestDocs:
             if code != EXIT_OK:
                 failed.append((" ".join(argv), code, err.splitlines()[-1:]))
         assert not failed
+
+    def test_readme_library_tour_runs(self, tmp_path, monkeypatch):
+        """The README's Python block runs, and what its comments state holds."""
+        monkeypatch.chdir(tmp_path)
+        ns = {}
+        exec(_readme_block("## Library tour"), ns)
+        ff, fd, ct = ns["ff"], ns["fd"], ns["ct"]
+        assert ff.verify_axioms(fd).all_ok and ff.rings.is_simple(fd)
+        assert np.allclose(ff.fp_dimensions(fd), [1, 3, 3, 4, 5], rtol=0, atol=1e-9)
+        assert ff.schur_commutative(ct).holds
+        # Schur holds, so the least dual coefficient is 0 up to rounding
+        assert ff.dual_fusion_coefficients(fd, ct).min() > -ff.criteria.decision_tol(60)
+        assert len(ns["report"].simple_rings) == 15
 
     @pytest.mark.parametrize("demo", sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))),
                              ids=os.path.basename)

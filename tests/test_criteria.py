@@ -129,7 +129,7 @@ class TestSchurCommutative:
     def test_tie_goes_to_the_first_triple(self):
         # Z/2: the sums at (1,1,2) and (2,2,2) are both exactly 0
         lam = np.array([[1.0, 1.0], [1.0, -1.0]])
-        rep = schur_commutative(CharacterTable(lam, np.eye(2), 0.0, 0.0))
+        rep = schur_commutative(CharacterTable(lam, np.eye(2), 0.0))
         assert rep.worst_value == 0.0 and rep.worst_triple == (1, 1, 2)
 
     def test_nf924_passes(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionforge import corpus, rings
+from fusionforge import corpus, rings, search
 from fusionforge.errors import (
     BadInvolution,
     NoDuality,
@@ -30,6 +30,7 @@ from fusionforge.rings import (
     type_signature,
     verify_axioms,
 )
+from oracles import reference_pair_sum_slack
 
 
 class TestConstruction:
@@ -93,7 +94,7 @@ class TestVerifyAxioms:
     def test_broken_associativity_is_witnessed(self, psl25):
         N = np.array(psl25.tensor)
         N[1, 1, 1] += 1
-        fd = rings.FusionData(N, psl25.dual, "exact")
+        fd = rings.FusionData(N, psl25.dual)
         rep = verify_axioms(fd)
         assert not rep["associativity"].ok
         assert rep["associativity"].witness is not None
@@ -105,6 +106,24 @@ class TestVerifyAxioms:
         m2 = [[0.0, 1.0], [1.0, (3.0 - 1.0) / np.sqrt(3.0)]]
         fd = new_fusion_data([np.eye(2), m2], mode="float")
         assert verify_axioms(fd).all_ok
+
+
+class TestExactness:
+    def test_float_tensor_is_not_exact(self, psl25):
+        """A float tensor is compared with tolerances and written with its
+        decimals, so it reads back as the same ring."""
+        N = psl25.tensor.astype(float)
+        N[1, 1, 1] = 1.5
+        fd = rings.FusionData(N, psl25.dual)
+        assert not fd.exact and fd.mode == "float"
+        text = corpus.serialize_fusion_ring(fd)
+        assert text.split("matrix 2\n", 1)[1].splitlines()[1].split()[1] == "1.5"
+        assert corpus.parse_fusion_ring(text) == fd
+        assert rings.FusionData(psl25.tensor, psl25.dual).exact
+
+    def test_mode_is_not_an_argument(self, psl25):
+        with pytest.raises(TypeError):
+            rings.FusionData(psl25.tensor, psl25.dual, "exact")
 
 
 class TestFPDimensions:
@@ -263,6 +282,13 @@ class TestCoefficientBounds:
             rep = coefficient_bounds_report(e.fd)
             assert rep.all_hold, (e.id, rep)
 
+    def test_pair_sum_matches_reference(self, corpus_entries):
+        """Bound (4) from the two smallest dimensions equals the minimum
+        over the six index pairs, slack and witness bitwise."""
+        fds = [e.fd for e in corpus_entries] + search.rank5_three_selfadjoint_family(4)
+        for fd in fds:
+            assert coefficient_bounds_report(fd).pair_sum == reference_pair_sum_slack(fd), fd
+
     def test_trivial_slack(self):
         rep = coefficient_bounds_report(new_fusion_data([np.eye(1, dtype=int)]))
         assert rep.min_dim[0] == pytest.approx(0.0)
@@ -270,7 +296,7 @@ class TestCoefficientBounds:
     def test_violation_detected(self, psl25):
         N = np.array(psl25.tensor)
         N[1, 1, 1] = 4  # exceeds d_2 = 3
-        fd = rings.FusionData(N, psl25.dual, "exact")
+        fd = rings.FusionData(N, psl25.dual)
         fd._fp_dims = fp_dimensions(psl25)  # keep the true dims
         rep = coefficient_bounds_report(fd)
         assert rep.min_dim[0] < 0
