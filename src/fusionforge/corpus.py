@@ -155,7 +155,9 @@ def serialize_fusion_ring(fd: FusionData, label=None) -> str:
             if fd.exact:
                 lines.append(" ".join(str(int(x)) for x in row))
             else:
-                lines.append(" ".join(f"{float(x):.12g}" for x in row))
+                # the shortest text that reads back as the same float, with
+                # a '.' or an 'e' that keeps an integral value a float
+                lines.append(" ".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
 
 

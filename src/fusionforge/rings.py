@@ -85,10 +85,11 @@ class FusionData:
     ``exact`` and ``mode`` (``"exact"`` or ``"float"``) are read off the
     tensor's dtype, so they cannot disagree with the data.  Instances are
     immutable; the Frobenius-Perron dimension vector is computed lazily
-    and cached (write-once).
+    and cached (write-once).  ``_char_table`` holds the character table
+    the search stored, with read-only arrays (write-once; None otherwise).
     """
 
-    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims")
+    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims", "_char_table")
 
     def __init__(self, tensor, dual, *, label=None):
         tensor = np.asarray(tensor)
@@ -97,8 +98,19 @@ class FusionData:
         self.dual = np.asarray(dual, dtype=np.int64)
         self.label = label
         self._fp_dims = None
+        self._char_table = None
         self.tensor.setflags(write=False)
         self.dual.setflags(write=False)
+
+    def __setstate__(self, state):
+        # unpickling (as from a worker process) restores arrays writeable:
+        # freeze them again, the cached ones included
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        ct = self._char_table
+        for a in (self.tensor, self.dual, self._fp_dims) + ((ct.lam, ct.vectors) if ct else ()):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def exact(self) -> bool:
@@ -280,60 +292,66 @@ def verify_axioms(fd: FusionData) -> VerificationReport:
     """Check unit, duality, Frobenius reciprocity, associativity, nonnegativity.
 
     Exact mode compares integers; float mode allows ``_entry_tol``, scaled
-    once more for associativity.
+    once more for associativity.  The residuals come from
+    ``_axiom_residuals``; this adds a witness to each failing check.
     """
-    N = fd.tensor
-    m = fd.rank
-    tol = _entry_tol(N, fd.exact)
     checks = []
+    for name, (residual, tol, dev) in _axiom_residuals(fd.tensor[None], fd.dual,
+                                                       fd.exact).items():
+        residual, ok = float(residual[0]), bool(residual[0] <= tol[0])
+        if dev is None:  # unit and duality: no witness, the residual either way
+            checks.append(AxiomCheck(name, ok, None if ok else (1,), residual))
+        elif ok:
+            checks.append(AxiomCheck(name, True))
+        else:
+            idx = np.unravel_index(int(np.argmax(dev[0])), dev.shape[1:])
+            if name == "frobenius_reciprocity":
+                idx = idx[1:]  # drop which of the two identities
+            checks.append(AxiomCheck(name, False, _w(idx), residual))
+    return VerificationReport(tuple(checks))
 
-    neg = N.min()
-    if neg < -tol:
-        idx = np.unravel_index(int(np.argmin(N.reshape(-1))), N.shape)
-        checks.append(AxiomCheck("nonnegativity", False, _w(idx), float(-neg)))
-    else:
-        checks.append(AxiomCheck("nonnegativity", True))
+
+def _axiom_residuals(N: np.ndarray, dual: np.ndarray, exact: bool) -> dict:
+    """The residual of each axiom on every tensor of the stack ``N``
+    (b, m, m, m), with involutions ``dual`` ((m,) or (b, m)): name ->
+    (residual (b,), tolerance (b,), deviation).  Axiom ``name`` holds on
+    ring r when residual[r] <= tolerance[r].  The residual is the maximum
+    of the deviation over each ring, and its first maximum is the witness
+    (None for unit and duality; frobenius_reciprocity stacks the two
+    identities on axis 1, so the witness is the last three indices)."""
+    b, m = N.shape[:2]
+    axes = (1, 2, 3)
+    ring = np.arange(b)[:, None]
+    dual = np.broadcast_to(dual, (b, m))
+    tol = np.zeros(b) if exact else 1e-9 * (1 + N.max(axis=axes).astype(float))
+    out = {}
+
+    neg = -N  # the first maximum of -N is the first minimum of N
+    out["nonnegativity"] = (neg.max(axis=axes), tol, neg)
 
     eye = np.eye(m, dtype=N.dtype)
-    err_left = np.abs(N[0] - eye).max()
-    err_right = np.abs(N[:, 0, :] - eye).max()
-    unit_err = max(float(err_left), float(err_right))
-    checks.append(
-        AxiomCheck("unit", unit_err <= tol, None if unit_err <= tol else (1,), unit_err)
-    )
+    unit = np.maximum(np.abs(N[:, 0] - eye).max(axis=(1, 2)),
+                      np.abs(N[:, :, 0, :] - eye).max(axis=(1, 2)))
+    out["unit"] = (unit, tol, None)
 
-    dual = fd.dual
-    want = np.zeros((m, m), dtype=N.dtype)
-    want[np.arange(m), dual] = 1
-    dual_err = float(np.abs(N[:, :, 0] - want).max())
-    checks.append(
-        AxiomCheck("duality", dual_err <= tol, None if dual_err <= tol else (1,), dual_err)
-    )
+    want = np.zeros((b, m, m), dtype=N.dtype)
+    want[ring, np.arange(m), dual] = 1
+    out["duality"] = (np.abs(N[:, :, :, 0] - want).max(axis=(1, 2)), tol, None)
 
     # N[j,k,s] = N[k*,j*,s*] = N[j*,s,k]
-    star = np.abs(N - N[dual][:, dual][:, :, dual].transpose(1, 0, 2))
-    rot = np.abs(N - N[dual].transpose(0, 2, 1))
-    frob_err = float(max(star.max(), rot.max()))
-    if frob_err <= tol:
-        checks.append(AxiomCheck("frobenius_reciprocity", True))
-    else:
-        bad = star if star.max() >= rot.max() else rot
-        idx = np.unravel_index(int(np.argmax(bad.reshape(-1))), bad.shape)
-        checks.append(AxiomCheck("frobenius_reciprocity", False, _w(idx), frob_err))
+    D = dual[:, :, None, None]  # D[b, j] = j* along axis 1
+    star = N[ring[:, :, None, None], D.transpose(0, 2, 1, 3), D, D.transpose(0, 2, 3, 1)]
+    rot = N[ring, dual].transpose(0, 1, 3, 2)
+    frob = np.abs(N[:, None] - np.stack([star, rot], axis=1))
+    out["frobenius_reciprocity"] = (frob.max(axis=(1, 2, 3, 4)), tol, frob)
 
     # sum_s N[i,j,s] N[s,k,t] == sum_s N[j,k,s] N[i,s,t]
-    left = np.einsum("ijs,skt->ijkt", N, N)
-    right = np.einsum("jks,ist->ijkt", N, N)
-    diff = np.abs(left - right)
-    assoc_err = float(diff.max())
-    assoc_tol = tol if fd.exact else tol * (1 + float(np.abs(left).max()))
-    if assoc_err <= assoc_tol:
-        checks.append(AxiomCheck("associativity", True))
-    else:
-        idx = np.unravel_index(int(np.argmax(diff.reshape(-1))), diff.shape)
-        checks.append(AxiomCheck("associativity", False, _w(idx), assoc_err))
-
-    return VerificationReport(tuple(checks))
+    left = np.einsum("bijs,bskt->bijkt", N, N)
+    assoc_tol = tol if exact else tol * (1 + np.abs(left).max(axis=(1, 2, 3, 4)))
+    diff = np.subtract(left, np.einsum("bjks,bist->bijkt", N, N), out=left)
+    np.abs(diff, out=diff)  # in place: the (b, m^4) arrays dominate a stack's memory
+    out["associativity"] = (diff.max(axis=(1, 2, 3, 4)), assoc_tol, diff)
+    return out
 
 
 def _w(idx) -> tuple:

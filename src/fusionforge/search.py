@@ -36,6 +36,12 @@ canonical form, the least tensor over the relabelings, so equal keys are
 exactly isomorphic rings and no pairwise test is needed; a key found
 twice means the symmetry breaking failed, and raises.
 
+A unit's found tensors are then handled as stacks, not one by one: one
+fancy index per relabeling keys them all, one stacked check verifies
+the axioms, and the character tables of the commutative rings are
+computed together and stored on the rings, so the Schur test of
+``classify`` and every later ``character_table`` call read them.
+
 Each (type, involution) unit becomes flat int64 arrays, each built by
 whole-array numpy operations with no loop over cells: orbit numbers,
 caps, search order, cell layout, row capacities, the associativity
@@ -65,10 +71,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import criteria, rings
-from .errors import FusionError, InvalidSearchResult, ParseError, SearchTimeout, UnboundedSearch
+from . import criteria, rings, spectral
+from .errors import (
+    DegenerateSpectrum,
+    FusionError,
+    InvalidSearchResult,
+    ParseError,
+    SearchTimeout,
+    UnboundedSearch,
+)
 from .rings import FusionData, TypeSignature
-from .spectral import character_table
 
 # whether numba is importable, for callers that report it; the search
 # itself does not use numba
@@ -844,21 +856,25 @@ def _dedup_group(dims, dual):
     return sorted(perms)
 
 
-def _canonical_key(tensor_flat, m, group):
-    N = tensor_flat.reshape(m, m, m)
-    best = None
+def _canonical_keys(flat, m, group) -> list:
+    """Canonical key of each row of ``flat`` (n, m^3): the least, as bytes,
+    of the tensor relabeled by each permutation in ``group``, one fancy
+    index over the whole stack per permutation."""
+    keys = None
     for perm in group:
-        p = np.asarray(perm)
-        inv = np.empty(m, dtype=np.int64)
-        inv[p] = np.arange(m)
-        cand = N[inv][:, inv][:, :, inv].tobytes()
-        if best is None or cand < best:
-            best = cand
-    return best
+        inv = np.argsort(perm)
+        idx = ((inv[:, None, None] * m + inv[None, :, None]) * m + inv[None, None, :]).reshape(-1)
+        cands = [row.tobytes() for row in flat[:, idx]]
+        keys = cands if keys is None else list(map(min, keys, cands))
+    return keys
 
 
 #: rings one (type, involution) unit may find before its search stops
 UNIT_MAX_RESULTS = 100_000
+
+#: found tensors that ``_collect`` checks and tabulates as one stack; its
+#: associativity check holds a few (n, m^4) arrays
+COLLECT_CHUNK = 256
 
 
 def enumerate_fusion_rings(
@@ -906,23 +922,41 @@ def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
 
 def _collect(found, group, dual, label_prefix) -> list:
     """The found tensors as rings, sorted by canonical key under
-    ``group``, each checked against the axioms.  The lex-leader test
-    keeps one tensor per isomorphism class, so two tensors with one key
-    mean the symmetry breaking is wrong and raise InvalidSearchResult."""
+    ``group``, checked against the axioms, each commutative one with its
+    character table stored on it; keys, checks and tables are computed
+    for stacks of ``COLLECT_CHUNK`` tensors.  The lex-leader test keeps
+    one tensor per isomorphism class, so two tensors with one key mean
+    the symmetry breaking is wrong and raise InvalidSearchResult, as does
+    a ring failing an axiom."""
     m = len(dual)
-    by_key = {}
-    for flat in found:
-        key = _canonical_key(np.asarray(flat), m, group)
-        if key in by_key:
-            raise InvalidSearchResult("search emitted two isomorphic tensors")
-        by_key[key] = np.asarray(flat).reshape(m, m, m)
-    out = []
-    for i, (key, N) in enumerate(sorted(by_key.items())):
-        fd = FusionData(N.copy(), np.asarray(dual), label=f"{label_prefix}-{i + 1}")
-        check = rings.verify_axioms(fd)
-        if not check.all_ok:
-            raise InvalidSearchResult(f"search emitted an invalid ring: {check.summary()}")
-        out.append(fd)
+    if not len(found):
+        return []
+    flat = np.asarray(found).reshape(len(found), m**3)
+    keys = [key for lo in range(0, len(flat), COLLECT_CHUNK)
+            for key in _canonical_keys(flat[lo:lo + COLLECT_CHUNK], m, group)]
+    if len(set(keys)) < len(keys):
+        raise InvalidSearchResult("search emitted two isomorphic tensors")
+    tensors = flat[sorted(range(len(keys)), key=keys.__getitem__)].reshape(-1, m, m, m)
+    dual = np.array(dual, dtype=np.int64)  # shared by the rings, which make it read-only
+    out = [FusionData(N, dual, label=f"{label_prefix}-{i + 1}") for i, N in enumerate(tensors)]
+    for lo in range(0, len(out), COLLECT_CHUNK):
+        chunk = out[lo:lo + COLLECT_CHUNK]
+        residuals = rings._axiom_residuals(tensors[lo:lo + COLLECT_CHUNK], dual, chunk[0].exact)
+        holds = np.all([res <= tol for res, tol, _ in residuals.values()], axis=0)
+        if not holds.all():
+            summary = rings.verify_axioms(chunk[int(np.argmin(holds))]).summary()
+            raise InvalidSearchResult(f"search emitted an invalid ring: {summary}")
+        commutative = [fd for fd in chunk if rings.is_commutative(fd)]
+        if not commutative:
+            continue
+        try:
+            tables = spectral._character_tables(commutative)
+        except DegenerateSpectrum:
+            continue  # stored on none: character_table recomputes each and raises as before
+        for fd, ct in zip(commutative, tables):
+            ct.lam.setflags(write=False)
+            ct.vectors.setflags(write=False)
+            fd._char_table = ct
     return out
 
 
@@ -1138,5 +1172,5 @@ def classify(
             fd.label = f"{tr.signature}-{i + 1}"
         tr.simple = [fd for fd in tr.rings if rings.is_simple(fd)]
         tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
-                         and criteria.schur_commutative(character_table(fd)).holds]
+                         and criteria.schur_commutative(spectral.character_table(fd)).holds]
     return ClassificationReport(constraints, list(types.values()), time.perf_counter() - t0)

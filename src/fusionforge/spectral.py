@@ -11,10 +11,20 @@ The characters are in bijection with the minimal projections of the
 dual algebra; expanding the dual convolution of two such projections in
 the projection basis yields the dual structure constants, whose
 nonnegativity is exactly the Schur product property on the dual.
+
+The table comes from random Hermitian combinations of the fusion
+matrices drawn with a fixed seed, so the draws depend only on the rank.
+Tables are therefore computed in stacks: every ring of a stack takes
+the same draw, one stacked ``eigh`` diagonalizes them all, and a ring
+whose draw fails moves on to the next draw alone.  A single ring is a
+stack of one.  The search computes the tables of the commutative rings
+it returns this way and stores each on its ring, where
+``character_table`` finds it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,77 +94,124 @@ def character_table(fd: FusionData) -> CharacterTable:
     failure the combination is redrawn up to ``REDRAWS`` times.
     The validated table does not depend on the seed beyond rounding
     (eigenvector phases are fixed and columns are canonically ordered).
+
+    The draws depend only on the rank, so ``_character_tables`` computes
+    the tables of many rings of one rank as one stack; the search stores
+    the tables of the rings it returns on them, and this returns the
+    stored table when there is one.  A table computed here is not stored.
     """
+    if fd._char_table is not None:
+        return fd._char_table
     if not is_commutative(fd):
         raise NotCommutative("character tables are defined for commutative rings")
-    m = fd.rank
-    N = np.asarray(fd.tensor, dtype=float)
-    dual = fd.dual
-    d = fp_dimensions(fd)
-    scale = float(np.max(np.abs(N))) * m + 1.0
-    rng = np.random.default_rng(_SEED)
+    return _character_tables([fd])[0]
 
-    for _ in range(REDRAWS):
-        c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-        c = c + np.conj(c[dual])  # makes sum_i c_i M_i Hermitian (M_i^T = M_{i*})
-        T = np.einsum("i,ikl->kl", c, N.astype(complex))
-        _, V = np.linalg.eigh(T)
-        lam, last_residual = _eigen_residual(N, V)
-        if last_residual > RESIDUAL_TOL * scale:
-            continue
 
-        # phase fix: largest-magnitude component real positive
-        top = V[np.argmax(np.abs(V), axis=0), np.arange(m)]
-        V = V / (top / np.abs(top))
+def _character_tables(fds: list) -> list:
+    """``character_table`` of each of the commutative rings ``fds``, all of
+    one rank, as one stack: draw k is the same for every ring, so each
+    round is one stacked ``eigh`` of the rings not yet validated, and a
+    ring whose residual fails takes draw k+1, as it would alone.  Raises
+    DegenerateSpectrum if any ring fails, as that ring alone would."""
+    m = fds[0].rank
+    N = np.array([fd.tensor for fd in fds], dtype=float)
+    dual = np.array([fd.dual for fd in fds])
+    d = np.array([fp_dimensions(fd) for fd in fds])
+    scale = np.abs(N).max(axis=(1, 2, 3)) * m + 1.0
+    cols = np.arange(m)
+    tables = [None] * len(fds)
+    todo = np.arange(len(fds))  # rings not yet validated
 
-        order = _column_order(lam, d)
-        lam = lam[:, order]
-        V = V[:, order]
-        lam[:, 0] = lam[:, 0].real
-        return CharacterTable(lam, V, last_residual, tuple(order))
+    for c in _draws(m, _SEED, REDRAWS):
+        c = c + np.conj(c[dual[todo]])  # makes sum_i c_i M_i Hermitian (M_i^T = M_{i*})
+        Nt = N[todo]
+        _, V = np.linalg.eigh(np.einsum("bi,bikl->bkl", c, Nt.astype(complex)))
+        lam, residual = _eigen_residual(Nt, V)
+        ok = ~(residual > RESIDUAL_TOL * scale[todo])  # NaN passes, as it always has
+        if ok.any():
+            lam, V = lam[ok], V[ok]
+            ring = np.arange(len(V))[:, None]
+            # phase fix: largest-magnitude component real positive
+            top = V[ring, np.abs(V).argmax(axis=1), cols]
+            V = V / (top / np.abs(top))[:, None, :]
+
+            order = np.array(_column_order(lam, d[todo[ok]]))
+            pick = (ring[:, :, None], cols[:, None], order[:, None, :])  # columns by order
+            lam, V = lam[pick], V[pick]
+            lam[:, :, 0] = lam[:, :, 0].real
+            for b, lam_b, V_b, res, perm in zip(todo[ok], lam, V, residual[ok].tolist(),
+                                                order.tolist()):
+                tables[b] = CharacterTable(lam_b, V_b, res, tuple(perm))
+        last_residual = residual[~ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return tables
 
     raise DegenerateSpectrum(
         f"joint eigenvector validation failed after {REDRAWS} draws "
-        f"(residual {last_residual:.3g})"
+        f"(residual {last_residual[0]:.3g})"
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _draws(m: int, seed: int, redraws: int) -> np.ndarray:
+    """The coefficient vectors c, one row per draw, that ``character_table``
+    tries in turn on a ring of rank m: real and imaginary parts uniform
+    on [-1, 1], drawn in that order from a generator seeded with ``seed``.
+    They depend on these three values alone."""
+    u = np.random.default_rng(seed).uniform(-1, 1, (redraws, 2, m))
+    c = u[:, 0] + 1j * u[:, 1]
+    c.setflags(write=False)  # cached, shared by every call
+    return c
 
 
 def _column_order(lam: np.ndarray, d: np.ndarray) -> list:
     """Column permutation of the raw table ``lam``: the Perron column
     first, then the rest in lexicographic order of their values rounded
     to 6 places, row by row and real part before imaginary part, ties
-    kept in eigensolver order.
+    kept in eigensolver order.  ``lam`` may be a stack (..., m, m) with
+    d (..., m); the result is then a list of permutations.
 
     The Perron column is the first one whose values are real, positive
     and within 1e-6 (1 + max d) of the FP dimensions d; without one the
     table raises ``DegenerateSpectrum``.
     """
-    real = np.max(np.abs(lam.imag), axis=0) < 1e-6 * (1 + np.max(np.abs(lam), axis=0))
-    fp = np.max(np.abs(lam.real - d[:, None]), axis=0) < 1e-6 * (1 + np.max(d))
-    perron = np.flatnonzero(real & np.all(lam.real > 0, axis=0) & fp)
-    if not perron.size:
+    m = lam.shape[-1]
+    real = np.abs(lam.imag).max(axis=-2) < 1e-6 * (1 + np.abs(lam).max(axis=-2))
+    fp = (np.abs(lam.real - d[..., :, None]).max(axis=-2)
+          < 1e-6 * (1 + d.max(axis=-1, keepdims=True)))
+    perron = real & (lam.real > 0).all(axis=-2) & fp
+    if not perron.any(axis=-1).all():
         raise DegenerateSpectrum("no Frobenius-Perron column found")
-    rest = np.delete(np.arange(lam.shape[1]), perron[0])
-    # keys row 0 re, row 0 im, row 1 re, ...; lexsort takes its primary key last
-    keys = np.stack([lam[:, rest].real, lam[:, rest].imag], axis=1).reshape(2 * len(d), -1)
-    return [int(perron[0])] + rest[np.lexsort(np.round(keys, 6)[::-1])].tolist()
+    perron = perron.argmax(axis=-1)[..., None]  # the first one
+    # keys row 0 re, row 0 im, row 1 re, ...; lexsort takes its primary key last.
+    # The sort is stable, so sorting every column and then moving the Perron
+    # column to the front orders the rest as sorting them alone would.
+    keys = np.stack([lam.real, lam.imag], axis=-2).reshape(*lam.shape[:-2], 2 * m, m)
+    ranked = np.lexsort(np.moveaxis(np.round(keys, 6)[..., ::-1, :], -2, 0))
+    rest = ranked[ranked != perron].reshape(*ranked.shape[:-1], m - 1)
+    return np.concatenate([perron, rest], axis=-1).tolist()
 
 
 def _eigen_residual(N: np.ndarray, V: np.ndarray, lam=None) -> tuple:
-    """(lam, max_{i,j} ||M_i v_j - lam[i,j] v_j||) for the columns v_j of V.
+    """(lam, max_{i,j} ||M_i v_j - lam[i,j] v_j||) for the columns v_j of V,
+    for one ring or a stack: N (..., m, m, m) and V (..., m, m) give one
+    residual per ring.
 
     All products M_i v_j come from one stacked product; without ``lam``
     the Rayleigh quotients lam[i,j] = <v_j, M_i v_j> are used.
     """
-    MV = np.swapaxes(N @ V, 1, 2)  # MV[i, j] = M_i v_j
+    Vt = np.swapaxes(V, -1, -2)
+    MV = np.swapaxes(N @ V[..., None, :, :], -1, -2)  # MV[..., i, j, :] = M_i v_j
     if lam is None:
-        lam = np.einsum("jk,ijk->ij", V.T.conj(), MV)
-    return lam, float(np.max(np.linalg.norm(MV - lam[:, :, None] * V.T, axis=-1)))
+        lam = np.einsum("...jk,...ijk->...ij", Vt.conj(), MV)
+    diff = MV - lam[..., None] * Vt[..., None, :, :]
+    return lam, np.max(np.linalg.norm(diff, axis=-1), axis=(-2, -1))
 
 
 def verify_character_table(fd: FusionData, ct: CharacterTable) -> float:
     """Recompute max_{i,j} ||M_i v_j - lam[i,j] v_j|| from scratch."""
-    return _eigen_residual(np.asarray(fd.tensor, dtype=float), ct.vectors, ct.lam)[1]
+    return float(_eigen_residual(np.asarray(fd.tensor, dtype=float), ct.vectors, ct.lam)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +242,7 @@ def dual_projections(fd: FusionData, ct: CharacterTable) -> np.ndarray:
 
     # verification: idempotency, orthogonality, partition of unity, all
     # pairs in one contraction; the first failing pair a <= b is reported
-    prod = np.einsum("aj,bk,jks->abs", P, P, N, optimize=True)
+    prod = np.einsum("bk,aks->abs", P, (P @ N.reshape(m, -1)).reshape(m, m, m))
     prod[np.arange(m), np.arange(m)] -= P
     err = np.max(np.abs(prod), axis=2)
     scale = 1.0 + float(np.max(np.abs(ct.lam)))

@@ -34,6 +34,12 @@ iteration on the total fusion matrix, and ``reference_column_order``
 orders the character columns by a per-column Python sort key: the
 earlier ``rings.fp_dimensions`` and ``spectral._column_order``, which
 now use one symmetric eigensolve and one ``np.lexsort``.
+
+``reference_one_ring_character_table`` and ``reference_canonical_key`` are the
+earlier one-ring ``spectral.character_table`` and ``search._canonical_key``:
+one ``eigh`` per ring and draw, and one relabeled copy per tensor and
+relabeling.  The search now keys, checks and tabulates its rings as
+stacks, and its tables and keys must equal these bitwise.
 """
 
 import functools
@@ -43,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionforge import rings
+from fusionforge import rings, spectral
 from fusionforge.errors import DegenerateSpectrum
 from fusionforge.rings import FusionData, TypeSignature, are_isomorphic
 from fusionforge.search import _excluded_fpdim
@@ -618,3 +624,48 @@ def reference_column_order(lam: np.ndarray, d: np.ndarray) -> list:
     rest.sort(key=lambda j: tuple((round(float(x.real), 6), round(float(x.imag), 6))
                                   for x in lam[:, j]))
     return [perron] + rest
+
+
+def reference_one_ring_character_table(fd: FusionData) -> spectral.CharacterTable:
+    """The one-ring ``spectral.character_table``: one ``eigh`` per draw,
+    the residual of that ring alone, the columns ordered by
+    ``reference_column_order``.  It ignores a table
+    stored on ``fd`` and stores none."""
+    m = fd.rank
+    N = np.asarray(fd.tensor, dtype=float)
+    d = rings.fp_dimensions(fd)
+    scale = float(np.max(np.abs(N))) * m + 1.0
+    rng = np.random.default_rng(spectral._SEED)
+    for _ in range(spectral.REDRAWS):
+        c = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        c = c + np.conj(c[fd.dual])
+        T = np.einsum("i,ikl->kl", c, N.astype(complex))
+        _, V = np.linalg.eigh(T)
+        MV = np.swapaxes(N @ V, 1, 2)
+        lam = np.einsum("jk,ijk->ij", V.T.conj(), MV)
+        residual = float(np.max(np.linalg.norm(MV - lam[:, :, None] * V.T, axis=-1)))
+        if residual > spectral.RESIDUAL_TOL * scale:
+            continue
+        top = V[np.argmax(np.abs(V), axis=0), np.arange(m)]
+        V = V / (top / np.abs(top))
+        order = reference_column_order(lam, d)
+        lam = lam[:, order]
+        V = V[:, order]
+        lam[:, 0] = lam[:, 0].real
+        return spectral.CharacterTable(lam, V, residual, tuple(order))
+    raise DegenerateSpectrum(f"joint eigenvector validation failed after {spectral.REDRAWS} draws")
+
+
+def reference_canonical_key(tensor_flat: np.ndarray, m: int, group) -> bytes:
+    """The one-tensor ``search._canonical_key``: the least ``tobytes`` of
+    the tensor relabeled by each permutation in ``group``."""
+    N = np.asarray(tensor_flat).reshape(m, m, m)
+    best = None
+    for perm in group:
+        p = np.asarray(perm)
+        inv = np.empty(m, dtype=np.int64)
+        inv[p] = np.arange(m)
+        cand = N[inv][:, inv][:, :, inv].tobytes()
+        if best is None or cand < best:
+            best = cand
+    return best

@@ -9,6 +9,7 @@ from fusionforge.corpus import (
     verify_checksums,
 )
 from fusionforge.errors import ParseError, ValidationError
+from fusionforge.rings import new_fusion_data
 from fusionforge.spectral import character_table
 
 
@@ -26,7 +27,12 @@ class TestFormat:
         fd = rank2_family(5.5).fd
         fd2 = parse_fusion_ring(serialize_fusion_ring(fd))
         assert fd2.mode == "float"
-        assert np.allclose(fd2.tensor, fd.tensor, atol=1e-11)
+        assert fd2 == fd
+
+    def test_integral_float_round_trip(self):
+        fd = new_fusion_data([np.eye(2), [[0, 1], [1, 0]]], mode="float")
+        fd2 = parse_fusion_ring(serialize_fusion_ring(fd))
+        assert fd2.mode == "float" and fd2 == fd
 
     def test_truncated_file(self):
         text = "frt 1\nrank 2\ndual 1 2\nmatrix 1\n1 0\n0 1\nmatrix 2\n0 1\n"

@@ -24,6 +24,7 @@ from fusionforge.search import (
 from oracles import (
     naive_enumerate_fusion_rings,
     reference_build_problem,
+    reference_canonical_key,
     reference_dfs_kernel,
     reference_enumerate_types,
 )
@@ -174,14 +175,20 @@ class TestEnumerateFusionRings:
                                       stats=st) == []
         assert st.complete and st.nodes <= 2 * 10**7
 
-    def test_invalid_ring_raises(self, monkeypatch):
+    def test_invalid_ring_raises(self):
         """The final axiom check on every emitted ring raises a library
-        error, which ``python -O`` keeps, rather than an assert."""
-        failed = rings.VerificationReport((rings.AxiomCheck("associativity", False),))
-        monkeypatch.setattr(rings, "verify_axioms", lambda fd: failed)
+        error, which ``python -O`` keeps, rather than an assert, with the
+        summary of ``verify_axioms``."""
         sig = TypeSignature(((1, 1), (3, 2), (4, 1), (5, 1)), True)
-        with pytest.raises(InvalidSearchResult, match="associativity: FAIL"):
-            enumerate_fusion_rings(sig, tuple(range(5)))  # finds PSL(2,5)
+        (psl25,) = enumerate_fusion_rings(sig, tuple(range(5)))
+        bad = psl25.tensor.copy()
+        bad[1, 1, 1] += 1  # a one-cell orbit of the self-dual ring: only associativity breaks
+        summary = rings.verify_axioms(rings.FusionData(bad, psl25.dual)).summary()
+        assert summary.count("FAIL") == 1 and "associativity: FAIL" in summary
+        group = [tuple(range(5))]
+        with pytest.raises(InvalidSearchResult) as exc:
+            search._collect([psl25.tensor.ravel(), bad.ravel()], group, list(range(5)), "x")
+        assert str(exc.value) == f"search emitted an invalid ring: {summary}"
 
 
 class TestBuildProblem:
@@ -476,7 +483,7 @@ class TestKernelFallback:
 
 class TestRank5Family:
     def test_multiplicity_one_against_brute_force(self):
-        from fusionforge.search import RANK5_TEMPLATE_DUAL, _build_problem, _canonical_key
+        from fusionforge.search import RANK5_TEMPLATE_DUAL, _build_problem
 
         fam = rank5_three_selfadjoint_family(1)
         # exhaustive oracle over all 2^16 orbit assignments
@@ -495,7 +502,7 @@ class TestRank5Family:
             if (np.einsum("ijs,skt->ijkt", T, T) == np.einsum("jks,ist->ijkt", T, T)).all():
                 sols.append(T.copy())
         group = [(0, 1, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 4, 3)]
-        keys = {_canonical_key(s.reshape(-1), 5, group) for s in sols}
+        keys = {reference_canonical_key(s.reshape(-1), 5, group) for s in sols}
         assert len(fam) == len(keys) == 5
 
     def test_multiplicity_two_pinned(self):
@@ -557,15 +564,16 @@ class TestLexLeader:
     def assert_one_per_class(prob, where):
         """The prunes the lex-leader test made on ``prob``, after checking it
         against the oracle."""
-        from fusionforge.search import _canonical_key, _run_kernel
+        from fusionforge.search import _canonical_keys, _run_kernel
 
         m, group = prob["m"], prob["group"]
         status, found, st = _run_kernel(prob, 10**9, 10**6)
         every_status, every, _ = _run_kernel(dict(prob, sym=prob["sym"][:0]), 10**9, 10**6)
         assert status == every_status == 0, where
-        keys = [_canonical_key(t, m, group) for t in found]
+        keys = _canonical_keys(found, m, group)
+        assert keys == [reference_canonical_key(t, m, group) for t in found], where
         assert len(set(keys)) == len(keys) == st.raw_solutions, where
-        assert set(keys) == {_canonical_key(t, m, group) for t in every}, where
+        assert set(keys) == set(_canonical_keys(every, m, group)), where
         return st.prune_symmetry
 
     def test_census_rows_and_small_types(self):
@@ -727,6 +735,22 @@ class TestClassify:
         assert [str(tr.signature) for tr in par.types] == [
             str(tr.signature) for tr in seq.types
         ]
+
+    def test_threads_keep_stored_tables(self):
+        """A pooled run returns the rings with the character tables the
+        search stored on them, pickled along, equal to a serial run's and
+        read-only as they are."""
+        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
+        seq, par = classify(c).all_rings, classify(c, threads=2).all_rings
+        assert [fd.label for fd in par] == [fd.label for fd in seq]
+        for a, b in zip(seq, par):
+            assert a == b and a._char_table is not None and b._char_table is not None
+            assert not any(x.flags.writeable for x in (b.tensor, b.dual, b._char_table.lam,
+                                                        b._char_table.vectors))
+            assert a._char_table.lam.tobytes() == b._char_table.lam.tobytes()
+            assert a._char_table.vectors.tobytes() == b._char_table.vectors.tobytes()
+            assert (a._char_table.residual, a._char_table.column_order) == (
+                b._char_table.residual, b._char_table.column_order)
 
     def test_resume_checkpoint(self, tmp_path):
         c = SearchConstraints(fpdim=60, rank=5, **PAPER_FLAGS)

@@ -12,7 +12,7 @@ from fusionforge.bialgebra import (
     rank3_type2,
 )
 from fusionforge.errors import DegenerateSpectrum, InfeasibleParams, NotCommutative
-from fusionforge.rings import cyclic_group_ring, fp_dimensions
+from fusionforge.rings import FusionData, cyclic_group_ring, fp_dimensions
 from fusionforge.spectral import (
     CharacterTable,
     character_table,
@@ -20,7 +20,11 @@ from fusionforge.spectral import (
     dual_projections,
     verify_character_table,
 )
-from oracles import reference_column_order, reference_fp_dimensions
+from oracles import (
+    reference_column_order,
+    reference_fp_dimensions,
+    reference_one_ring_character_table,
+)
 from test_search import CENSUS_ROWS, PAPER_FLAGS, units
 
 
@@ -214,7 +218,8 @@ class TestCharacterTable:
         def first_draw_bad(T):
             calls.append(1)
             w, V = eigh(T)
-            return (w, np.eye(len(w), dtype=V.dtype)) if len(calls) == 1 else (w, V)
+            return (w, np.broadcast_to(np.eye(T.shape[-1], dtype=V.dtype), V.shape)
+                    if len(calls) == 1 else V)
 
         monkeypatch.setattr(np.linalg, "eigh", first_draw_bad)
         ct = character_table(f210)
@@ -222,6 +227,7 @@ class TestCharacterTable:
         assert np.max(np.abs(ct.lam - base.lam)) < 1e-8
 
     def test_redraws_then_fails(self, psl25, monkeypatch):
+        fp_dimensions(psl25)  # its own eigh is cached before the count starts
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(1) or eigh(T))
@@ -284,15 +290,22 @@ class TestCharacterTable:
             character_table(s3)
 
 
-def spectral_test_rings() -> list:
-    """The corpus, the rank-5 family at multiplicity 4, the census rows up
-    to the 660 row, FPdim 1-60 at rank <= 6 without flags, points of the
-    rank-2 and rank-3 type II families and 200 random rank-3 (m, n, q)
-    points: integral and float rings, ranks 1-12."""
-    fds = [e.fd for e in corpus.corpus()] + search.rank5_three_selfadjoint_family(4)
+def searched_rings() -> list:
+    """The rank-5 family at multiplicity 4, the census rows up to the 660
+    row and FPdim 1-60 at rank <= 6 without flags, as the search returns
+    them."""
+    fds = search.rank5_three_selfadjoint_family(4)
     rows = [search.SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS) for f, r in CENSUS_ROWS[:-1]]
     for c in rows + [search.SearchConstraints(fpdim=(1, 60), rank=(1, 6))]:
         fds += [fd for sig, inv in units(c) for fd in search.enumerate_fusion_rings(sig, inv, c)]
+    return fds
+
+
+def spectral_test_rings() -> list:
+    """The corpus, the ``searched_rings``, points of the rank-2 and rank-3
+    type II families and 200 random rank-3 (m, n, q) points: integral and
+    float rings, ranks 1-12."""
+    fds = [e.fd for e in corpus.corpus()] + searched_rings()
     fds += [rank2_family(mu).fd for mu in (2.0, 2.5, 3.0, 5.0, 10.0, 100.0)]
     fds += [rank3_type2(mu).fd for mu in (3.0, 4.0, 7.0, 20.0, 100.0)]
     rng = np.random.default_rng(0)
@@ -324,10 +337,11 @@ class TestAgainstReference:
                             lambda lam, d: calls.append((lam, d)) or column_order(lam, d))
         for fd in fds:
             if rings.is_commutative(fd):
-                character_table(fd)
+                character_table(FusionData(fd.tensor, fd.dual))  # a fresh copy has no table
         assert len(calls) == len(fds) - 1  # all but the group ring of S3 (FPdim 6)
-        for lam, d in calls:
-            assert column_order(lam, d) == reference_column_order(lam, d)
+        for lam, d in calls:  # each a stack of one table
+            assert column_order(lam, d) == [reference_column_order(lam[0], d[0])]
+            assert column_order(lam[0], d[0]) == reference_column_order(lam[0], d[0])
 
     def test_no_perron_column_raises(self, psl25):
         lam = character_table(psl25).lam.copy()
@@ -336,6 +350,90 @@ class TestAgainstReference:
         lam[1, 0] = -lam[1, 0]
         with pytest.raises(DegenerateSpectrum, match="no Frobenius-Perron column"):
             spectral._column_order(lam, d)
+
+
+def assert_same_table(ct, ref, where):
+    assert ct.lam.tobytes() == ref.lam.tobytes(), where
+    assert ct.vectors.tobytes() == ref.vectors.tobytes(), where
+    assert (ct.residual, ct.column_order) == (ref.residual, ref.column_order), where
+
+
+class TestStackedTables:
+    """The tables computed as stacks, and the ones the search stores on
+    its rings, against one-ring tables."""
+
+    def test_tables_match_one_ring_reference(self):
+        for fd in spectral_test_rings():
+            if rings.is_commutative(fd):
+                assert_same_table(character_table(fd), reference_one_ring_character_table(fd),
+                                  fd.label)
+
+    def test_stored_tables_equal_fresh_ones(self):
+        fds = searched_rings()
+        assert len(fds) == 47 + 47 + 55
+        for fd in fds:
+            if not rings.is_commutative(fd) or fd.rank == 1:  # rank 1 skips the kernel
+                assert fd._char_table is None
+                continue
+            assert fd._char_table is not None, fd.label
+            assert_same_table(fd._char_table, character_table(FusionData(fd.tensor, fd.dual)),
+                              fd.label)
+
+    def test_stored_arrays_are_read_only(self):
+        for fd in search.rank5_three_selfadjoint_family(2):
+            ct = character_table(fd)
+            assert ct is fd._char_table
+            for a in (ct.lam, ct.vectors):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0
+
+    def test_search_stores_every_table(self, monkeypatch):
+        """The rank-5 family's consumers read the stored tables: no
+        ``eigh`` runs after the search."""
+        fam = search.rank5_three_selfadjoint_family(4)
+
+        def no_eigh(T):
+            raise AssertionError("character_table diagonalized a ring the search tabulated")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert all(character_table(fd) is fd._char_table is not None for fd in fam)
+
+    def test_failed_tables_are_left_to_character_table(self, monkeypatch):
+        """When the stack of tables fails, the search still returns its
+        rings, stores no table, and each ring's table raises as it would
+        alone."""
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+        fam = search.rank5_three_selfadjoint_family(1)
+        assert len(fam) == 5 and all(fd._char_table is None for fd in fam)
+        with pytest.raises(DegenerateSpectrum, match=f"after {spectral.REDRAWS} draws"):
+            character_table(fam[0])
+
+    def test_redraw_inside_a_stack(self, monkeypatch):
+        """A ring whose draw fails takes the next draw while the others
+        keep theirs: each table equals the one-ring table under the same
+        failure."""
+        fds = [FusionData(fd.tensor, fd.dual) for fd in search.rank5_three_selfadjoint_family(2)]
+        base = [character_table(fd) for fd in fds]
+        eigh, sizes, bad = np.linalg.eigh, [], 3
+
+        def first_draw_of_one_ring_bad(T):
+            sizes.append(len(T))
+            w, V = eigh(T)
+            if len(sizes) == 1:
+                V = V.copy()
+                V[bad if len(T) > 1 else 0] = np.eye(T.shape[-1])
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", first_draw_of_one_ring_bad)
+        tables = spectral._character_tables(fds)
+        assert sizes == [len(fds), 1]
+        for i, (ct, ref) in enumerate(zip(tables, base)):
+            if i != bad:
+                assert_same_table(ct, ref, i)
+        sizes.clear()
+        assert_same_table(tables[bad], character_table(fds[bad]), bad)  # bad draw 1, then draw 2
+        assert sizes == [1, 1]
 
 
 class TestDualProjections:
