@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fusionforge import bialgebra, rings
+from fusionforge import bialgebra, corpus, rings
 from fusionforge.bialgebra import (
     INV_P_GRID,
     SUITE_CHUNK,
@@ -218,14 +218,24 @@ class TestKConstant:
             for dip, diq in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
                 assert k_constant(ip + dip, iq + diq, mu) == pytest.approx(base, rel=1e-6)
 
-    @pytest.mark.parametrize("mu", [1.0, 2.0, 60.0, 7980.0])
-    def test_table_matches_k_constant(self, mu):
+    @staticmethod
+    def assert_table_matches_k_constant(mu):
         # the grid holds the region boundaries, where k_constant takes a minimum
         K = _k_table(mu)
         assert K.shape == (11, 11)
         for i, ip in enumerate(INV_P_GRID):
             for j, iq in enumerate(INV_P_GRID):
-                assert K[i, j] == k_constant(ip, iq, mu), (ip, iq)
+                assert K[i, j] == k_constant(ip, iq, mu), (mu, ip, iq)
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 3.5, 60.0, 7980.0, 1e6])
+    def test_table_matches_k_constant(self, mu):
+        self.assert_table_matches_k_constant(mu)
+
+    def test_table_matches_k_constant_on_corpus(self, corpus_entries):
+        # numpy's vectorised power differs from Python's in the last place on
+        # some of these entries
+        for e in corpus_entries:
+            self.assert_table_matches_k_constant(canonical_from_fusion_data(e.fd).mu)
 
 
 class TestFamilies:
@@ -414,7 +424,7 @@ class TestInequalitySuite:
         assert payload["num_samples"] == 5
         assert len(payload["checks"]) == 13
 
-    def test_probes_skipped_names_the_reason(self, B60, monkeypatch):
+    def test_probes_skipped_names_the_reason(self, B60, psl25, monkeypatch):
         from fusionforge import spectral
 
         assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
@@ -422,8 +432,9 @@ class TestInequalitySuite:
         def degenerate(fd, *args, **kwargs):
             raise DegenerateSpectrum("forced collapse")
 
+        # a bialgebra keeps its table, so each patch needs a fresh one
         monkeypatch.setattr(spectral, "character_table", degenerate)
-        rep = inequality_suite(B60, num_samples=3, seed=1)
+        rep = inequality_suite(canonical_from_fusion_data(psl25), num_samples=3, seed=1)
         assert rep.probes_skipped == "DegenerateSpectrum: forced collapse"
         assert rep.to_dict()["probes_skipped"] == rep.probes_skipped
         assert rep["dual_young_falsify"].n_evals == 3 + 5  # samples + basis/Perron pairs
@@ -433,7 +444,7 @@ class TestInequalitySuite:
 
         monkeypatch.setattr(spectral, "character_table", broken)
         with pytest.raises(TypeError):
-            inequality_suite(B60, num_samples=3, seed=1)
+            inequality_suite(canonical_from_fusion_data(psl25), num_samples=3, seed=1)
 
     def test_dual_projections_built_once(self, B60, monkeypatch):
         """The targeted probes build the dual projections once and take the
@@ -476,51 +487,60 @@ class TestInequalitySuite:
 
 # ---------------------------------------------------------------------------
 # reference: the per-sample inequality loop the batched suite replaced, with
-# its own per-element eigh norms, supports and entropies
+# its own per-element norms, supports and entropies (side B from the characters
+# term by term on a commutative ring, from eigh(X*X) otherwise)
 
 
 def _p_of(ip):
     return np.inf if ip == 0 else 1.0 / ip
 
 
-def _ref_spectrum_b(B, x):
-    X = B.rep(x)
-    w, U = np.linalg.eigh(np.conj(X.T) @ X)
-    return np.maximum(w, 0.0), np.abs(U[0, :]) ** 2
+def _ref_spectrum_b(B, x, lam):
+    """Squared singular values and tau-weights of the side-B element x: with
+    the character table ``lam`` of a commutative ring, |chi_t(x)|^2 and
+    1 / sum_j |lambda_jt|^2 summed term by term; without one, eigh(X*X)."""
+    if lam is None:
+        X = B.rep(x)
+        w, U = np.linalg.eigh(np.conj(X.T) @ X)
+        return np.maximum(w, 0.0), np.abs(U[0, :]) ** 2
+    m = B.rank
+    chi = [sum(x.coeffs[j] * lam[j, t] for j in range(m)) for t in range(m)]
+    omega = [1.0 / sum(abs(lam[j, t]) ** 2 for j in range(m)) for t in range(m)]
+    return np.abs(chi) ** 2, np.array(omega)
 
 
-def _ref_norm(B, x, p):
+def _ref_norm(B, x, p, lam):
     if x.side == "A":
         t = np.abs(x.coeffs / B.dims)
         if p == np.inf:
             return float(t.max())
         return float(np.sum((t**p) * B.dims**2) ** (1.0 / p))
-    w, omega = _ref_spectrum_b(B, x)
+    w, omega = _ref_spectrum_b(B, x, lam)
     if p == np.inf:
         return float(np.sqrt(w.max()))
     return float(np.sum(omega * w ** (p / 2.0)) ** (1.0 / p))
 
 
-def _ref_support(B, x, rank_tol=1e-8):
+def _ref_support(B, x, lam, rank_tol=1e-8):
     if x.side == "A":
         t = np.abs(x.coeffs / B.dims)
         if t.max() == 0.0:
             return 0.0
         return float(np.sum((B.dims**2)[t > rank_tol * t.max()]))
-    w, omega = _ref_spectrum_b(B, x)
+    w, omega = _ref_spectrum_b(B, x, lam)
     s = np.sqrt(w)
     if s.max() == 0.0:
         return 0.0
     return float(np.sum(omega[s > rank_tol * s.max()]))
 
 
-def _ref_entropy(B, x):
+def _ref_entropy(B, x, lam):
     if x.side == "A":
         t = np.abs(x.coeffs / B.dims) ** 2
         w = B.dims**2
         mask = t > 0
         return float(-np.sum(w[mask] * t[mask] * np.log(t[mask])))
-    w, omega = _ref_spectrum_b(B, x)
+    w, omega = _ref_spectrum_b(B, x, lam)
     mask = w > 0
     return float(-np.sum(omega[mask] * w[mask] * np.log(w[mask])))
 
@@ -558,15 +578,15 @@ def reference_inequality_suite(B, num_samples, seed, tol=1e-8):
         _RefTracker(n, n == "dual_young_falsify") for n in names]
     hy_grid = [ip for ip in grid if 0.5 <= ip <= 1.0]
     young_pairs = [(ip, iq) for ip in grid for iq in grid if ip + iq >= 1.0]
-    norm, support, entropy = (lambda x, p: _ref_norm(B, x, p),
-                              lambda x: _ref_support(B, x), lambda x: _ref_entropy(B, x))
 
     def rand_elem(side):
         return Element(rng.standard_normal(m) + 1j * rng.standard_normal(m), side)
 
     targeted = [(B.basis(j, "B"), Element(B.dims.astype(complex), "B")) for j in range(m)]
+    lam = None
     try:
         ct = spectral.character_table(B.fd)
+        lam = ct.lam
         projs = [Element(p, "B") for p in spectral.dual_projections(B.fd, ct)]
         nhat = spectral.dual_fusion_coefficients(B.fd, ct)
         for a in range(m):
@@ -579,6 +599,8 @@ def reference_inequality_suite(B, num_samples, seed, tol=1e-8):
         targeted += [(u, p) for p in projs]
     except NotCommutative:
         pass
+    norm, support, entropy = (lambda x, p: _ref_norm(B, x, p, lam),
+                              lambda x: _ref_support(B, x, lam), lambda x: _ref_entropy(B, x, lam))
 
     for it in range(num_samples):
         x_a, y_a, x_b, y_b = rand_elem("A"), rand_elem("A"), rand_elem("B"), rand_elem("B")
@@ -671,6 +693,59 @@ def assert_matches_reference(B, num_samples, seed):
         if r.second - s > 1e-12:
             assert c.worst_detail == r.worst_detail, where
     return rep
+
+
+class TestSideBModuli:
+    """Side-B norms, supports and entropies: the characters of a commutative
+    ring against an SVD of each element's matrix, and the ``eigh`` route
+    kept for noncommutative rings."""
+
+    def test_against_svd(self, corpus_entries):
+        rng = np.random.default_rng(5)
+        for e in corpus_entries:
+            B = canonical_from_fusion_data(e.fd)
+            (elements, x, y), _ = bialgebra._dual_young_probes(B)
+            probes = [B.element(c, "B") for c in elements]
+            xs = probes + [B.conv_b(probes[i], probes[j]) for i, j in zip(x, y)]
+            xs += [rand_elem(B, rng, "B") for _ in range(20)]
+            for k, x_b in enumerate(xs):
+                _, s, vh = np.linalg.svd(B.rep(x_b))
+                w, u = np.abs(vh[:, 0]) ** 2, s * s  # tau-weights of the singular vectors
+                ref = [s[0] if ip == 0 else np.sum(w * s ** (1.0 / ip)) ** ip
+                       for ip in INV_P_GRID]
+                ref += [np.sum(w[s > bialgebra.SUPPORT_RTOL * s[0]]),
+                        -np.sum(w * u * np.log(u, out=np.zeros_like(u), where=u > 0))]
+                got = [B.norm(x_b, np.inf if ip == 0 else 1.0 / ip) for ip in INV_P_GRID]
+                got += [B.support(x_b), B.entropy(x_b)]
+                err = np.abs(np.subtract(got, ref))
+                assert err.max() <= 1e-12 * (1 + s[0]), (e.id, k, int(err.argmax()), err.max())
+
+    def test_tight_probes_exact_to_rounding(self, corpus_entries):
+        # the basis/Perron pairs meet the dual Young bound with equality, and
+        # on a Schur-passing ring no pair goes below it
+        for e in corpus_entries:
+            if e.expected_schur:
+                rep = inequality_suite(canonical_from_fusion_data(e.fd), num_samples=0)
+                assert abs(rep["dual_young_falsify"].worst_slack) <= 1e-12, e.id
+
+    def test_no_eigh_on_commutative_rings(self, monkeypatch):
+        real = np.linalg.eigh
+        B = canonical_from_fusion_data(corpus.get("si660-14").fd)
+        assert B._characters[0] is not None  # the table's own eigh runs here
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a commutative ring")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        rep = inequality_suite(B, num_samples=300)
+        assert rep.num_samples == 300 and rep.probes_skipped is None
+
+        # a noncommutative ring has no table and keeps the stacked eigh
+        monkeypatch.setattr(np.linalg, "eigh", real)
+        S3, calls = canonical_from_fusion_data(_s3_group_ring()), []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or real(*a))
+        rep = inequality_suite(S3, num_samples=300)
+        assert rep.probes_skipped.startswith("NotCommutative") and calls
 
 
 class TestBatchedSuiteMatchesLoop:
