@@ -23,19 +23,20 @@ spectral projections.  On a commutative ring the characters diagonalize
 side B, so x = sum_j c_j x_j acts as chi_t(x) = sum_j c_j lambda_jt on
 the dual minimal projection P_t, whose trace is
 tau(P_t) = 1 / sum_j |lambda_jt|^2: the moduli are |chi_t(x)|, read off
-the character table, which each bialgebra computes once.  On the 52
+the character table, which every ring keeps once computed.  On the 52
 corpus rings they agree with an SVD of the matrix X of x to
 2.7e-14 (1 + ||X||_2).  A noncommutative ring, or a commutative one whose
-table raises, takes the square roots of the eigenvalues of X*X from
-``eigh`` instead, which halves the digits: up to 1.9e-8 (1 + ||X||_2)
-against the SVD on the corpus.
+table raises, takes that SVD itself: the singular values of X, weighted by
+the tau of its right singular vectors.  A singular value that is 0 comes
+out at rounding level there, where the square root of an eigenvalue of
+X*X would be off by about 1e-8 ||X||_2, the size of ``SUPPORT_RTOL``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -241,20 +242,6 @@ class CanonicalBialgebra:
         self._expect(x, "B")
         return np.einsum("j,jsk->sk", x.coeffs, self._rep)
 
-    @functools.cached_property
-    def _characters(self):
-        """(character table, tau-weights of the dual minimal projections)
-        of a commutative ring, computed on first use and kept; (None, why
-        there is none) when the table raises one of ``_SPECTRAL_ERRORS``,
-        the reason reading "ErrorType: message"."""
-        try:
-            ct = spectral.character_table(self.fd)
-        except _SPECTRAL_ERRORS as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-        # one sum per column, as in spectral.dual_projections
-        norm = np.array([np.sum(np.abs(ct.lam[:, t]) ** 2) for t in range(self.rank)])
-        return ct, 1.0 / norm
-
     def _moduli_b(self, coeffs: np.ndarray):
         """Singular values t and tau-weights omega of side-B elements.
 
@@ -262,16 +249,17 @@ class CanonicalBialgebra:
         shape), and tau(f(|x|)) = sum_t omega_t f(t_t).  On a commutative
         ring t_t = |chi_t(x)| = |sum_j c_j lambda_jt| and omega_t =
         tau(P_t) = 1 / sum_j |lambda_jt|^2, the same for every row.
-        Otherwise x*x = sum_t w_t u_t u_t* from one stacked ``eigh``, with
-        t = sqrt(w) and omega_t = |<u_t, e_1>|^2.
+        Otherwise X = U diag(t) Vh from one stacked SVD, with
+        omega_t = |<v_t, e_1>|^2 for the rows v_t* of Vh.
         """
-        ct, omega = self._characters
-        if ct is None:
+        try:
+            ct = spectral.character_table(self.fd)
+        except _SPECTRAL_ERRORS:
             X = np.einsum("...j,jsk->...sk", coeffs, self._rep)
-            w, U = np.linalg.eigh(np.conj(np.swapaxes(X, -1, -2)) @ X)
-            return np.sqrt(np.maximum(w, 0.0)), np.abs(U[..., 0, :]) ** 2
+            _, t, Vh = np.linalg.svd(X)
+            return t, np.abs(Vh[..., :, 0]) ** 2
         t = np.abs(coeffs @ ct.lam)
-        return t, np.broadcast_to(omega, t.shape)
+        return t, np.broadcast_to(1.0 / ct.norms, t.shape)
 
     def _moduli(self, x: Element):
         """Moduli t and trace weights with ||x||_p^p = sum_j weights_j t_j^p.
@@ -592,14 +580,7 @@ class CheckResult:
     is_falsifier: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "worst_slack": self.worst_slack,
-            "n_evals": self.n_evals,
-            "violations": self.violations,
-            "worst_detail": self.worst_detail,
-            "is_falsifier": self.is_falsifier,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -654,31 +635,13 @@ _SPECTRAL_ERRORS = (
 )
 
 
-@functools.cache
-def _k_regions():
-    """k_constant's formulas on the grid, mu aside: for each formula (1,
-    the two powers of mu, the guard) where it applies, the distinct
-    exponents of mu, and the index of each entry's exponent among them.
-    Built on first use, so that importing the package stays light."""
-    ip, iq = np.meshgrid(INV_P_GRID, INV_P_GRID, indexing="ij")
-    applies = np.stack([(iq <= 0.5) & (ip + iq <= 1.0), (ip <= 0.5) & (iq >= 0.5),
-                        (iq >= 1.0 - ip) & (ip >= 0.5)])
-    applies = np.concatenate([applies, ~applies.any(axis=0, keepdims=True)])
-    exps = np.stack([np.zeros_like(ip), iq - 0.5, ip + iq - 1.0,
-                     np.maximum(np.maximum(ip + iq - 1.0, iq - 0.5), 0.0)])
-    flat = exps.ravel().tolist()
-    index = {e: k for k, e in enumerate(dict.fromkeys(flat))}
-    at = np.array([index[e] for e in flat]).reshape(exps.shape)
-    return applies, list(index), at
-
-
+@functools.lru_cache(maxsize=64)
 def _k_table(mu: float) -> np.ndarray:
-    """K(1/p, 1/q) on the grid: entry [i, j] is k_constant(grid[i], grid[j], mu),
-    bit for bit.  The powers come from Python's ``**``, once per distinct
-    exponent, since numpy's vectorised power can differ in the last place."""
-    applies, exponents, at = _k_regions()
-    powers = np.array([mu ** e for e in exponents])[at]
-    return np.where(applies, powers, np.inf).min(axis=0)
+    """K(1/p, 1/q) on the grid: entry [i, j] is k_constant(grid[i], grid[j], mu).
+    Cached per mu and read-only, shared by every suite on that mu."""
+    K = np.array([[k_constant(ip, iq, mu) for iq in INV_P_GRID] for ip in INV_P_GRID])
+    K.setflags(write=False)
+    return K
 
 
 def _fold(res: CheckResult, slack: np.ndarray, tol, detail) -> None:
@@ -710,15 +673,13 @@ def _dual_young_probes(bialg: CanonicalBialgebra):
     u = sum_s sign(Nhat_{a,b}^s) P_s against each P_s, which converts any
     negative dual structure constant into a violation of
     ||x *_B y||_inf <= ||x||_inf ||y||_1.  The projections come from the
-    bialgebra's own character table.
+    ring's character table.
     """
     m = bialg.rank
     basis = np.concatenate([np.eye(m), bialg.dims[None, :]])  # x_1 .. x_m, Perron
     pairs = (np.arange(m), np.full(m, m))
-    ct, why = bialg._characters
-    if ct is None:
-        return (basis, *pairs), why
     try:
+        ct = spectral.character_table(bialg.fd)
         projs = spectral.dual_projections(bialg.fd, ct)
         nhat = spectral._dual_coefficients(projs, ct)
     except _SPECTRAL_ERRORS as exc:

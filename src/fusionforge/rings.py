@@ -85,8 +85,10 @@ class FusionData:
     ``exact`` and ``mode`` (``"exact"`` or ``"float"``) are read off the
     tensor's dtype, so they cannot disagree with the data.  Instances are
     immutable; the Frobenius-Perron dimension vector is computed lazily
-    and cached (write-once).  ``_char_table`` holds the character table
-    the search stored, with read-only arrays (write-once; None otherwise).
+    and cached (write-once).  Every ring keeps its table once computed:
+    ``_char_table`` holds the character table ``spectral.character_table``
+    or the search computed, with read-only arrays (write-once; None until
+    then, and for a ring whose table raises).
     """
 
     __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims", "_char_table")
@@ -104,11 +106,10 @@ class FusionData:
 
     def __setstate__(self, state):
         # unpickling (as from a worker process) restores arrays writeable:
-        # freeze them again, the cached ones included
+        # freeze them again, the cached ones included (a table freezes its own)
         for name, value in state[1].items():
             setattr(self, name, value)
-        ct = self._char_table
-        for a in (self.tensor, self.dual, self._fp_dims) + ((ct.lam, ct.vectors) if ct else ()):
+        for a in (self.tensor, self.dual, self._fp_dims):
             if a is not None:
                 a.setflags(write=False)
 

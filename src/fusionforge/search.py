@@ -39,7 +39,7 @@ twice means the symmetry breaking failed, and raises.
 A unit's found tensors are then handled as stacks, not one by one: one
 fancy index per relabeling keys them all, one stacked check verifies
 the axioms, and the character tables of the commutative rings are
-computed together and stored on the rings, so the Schur test of
+computed together, each kept by its ring, so the Schur test of
 ``classify`` and every later ``character_table`` call read them.
 
 Each (type, involution) unit becomes flat int64 arrays, each built by
@@ -922,8 +922,8 @@ def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
 
 def _collect(found, group, dual, label_prefix) -> list:
     """The found tensors as rings, sorted by canonical key under
-    ``group``, checked against the axioms, each commutative one with its
-    character table stored on it; keys, checks and tables are computed
+    ``group``, checked against the axioms, each commutative one keeping
+    its character table; keys, checks and tables are computed
     for stacks of ``COLLECT_CHUNK`` tensors.  The lex-leader test keeps
     one tensor per isomorphism class, so two tensors with one key mean
     the symmetry breaking is wrong and raise InvalidSearchResult, as does
@@ -947,16 +947,11 @@ def _collect(found, group, dual, label_prefix) -> list:
             summary = rings.verify_axioms(chunk[int(np.argmin(holds))]).summary()
             raise InvalidSearchResult(f"search emitted an invalid ring: {summary}")
         commutative = [fd for fd in chunk if rings.is_commutative(fd)]
-        if not commutative:
-            continue
-        try:
-            tables = spectral._character_tables(commutative)
-        except DegenerateSpectrum:
-            continue  # stored on none: character_table recomputes each and raises as before
-        for fd, ct in zip(commutative, tables):
-            ct.lam.setflags(write=False)
-            ct.vectors.setflags(write=False)
-            fd._char_table = ct
+        if commutative:
+            try:
+                spectral._character_tables(commutative)
+            except DegenerateSpectrum:
+                pass  # kept by none: character_table recomputes each and raises as before
     return out
 
 

@@ -17,9 +17,9 @@ matrices drawn with a fixed seed, so the draws depend only on the rank.
 Tables are therefore computed in stacks: every ring of a stack takes
 the same draw, one stacked ``eigh`` diagonalizes them all, and a ring
 whose draw fails moves on to the next draw alone.  A single ring is a
-stack of one.  The search computes the tables of the commutative rings
-it returns this way and stores each on its ring, where
-``character_table`` finds it.
+stack of one.  Every ring keeps its table once computed, with read-only
+arrays, whoever asks first: ``character_table`` of one ring, or the
+search for the commutative rings it returns.
 """
 
 from __future__ import annotations
@@ -73,6 +73,23 @@ class CharacterTable:
     def fp_column(self) -> np.ndarray:
         return self.lam[:, 0].real
 
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """sum_j |lambda_jt|^2 of each column t: 1 / tau(P_t) of the dual
+        minimal projection P_t.  One sum per column, since an axis-0 sum
+        adds in another order; kept read-only after the first use."""
+        norms = np.array([np.sum(np.abs(self.lam[:, t]) ** 2) for t in range(self.rank)])
+        norms.setflags(write=False)
+        return norms
+
+    def __setstate__(self, state):
+        # unpickling (as from a worker process) restores arrays writeable:
+        # freeze them again, the cached norms included
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
     def conjugate_column(self, j: int) -> int:
         """Index of the character equal to the complex conjugate of column j."""
         target = np.conj(self.lam[:, j])
@@ -95,10 +112,10 @@ def character_table(fd: FusionData) -> CharacterTable:
     The validated table does not depend on the seed beyond rounding
     (eigenvector phases are fixed and columns are canonically ordered).
 
-    The draws depend only on the rank, so ``_character_tables`` computes
-    the tables of many rings of one rank as one stack; the search stores
-    the tables of the rings it returns on them, and this returns the
-    stored table when there is one.  A table computed here is not stored.
+    Every ring keeps its table once computed, so this computes a ring's
+    table once and returns the kept one after that.  The draws depend only
+    on the rank, so ``_character_tables`` computes the tables of many rings
+    of one rank as one stack.  A ring whose table raises keeps none.
     """
     if fd._char_table is not None:
         return fd._char_table
@@ -111,8 +128,10 @@ def _character_tables(fds: list) -> list:
     """``character_table`` of each of the commutative rings ``fds``, all of
     one rank, as one stack: draw k is the same for every ring, so each
     round is one stacked ``eigh`` of the rings not yet validated, and a
-    ring whose residual fails takes draw k+1, as it would alone.  Raises
-    DegenerateSpectrum if any ring fails, as that ring alone would."""
+    ring whose residual fails takes draw k+1, as it would alone.  Each ring
+    without a table keeps its own, with read-only arrays (write-once).
+    Raises DegenerateSpectrum if any ring fails, as that ring alone would;
+    then no ring of the stack keeps a table."""
     m = fds[0].rank
     N = np.array([fd.tensor for fd in fds], dtype=float)
     dual = np.array([fd.dual for fd in fds])
@@ -139,12 +158,17 @@ def _character_tables(fds: list) -> list:
             pick = (ring[:, :, None], cols[:, None], order[:, None, :])  # columns by order
             lam, V = lam[pick], V[pick]
             lam[:, :, 0] = lam[:, :, 0].real
+            lam.setflags(write=False)
+            V.setflags(write=False)
             for b, lam_b, V_b, res, perm in zip(todo[ok], lam, V, residual[ok].tolist(),
                                                 order.tolist()):
                 tables[b] = CharacterTable(lam_b, V_b, res, tuple(perm))
         last_residual = residual[~ok]
         todo = todo[~ok]
         if not todo.size:
+            for fd, ct in zip(fds, tables):
+                if fd._char_table is None:
+                    fd._char_table = ct
             return tables
 
     raise DegenerateSpectrum(
@@ -232,8 +256,7 @@ def dual_projections(fd: FusionData, ct: CharacterTable) -> np.ndarray:
         raise NotCommutative("dual projections require a commutative ring")
     m = fd.rank
     N = np.asarray(fd.tensor, dtype=float)
-    # one sum per column: an axis-0 sum adds in another order
-    norm = np.array([np.sum(np.abs(ct.lam[:, j]) ** 2) for j in range(m)])
+    norm = ct.norms
     if np.any(norm <= 0):
         raise NormalizationFailure(
             f"projection {np.argmax(norm <= 0) + 1} has vanishing norm")

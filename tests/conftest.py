@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from fusionforge import corpus as corpus_mod
-from fusionforge import rings
+from fusionforge import rings, spectral
 
 
 @pytest.fixture(scope="session")
 def corpus_entries():
     return corpus_mod.corpus()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def corpus_tables(corpus_entries):
+    """Every commutative corpus ring keeps its character table from the
+    start, so no test's outcome depends on which test computed it first."""
+    for e in corpus_entries:
+        if rings.is_commutative(e.fd):
+            spectral.character_table(e.fd)
 
 
 @pytest.fixture(scope="session")

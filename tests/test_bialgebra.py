@@ -222,7 +222,7 @@ class TestKConstant:
     def assert_table_matches_k_constant(mu):
         # the grid holds the region boundaries, where k_constant takes a minimum
         K = _k_table(mu)
-        assert K.shape == (11, 11)
+        assert K.shape == (11, 11) and not K.flags.writeable and _k_table(mu) is K
         for i, ip in enumerate(INV_P_GRID):
             for j, iq in enumerate(INV_P_GRID):
                 assert K[i, j] == k_constant(ip, iq, mu), (mu, ip, iq)
@@ -424,7 +424,7 @@ class TestInequalitySuite:
         assert payload["num_samples"] == 5
         assert len(payload["checks"]) == 13
 
-    def test_probes_skipped_names_the_reason(self, B60, psl25, monkeypatch):
+    def test_probes_skipped_names_the_reason(self, B60, monkeypatch):
         from fusionforge import spectral
 
         assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
@@ -432,9 +432,8 @@ class TestInequalitySuite:
         def degenerate(fd, *args, **kwargs):
             raise DegenerateSpectrum("forced collapse")
 
-        # a bialgebra keeps its table, so each patch needs a fresh one
         monkeypatch.setattr(spectral, "character_table", degenerate)
-        rep = inequality_suite(canonical_from_fusion_data(psl25), num_samples=3, seed=1)
+        rep = inequality_suite(B60, num_samples=3, seed=1)
         assert rep.probes_skipped == "DegenerateSpectrum: forced collapse"
         assert rep.to_dict()["probes_skipped"] == rep.probes_skipped
         assert rep["dual_young_falsify"].n_evals == 3 + 5  # samples + basis/Perron pairs
@@ -444,7 +443,7 @@ class TestInequalitySuite:
 
         monkeypatch.setattr(spectral, "character_table", broken)
         with pytest.raises(TypeError):
-            inequality_suite(canonical_from_fusion_data(psl25), num_samples=3, seed=1)
+            inequality_suite(B60, num_samples=3, seed=1)
 
     def test_dual_projections_built_once(self, B60, monkeypatch):
         """The targeted probes build the dual projections once and take the
@@ -456,6 +455,18 @@ class TestInequalitySuite:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
         assert len(calls) == 1
+
+    def test_suites_on_one_ring_build_one_table(self, psl25, monkeypatch):
+        from fusionforge import spectral
+
+        fd, calls, real = rings.FusionData(psl25.tensor, psl25.dual), [], spectral._character_tables
+        monkeypatch.setattr(spectral, "_character_tables",
+                            lambda fds: calls.append(len(fds)) or real(fds))
+        assert fd._char_table is None
+        first = inequality_suite(canonical_from_fusion_data(fd), num_samples=20, seed=3)
+        second = inequality_suite(canonical_from_fusion_data(fd), num_samples=20, seed=3)
+        assert calls == [1] and fd._char_table is not None
+        assert second.to_dict() == first.to_dict()  # the kept table answers as the new one did
 
     def test_memory_bounded_by_the_chunk(self):
         import tracemalloc
@@ -488,7 +499,7 @@ class TestInequalitySuite:
 # ---------------------------------------------------------------------------
 # reference: the per-sample inequality loop the batched suite replaced, with
 # its own per-element norms, supports and entropies (side B from the characters
-# term by term on a commutative ring, from eigh(X*X) otherwise)
+# term by term on a commutative ring, from an SVD of each element otherwise)
 
 
 def _p_of(ip):
@@ -498,11 +509,11 @@ def _p_of(ip):
 def _ref_spectrum_b(B, x, lam):
     """Squared singular values and tau-weights of the side-B element x: with
     the character table ``lam`` of a commutative ring, |chi_t(x)|^2 and
-    1 / sum_j |lambda_jt|^2 summed term by term; without one, eigh(X*X)."""
+    1 / sum_j |lambda_jt|^2 summed term by term; without one, the squared
+    singular values of X and the tau-weights of its right singular vectors."""
     if lam is None:
-        X = B.rep(x)
-        w, U = np.linalg.eigh(np.conj(X.T) @ X)
-        return np.maximum(w, 0.0), np.abs(U[0, :]) ** 2
+        _, s, vh = np.linalg.svd(B.rep(x))
+        return s * s, np.abs(vh[:, 0]) ** 2
     m = B.rank
     chi = [sum(x.coeffs[j] * lam[j, t] for j in range(m)) for t in range(m)]
     omega = [1.0 / sum(abs(lam[j, t]) ** 2 for j in range(m)) for t in range(m)]
@@ -697,13 +708,13 @@ def assert_matches_reference(B, num_samples, seed):
 
 class TestSideBModuli:
     """Side-B norms, supports and entropies: the characters of a commutative
-    ring against an SVD of each element's matrix, and the ``eigh`` route
-    kept for noncommutative rings."""
+    ring against an SVD of each element's matrix, which a noncommutative
+    ring takes itself."""
 
     def test_against_svd(self, corpus_entries):
         rng = np.random.default_rng(5)
-        for e in corpus_entries:
-            B = canonical_from_fusion_data(e.fd)
+        for fd in [e.fd for e in corpus_entries] + [_s3_group_ring()]:
+            B = canonical_from_fusion_data(fd)
             (elements, x, y), _ = bialgebra._dual_young_probes(B)
             probes = [B.element(c, "B") for c in elements]
             xs = probes + [B.conv_b(probes[i], probes[j]) for i, j in zip(x, y)]
@@ -718,7 +729,16 @@ class TestSideBModuli:
                 got = [B.norm(x_b, np.inf if ip == 0 else 1.0 / ip) for ip in INV_P_GRID]
                 got += [B.support(x_b), B.entropy(x_b)]
                 err = np.abs(np.subtract(got, ref))
-                assert err.max() <= 1e-12 * (1 + s[0]), (e.id, k, int(err.argmax()), err.max())
+                assert err.max() <= 1e-12 * (1 + s[0]), (fd.label, k, int(err.argmax()),
+                                                         err.max())
+
+    def test_trivial_projection_of_a_noncommutative_ring(self):
+        # (1/|G|) sum_g g is a rank-one projection of trace 1/|G|; the
+        # square roots of the eigenvalues of X*X read its support as 0.82
+        B = canonical_from_fusion_data(_s3_group_ring())
+        P = B.element(np.full(6, 1 / 6), "B")
+        assert abs(B.support(P) - 1 / 6) <= 1e-12
+        assert abs(B.norm(P, 1) - 1 / 6) <= 1e-12 and abs(B.norm(P, np.inf) - 1) <= 1e-12
 
     def test_tight_probes_exact_to_rounding(self, corpus_entries):
         # the basis/Perron pairs meet the dual Young bound with equality, and
@@ -729,21 +749,21 @@ class TestSideBModuli:
                 assert abs(rep["dual_young_falsify"].worst_slack) <= 1e-12, e.id
 
     def test_no_eigh_on_commutative_rings(self, monkeypatch):
-        real = np.linalg.eigh
+        from fusionforge import spectral
+
         B = canonical_from_fusion_data(corpus.get("si660-14").fd)
-        assert B._characters[0] is not None  # the table's own eigh runs here
+        assert spectral.character_table(B.fd) is B.fd._char_table  # its eigh runs once, here
+        S3, svd, calls = canonical_from_fusion_data(_s3_group_ring()), np.linalg.svd, []
 
         def no_eigh(*args, **kwargs):
-            raise AssertionError("eigh called on a commutative ring")
+            raise AssertionError("eigh called on side B")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         rep = inequality_suite(B, num_samples=300)
         assert rep.num_samples == 300 and rep.probes_skipped is None
 
-        # a noncommutative ring has no table and keeps the stacked eigh
-        monkeypatch.setattr(np.linalg, "eigh", real)
-        S3, calls = canonical_from_fusion_data(_s3_group_ring()), []
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or real(*a))
+        # a noncommutative ring has no table and takes a stacked SVD
+        monkeypatch.setattr(np.linalg, "svd", lambda *a: calls.append(1) or svd(*a))
         rep = inequality_suite(S3, num_samples=300)
         assert rep.probes_skipped.startswith("NotCommutative") and calls
 

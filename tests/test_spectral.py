@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ from oracles import (
     reference_one_ring_character_table,
 )
 from test_search import CENSUS_ROWS, PAPER_FLAGS, units
+
+
+def fresh_copy(fd):
+    """A copy of ``fd`` that keeps no character table yet, its FP dimensions
+    computed (their ``eigh`` is not the table's)."""
+    copy = FusionData(fd.tensor, fd.dual)
+    fp_dimensions(copy)
+    assert copy._char_table is None
+    return copy
 
 
 def match_columns(computed, expected, tol=1e-8):
@@ -212,6 +222,7 @@ class TestCharacterTable:
 
     def test_bad_draw_is_redrawn(self, f210, monkeypatch):
         base = character_table(f210)
+        fd = fresh_copy(f210)
         calls = []
         eigh = np.linalg.eigh
 
@@ -222,19 +233,40 @@ class TestCharacterTable:
                     if len(calls) == 1 else V)
 
         monkeypatch.setattr(np.linalg, "eigh", first_draw_bad)
-        ct = character_table(f210)
+        ct = character_table(fd)
         assert len(calls) == 2
         assert np.max(np.abs(ct.lam - base.lam)) < 1e-8
 
     def test_redraws_then_fails(self, psl25, monkeypatch):
-        fp_dimensions(psl25)  # its own eigh is cached before the count starts
+        fd = fresh_copy(psl25)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(1) or eigh(T))
         monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
         with pytest.raises(DegenerateSpectrum, match=f"after {spectral.REDRAWS} draws"):
-            character_table(psl25)
+            character_table(fd)
         assert len(calls) == spectral.REDRAWS
+
+    def test_ring_keeps_its_table(self, psl25):
+        ct = character_table(psl25)
+        assert character_table(psl25) is ct is psl25._char_table
+        assert ct.norms is ct.norms
+        unpickled = pickle.loads(pickle.dumps(psl25))._char_table  # as from a worker process
+        for t in (ct, unpickled):
+            for a in (t.lam, t.vectors, t.norms):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_ring_whose_table_raises_keeps_none(self, psl25, monkeypatch):
+        fd = fresh_copy(psl25)
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+        for _ in range(2):  # no failure is kept either: the second call draws again
+            with pytest.raises(DegenerateSpectrum):
+                character_table(fd)
+            assert fd._char_table is None
+        monkeypatch.undo()
+        assert character_table(fd) is fd._char_table is not None
 
     def test_residual_and_verify(self, f660):
         ct = character_table(f660)
@@ -252,7 +284,7 @@ class TestCharacterTable:
         base = character_table(f210)
         for seed in range(1, 10):
             monkeypatch.setattr(spectral, "_SEED", seed)
-            ct = character_table(f210)
+            ct = character_table(fresh_copy(f210))
             assert np.max(np.abs(ct.lam - base.lam)) < 1e-8
             assert verify_character_table(f210, ct) <= spectral.RESIDUAL_TOL * 10
 
@@ -265,9 +297,10 @@ class TestCharacterTable:
             base = character_table(e.fd)
             scale = 1 + float(np.max(np.abs(e.fd.tensor))) * e.fd.rank
             for seed in range(100):
+                fd = fresh_copy(e.fd)
                 with monkeypatch.context() as mp:  # the next ring's base keeps _SEED
                     mp.setattr(spectral, "_SEED", seed)
-                    ct = character_table(e.fd)
+                    ct = character_table(fd)
                 residual = verify_character_table(e.fd, ct)
                 assert residual <= spectral.RESIDUAL_TOL * scale, (e.id, seed)
                 assert np.max(np.abs(ct.lam - base.lam)) < 1e-7, (e.id, seed)
@@ -413,9 +446,10 @@ class TestStackedTables:
         """A ring whose draw fails takes the next draw while the others
         keep theirs: each table equals the one-ring table under the same
         failure."""
-        fds = [FusionData(fd.tensor, fd.dual) for fd in search.rank5_three_selfadjoint_family(2)]
-        base = [character_table(fd) for fd in fds]
+        family = search.rank5_three_selfadjoint_family(2)
+        base = [character_table(fd) for fd in family]
         eigh, sizes, bad = np.linalg.eigh, [], 3
+        fds, alone = [fresh_copy(fd) for fd in family], fresh_copy(family[bad])
 
         def first_draw_of_one_ring_bad(T):
             sizes.append(len(T))
@@ -431,8 +465,9 @@ class TestStackedTables:
         for i, (ct, ref) in enumerate(zip(tables, base)):
             if i != bad:
                 assert_same_table(ct, ref, i)
+        assert all(fd._char_table is ct for fd, ct in zip(fds, tables))
         sizes.clear()
-        assert_same_table(tables[bad], character_table(fds[bad]), bad)  # bad draw 1, then draw 2
+        assert_same_table(tables[bad], character_table(alone), bad)  # bad draw 1, then draw 2
         assert sizes == [1, 1]
 
 
