@@ -152,8 +152,6 @@ class CanonicalBialgebra:
         self.dims = fp_dimensions(fd)
         self.mu = float(self.dims @ self.dims)
         self._tensor = np.asarray(fd.tensor, dtype=float)
-        # left-regular representation: rep(x_j)[s, k] = N[j, k, s]
-        self._rep = self._tensor.transpose(0, 2, 1).astype(complex)
 
     # -- constructors ------------------------------------------------------
 
@@ -240,7 +238,7 @@ class CanonicalBialgebra:
     def rep(self, x: Element) -> np.ndarray:
         """Matrix of left multiplication by x on the GNS space of tau (side B)."""
         self._expect(x, "B")
-        return np.einsum("j,jsk->sk", x.coeffs, self._rep)
+        return np.einsum("j,jks->sk", x.coeffs, self._tensor)  # [s, k] = sum_j c_j N[j, k, s]
 
     def _moduli_b(self, coeffs: np.ndarray):
         """Singular values t and tau-weights omega of side-B elements.
@@ -255,7 +253,7 @@ class CanonicalBialgebra:
         try:
             ct = spectral.character_table(self.fd)
         except _SPECTRAL_ERRORS:
-            X = np.einsum("...j,jsk->...sk", coeffs, self._rep)
+            X = np.einsum("...j,jks->...sk", coeffs, self._tensor)
             _, t, Vh = np.linalg.svd(X)
             return t, np.abs(Vh[..., :, 0]) ** 2
         t = np.abs(coeffs @ ct.lam)
@@ -285,7 +283,7 @@ class CanonicalBialgebra:
         sum_t tau(P_t) |chi_t(x)|^p over the characters chi_t and the dual
         minimal projections P_t.
         """
-        if p != np.inf and p < 1:
+        if not p >= 1:  # also rejects a NaN
             raise BadExponent(f"p = {p} is outside [1, inf]")
         return float(_norms(*self._moduli(x), [p])[0])
 
@@ -333,8 +331,8 @@ def canonical_from_fusion_data(fd: FusionData) -> CanonicalBialgebra:
 
 def rank2_family(mu: float) -> CanonicalBialgebra:
     """The rank-2 fusion algebra with FPdim mu >= 2 (d_2 = sqrt(mu-1))."""
-    if mu < 2:
-        raise InfeasibleParams(f"rank-2 family needs mu >= 2, got {mu}")
+    if not 2 <= mu < math.inf:  # also rejects a NaN
+        raise InfeasibleParams(f"rank-2 family needs finite mu >= 2, got {mu}")
     d2 = math.sqrt(mu - 1.0)
     m2 = [[0.0, 1.0], [1.0, (d2 * d2 - 1.0) / d2]]
     fd = new_fusion_data([np.eye(2), np.array(m2)], mode="float", label=f"rank2(mu={mu:g})")
@@ -387,8 +385,8 @@ def rank3_type1(params: Rank3Type1Params) -> CanonicalBialgebra:
 
 def rank3_type2(mu: float) -> CanonicalBialgebra:
     """Rank-3 family with x_2* = x_3, one parameter mu >= 3."""
-    if mu < 3:
-        raise InfeasibleParams(f"rank-3 type II needs mu >= 3, got {mu}")
+    if not 3 <= mu < math.inf:  # also rejects a NaN
+        raise InfeasibleParams(f"rank-3 type II needs finite mu >= 3, got {mu}")
     d = math.sqrt((mu - 1.0) / 2.0)
     lo = (d * d - 1.0) / (2.0 * d)
     hi = (d * d + 1.0) / (2.0 * d)
@@ -408,6 +406,8 @@ def rank3_from_mnq(m: float, n: float, q: float) -> Rank3Type1Params:
     x_2 x_2 = 1 + p x_2 + m x_3, x_2 x_3 = m x_2 + n x_3,
     x_3 x_3 = 1 + n x_2 + q x_3 with p = (m^2 + n^2 - 1 - mq)/n.
     """
+    if not all(map(math.isfinite, (m, n, q))):
+        raise InfeasibleParams(f"(m,n,q)=({m},{n},{q}) must be finite")
     if n <= 0:
         raise InfeasibleParams("n must be positive")
     p = (m * m + n * n - 1 - m * q) / n

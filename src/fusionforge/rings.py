@@ -583,14 +583,10 @@ def are_isomorphic(fd1: FusionData, fd2: FusionData) -> Optional[tuple]:
     used = np.zeros(m, dtype=bool)
     order = sorted(range(1, m), key=lambda j: len(cands[j]))
 
-    def consistent(j: int) -> bool:
-        assigned = [t for t in range(m) if sigma[t] >= 0]
-        for a in assigned:
-            for b in assigned:
-                for c in assigned:
-                    if abs(N1[a, b, c] - N2[sigma[a], sigma[b], sigma[c]]) > tol:
-                        return False
-        return True
+    def consistent() -> bool:  # the tensors agree on every assigned triple
+        a = np.flatnonzero(sigma >= 0)
+        s = sigma[a]
+        return not (np.abs(N1[np.ix_(a, a, a)] - N2[np.ix_(s, s, s)]) > tol).any()
 
     def extend(pos: int) -> bool:
         if pos == len(order):
@@ -605,7 +601,7 @@ def are_isomorphic(fd1: FusionData, fd2: FusionData) -> Optional[tuple]:
                 continue
             sigma[j] = k
             used[k] = True
-            if consistent(j) and extend(pos + 1):
+            if consistent() and extend(pos + 1):
                 return True
             sigma[j] = -1
             used[k] = False

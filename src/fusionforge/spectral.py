@@ -5,7 +5,9 @@ integer (or real) matrices, hence simultaneously diagonalizable.  Each
 joint eigenvector v_j gives a one-dimensional representation (character)
 chi_j with chi_j(x_i) = lambda_{i,j}; the m-by-m array of these values
 is the character table.  Column 1 is always the Frobenius-Perron
-character chi_1 = d.
+character chi_1 = d, found as the one column of real positive values:
+any other chi_j is orthogonal to it, sum_i d_i chi_j(x_i) = 0 with
+chi_j(x_1) = 1, so some Re chi_j(x_i) <= -1 / sum_{i>=2} d_i.
 
 The characters are in bijection with the minimal projections of the
 dual algebra; expanding the dual convolution of two such projections in
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NormalizationFailure, NotCommutative
-from .rings import FusionData, fp_dimensions, is_commutative
+from .rings import FusionData, is_commutative
 
 __all__ = [
     "CharacterTable",
@@ -50,14 +52,15 @@ class CharacterTable:
     """Simultaneous eigenvalue data of the fusion matrices.
 
     ``lam[i, j]`` is the value of character j on basis element i; column
-    0 is the Frobenius-Perron column (all values real positive, equal to
-    the FP dimensions).  ``vectors[:, j]`` is the unit joint eigenvector
-    of character j, phase-fixed so its largest-magnitude component is
-    real positive.  ``residual`` is max_{i,j} ||M_i v_j - lam[i,j] v_j||,
-    at most ``RESIDUAL_TOL`` times a scale of the ring, and
-    ``column_order`` records the permutation applied to the raw
-    eigensolver output (Perron column first, the rest sorted by rounded
-    values).
+    0 is the Frobenius-Perron column, the FP dimensions, and the only one
+    of real positive values (any other character, orthogonal to it, has a
+    value of real part <= -1 / sum_{i>=2} d_i).  ``vectors[:, j]`` is the
+    unit joint eigenvector of character j, phase-fixed so its
+    largest-magnitude component is real positive.  ``residual`` is
+    max_{i,j} ||M_i v_j - lam[i,j] v_j||, at most ``RESIDUAL_TOL`` times a
+    scale of the ring, and ``column_order`` records the permutation applied
+    to the raw eigensolver output (Perron column first, the rest sorted by
+    rounded values).
     """
 
     lam: np.ndarray
@@ -135,7 +138,6 @@ def _character_tables(fds: list) -> list:
     m = fds[0].rank
     N = np.array([fd.tensor for fd in fds], dtype=float)
     dual = np.array([fd.dual for fd in fds])
-    d = np.array([fp_dimensions(fd) for fd in fds])
     scale = np.abs(N).max(axis=(1, 2, 3)) * m + 1.0
     cols = np.arange(m)
     tables = [None] * len(fds)
@@ -154,7 +156,7 @@ def _character_tables(fds: list) -> list:
             top = V[ring, np.abs(V).argmax(axis=1), cols]
             V = V / (top / np.abs(top))[:, None, :]
 
-            order = np.array(_column_order(lam, d[todo[ok]]))
+            order = np.array(_column_order(lam))
             pick = (ring[:, :, None], cols[:, None], order[:, None, :])  # columns by order
             lam, V = lam[pick], V[pick]
             lam[:, :, 0] = lam[:, :, 0].real
@@ -189,22 +191,22 @@ def _draws(m: int, seed: int, redraws: int) -> np.ndarray:
     return c
 
 
-def _column_order(lam: np.ndarray, d: np.ndarray) -> list:
+def _column_order(lam: np.ndarray) -> list:
     """Column permutation of the raw table ``lam``: the Perron column
     first, then the rest in lexicographic order of their values rounded
     to 6 places, row by row and real part before imaginary part, ties
-    kept in eigensolver order.  ``lam`` may be a stack (..., m, m) with
-    d (..., m); the result is then a list of permutations.
+    kept in eigensolver order.  ``lam`` may be a stack (..., m, m); the
+    result is then a list of permutations.
 
-    The Perron column is the first one whose values are real, positive
-    and within 1e-6 (1 + max d) of the FP dimensions d; without one the
-    table raises ``DegenerateSpectrum``.
+    The Perron column is the first one whose values are all real and
+    positive; without one the table raises ``DegenerateSpectrum``.  On a
+    fusion ring no other column qualifies: a character chi_j != d has
+    sum_i d_i chi_j(x_i) = 0 and chi_j(x_1) = 1, so some value has real
+    part at most -1 / sum_{i>=2} d_i.
     """
     m = lam.shape[-1]
     real = np.abs(lam.imag).max(axis=-2) < 1e-6 * (1 + np.abs(lam).max(axis=-2))
-    fp = (np.abs(lam.real - d[..., :, None]).max(axis=-2)
-          < 1e-6 * (1 + d.max(axis=-1, keepdims=True)))
-    perron = real & (lam.real > 0).all(axis=-2) & fp
+    perron = real & (lam.real > 0).all(axis=-2)
     if not perron.any(axis=-1).all():
         raise DegenerateSpectrum("no Frobenius-Perron column found")
     perron = perron.argmax(axis=-1)[..., None]  # the first one

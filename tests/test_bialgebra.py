@@ -157,6 +157,14 @@ class TestNormsSupportsEntropy:
             with pytest.raises(BadExponent):
                 B60.renyi_entropy(B60.unit("A"), t)
 
+    def test_nan_exponent(self, B60):
+        """A NaN p is no exponent, not the sup norm that p = inf gives."""
+        x = B60.element([1, 2j, 0, 0, 1], "A")
+        assert B60.norm(x, np.inf) == pytest.approx(1.0)
+        for side in ("A", "B"):
+            with pytest.raises(BadExponent, match="outside"):
+                B60.norm(x.retag(side), math.nan)
+
     def test_supports(self, B60):
         assert B60.support(B60.unit("A")) == pytest.approx(60.0)
         e2 = B60.element([0, 3, 0, 0, 0], "A")
@@ -246,6 +254,17 @@ class TestFamilies:
         assert B.fd.tensor[1, 1, 1] == pytest.approx((d2 * d2 - 1) / d2)
         with pytest.raises(InfeasibleParams):
             rank2_family(1.5)
+
+    @pytest.mark.parametrize("family", [rank2_family, rank3_type2])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu(self, family, mu):
+        with pytest.raises(InfeasibleParams, match="needs finite mu"):
+            family(mu)
+
+    @pytest.mark.parametrize("mnq", [(math.nan, 1, 0), (0, math.nan, 0), (0, 1, math.inf)])
+    def test_non_finite_mnq(self, mnq):
+        with pytest.raises(InfeasibleParams, match="must be finite"):
+            rank3_from_mnq(*mnq)
 
     def test_rank3_type2_at_mu9(self):
         B = rank3_type2(9.0)

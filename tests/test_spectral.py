@@ -30,10 +30,8 @@ from test_search import CENSUS_ROWS, PAPER_FLAGS, units
 
 
 def fresh_copy(fd):
-    """A copy of ``fd`` that keeps no character table yet, its FP dimensions
-    computed (their ``eigh`` is not the table's)."""
+    """A copy of ``fd`` that keeps no character table yet."""
     copy = FusionData(fd.tensor, fd.dual)
-    fp_dimensions(copy)
     assert copy._char_table is None
     return copy
 
@@ -356,7 +354,8 @@ def spectral_test_rings() -> list:
 class TestAgainstReference:
     """The single ``eigh`` of ``fp_dimensions`` and the lexsort of
     ``_column_order`` against the power iteration and the per-column sort
-    key they replaced."""
+    key they replaced.  ``_column_order`` finds the Perron column by its
+    signs alone; the reference also checks it against the FP dimensions."""
 
     def test_fp_dimensions_and_column_order(self, monkeypatch):
         fds = spectral_test_rings()
@@ -367,22 +366,52 @@ class TestAgainstReference:
         calls = []
         column_order = spectral._column_order
         monkeypatch.setattr(spectral, "_column_order",
-                            lambda lam, d: calls.append((lam, d)) or column_order(lam, d))
+                            lambda lam: calls.append((lam, fd)) or column_order(lam))
         for fd in fds:
             if rings.is_commutative(fd):
                 character_table(FusionData(fd.tensor, fd.dual))  # a fresh copy has no table
         assert len(calls) == len(fds) - 1  # all but the group ring of S3 (FPdim 6)
-        for lam, d in calls:  # each a stack of one table
-            assert column_order(lam, d) == [reference_column_order(lam[0], d[0])]
-            assert column_order(lam[0], d[0]) == reference_column_order(lam[0], d[0])
+        for lam, fd in calls:  # each a stack of one table
+            d = fp_dimensions(fd)
+            assert column_order(lam) == [reference_column_order(lam[0], d)], fd.label
+            assert column_order(lam[0]) == reference_column_order(lam[0], d), fd.label
 
     def test_no_perron_column_raises(self, psl25):
         lam = character_table(psl25).lam.copy()
         d = fp_dimensions(psl25)
-        assert spectral._column_order(lam, d) == reference_column_order(lam, d) == list(range(5))
+        assert spectral._column_order(lam) == reference_column_order(lam, d) == list(range(5))
         lam[1, 0] = -lam[1, 0]
         with pytest.raises(DegenerateSpectrum, match="no Frobenius-Perron column"):
-            spectral._column_order(lam, d)
+            spectral._column_order(lam)
+
+    def test_table_computes_no_fp_dimensions(self, psl25, monkeypatch):
+        ref = character_table(psl25)
+
+        def no_fp_dimensions(fd):
+            raise AssertionError("character_table computed FP dimensions")
+
+        monkeypatch.setattr(rings, "fp_dimensions", no_fp_dimensions)
+        # and the name a ``from .rings import fp_dimensions`` would bind in spectral
+        monkeypatch.setattr(spectral, "fp_dimensions", no_fp_dimensions, raising=False)
+        assert_same_table(character_table(fresh_copy(psl25)), ref, "psl25")
+
+    @pytest.mark.parametrize("name, cells, residual", [
+        ("Z/4", [(1, 1, 2)], "0.433"),
+        ("psl25", [(1, 3, 4), (3, 1, 4)], "0.595"),
+    ])
+    def test_reciprocity_breaking_tensor_raises(self, psl25, name, cells, residual):
+        """A commutative tensor that ``new_fusion_data`` accepts but whose
+        fusion matrices break Frobenius reciprocity has no validated table."""
+        N = np.array((cyclic_group_ring(4) if name == "Z/4" else psl25).tensor)
+        for cell in cells:
+            N[cell] += 1
+        fd = rings.new_fusion_data(list(N))
+        assert rings.is_commutative(fd)
+        with pytest.raises(DegenerateSpectrum, match=(
+                rf"^joint eigenvector validation failed after {spectral.REDRAWS} draws "
+                rf"\(residual {residual}\)$")):
+            character_table(fd)
+        assert fd._char_table is None
 
 
 def assert_same_table(ct, ref, where):
