@@ -40,8 +40,10 @@ print(f"decisive value: {val.real:.12f}  (-65/42 = {-65 / 42:.12f})")
 nhat = spectral.dual_fusion_coefficients(ruled, ct)
 print("min dual structure constant:", nhat.min())
 
-# The vector form of the criterion needs no commutativity; sampling can
-# falsify it (never certify).  On this ring the failing characters hand
-# us a witness immediately.
+# The vector form of the criterion needs no commutativity.  A commutative
+# ring is decided by its character table: when a triple sum fails, the
+# joint eigenvectors of that triple are the witness, and no sample is
+# drawn.  Only a noncommutative ring is sampled, which can falsify the
+# criterion but never certify it.
 w = criteria.schur_noncommutative_falsify(ruled, num_samples=0)
 print("falsifier witness value:", w.value)

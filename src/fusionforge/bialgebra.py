@@ -504,12 +504,10 @@ def rank3_dual_schur(params: Rank3Type1Params) -> dict:
     verdict uses the commutative criterion's ``decision_tol``.
     """
     data = rank3_dual_data(params)
+    d2, d3 = params.d2, params.d3
+    lams = np.array([data.lambda2, data.lambda3])
     # the scaled projections are the columns of the character table
-    lam = np.column_stack([
-        rank3_type1(params).mu * data.q1.coeffs.real,
-        data.nu2 * data.q2.coeffs.real,
-        data.nu3 * data.q3.coeffs.real,
-    ])
+    lam = np.array([[1.0, 1.0, 1.0], [d2, *(-lams / d2)], [d3, *(-(1 - lams) / d3)]])
     rep = criteria._schur_report(lam)
     return {"min_value": rep.worst_value, "holds": rep.holds,
             "worst_triple": rep.worst_triple, "data": data}
@@ -556,8 +554,11 @@ def k_constant(ip: float, iq: float, mu: float) -> float:
     both critical lines, mu^{1/q - 1/2} in the flat-left region, and
     mu^{1/p + 1/q - 1} in the remaining one.  Points on a boundary
     evaluate every applicable formula and take the minimum (the regions
-    agree there by continuity).
+    agree there by continuity), and in float arithmetic they cover the
+    square.  Raises BadExponent for an exponent outside [0, 1].
     """
+    if not (0.0 <= ip <= 1.0 and 0.0 <= iq <= 1.0):  # also rejects a NaN
+        raise BadExponent(f"(1/p, 1/q) = ({ip}, {iq}) is outside [0, 1]^2")
     vals = []
     if iq <= 0.5 and ip + iq <= 1.0:
         vals.append(1.0)
@@ -565,8 +566,6 @@ def k_constant(ip: float, iq: float, mu: float) -> float:
         vals.append(mu ** (iq - 0.5))
     if iq >= 1.0 - ip and ip >= 0.5:
         vals.append(mu ** (ip + iq - 1.0))
-    if not vals:  # interior gaps cannot occur; guard against fp fuzz
-        vals.append(mu ** max(ip + iq - 1.0, iq - 0.5, 0.0))
     return min(vals)
 
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import bialgebra, corpus, criteria, rings, search, spectral
-from .errors import FusionError, ParseError, SearchTimeout, ValidationError
+from .errors import FusionError, ParseError, SearchTimeout
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -104,9 +104,8 @@ def cmd_schur(args) -> int:
         rep = criteria.schur_commutative(ct)
         print(rep)
         if args.all_triples:
-            sums = criteria._triple_sums(ct.lam).real
-            for a, b, c in criteria._sorted_triples(ct.rank):
-                print(f"  ({a + 1},{b + 1},{c + 1}) -> {sums[a, b, c]:.12g}")
+            for (a, b, c), v in zip(criteria._sorted_triples(ct.rank), rep.values):
+                print(f"  ({a + 1},{b + 1},{c + 1}) -> {v:.12g}")
         ok = rep.holds
     else:
         if args.all_triples:
@@ -375,13 +374,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SearchTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except FusionError as exc:
+    except (FusionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

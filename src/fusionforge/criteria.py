@@ -9,7 +9,11 @@ equivalent to
 
 for every triple of columns (j1, j2, j3).  The noncommutative criterion
 quantifies over vectors: sum_i prod_s (u_s^* M_i u_s) / d_i >= 0 for
-all u_1, u_2, u_3; sampling can only falsify it, never certify it.
+all u_1, u_2, u_3.  On a commutative ring u^* M_i u = sum_t
+|<v_t, u>|^2 lambda_{i,t} over the unit joint eigenvectors v_t, so every
+such value is a nonnegative combination of triple sums and the
+character table decides it; on a noncommutative ring sampling can only
+falsify it, never certify it.
 """
 
 from __future__ import annotations
@@ -45,18 +49,20 @@ def decision_tol(mu: float) -> float:
     return 1e-9 * (1.0 + mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurReport:
     """The Schur verdict: the least triple sum ``worst_value`` (at the
     1-based columns ``worst_triple``) against ``tolerance``, the
     ``decision_tol`` of the ring.  It holds when the worst value is at
     least -tolerance, and is inconclusive when it lies in [-tolerance, 0).
+    ``values`` holds the real parts of all triple sums it decided on, a
+    read-only array over the triples a <= b <= c in nested-loop order.
     """
 
     worst_triple: tuple
     worst_value: float
     tolerance: float
-    n_triples: int
+    values: np.ndarray
     max_imag: float
 
     @property
@@ -112,12 +118,13 @@ def _schur_report(lam: np.ndarray) -> SchurReport:
     sums = _triple_sums(lam)
     triples = _sorted_triples(lam.shape[0])
     values = sums.real[tuple(triples.T)]
+    values.flags.writeable = False
     k = int(np.argmin(values))
     return SchurReport(
         tuple(int(i) + 1 for i in triples[k]),
         float(values[k]),
         tol,
-        len(triples),
+        values,
         float(np.max(np.abs(sums.imag))),
     )
 
@@ -145,17 +152,18 @@ def schur_noncommutative_falsify(
     num_samples: int = FALSIFIER_SAMPLES,
     seed: int = 0,
 ) -> Optional[FalsifierWitness]:
-    """Search for vectors violating the representation-based criterion.
+    """Search for vectors violating the representation-based criterion
+    sum_i prod_{s=1..3} (u_s^* M_i u_s) / d_i >= 0.
 
-    Evaluates sum_i prod_{s=1..3} (u_s^* M_i u_s) / d_i on random
-    complex Gaussian triples; when the ring is commutative the joint
-    eigenvectors of the character table are tried first (a failing
-    triple sum transfers directly to a witness).  Returns the first
-    witness with value below -``decision_tol``, else None.  Absence of
-    a witness is NOT a proof that the property holds.
+    A commutative ring is decided by its character table, with no sample
+    drawn: None when ``schur_commutative`` holds, else the joint
+    eigenvectors of its first failing triple a <= b <= c (``sample_index``
+    -1).  A noncommutative ring is sampled with random complex Gaussian
+    triples and the first value below -``decision_tol`` is returned, else
+    None; there the absence of a witness is NOT a proof that the
+    property holds.
     """
     d = fp_dimensions(fd)
-    tol = decision_tol(float(d @ d))
     N = np.asarray(fd.tensor, dtype=complex)
     m = fd.rank
 
@@ -166,15 +174,14 @@ def schur_noncommutative_falsify(
         return float(np.sum(q1 * q2 * q3 / d).real)
 
     if rings.is_commutative(fd):
-        # the first triple a <= b <= c whose sum fails transfers to a witness
         ct = character_table(fd)
-        triples = _sorted_triples(m)
-        failing = _triple_sums(ct.lam).real[tuple(triples.T)] < -tol
-        if failing.any():
-            u = tuple(ct.vectors[:, j] for j in triples[np.argmax(failing)])
-            val = evaluate(*u)
-            if val < -tol:
-                return FalsifierWitness(u, val, -1)
+        rep = schur_commutative(ct)
+        if rep.holds:
+            return None
+        first = int(np.argmax(rep.values < -rep.tolerance))
+        u = tuple(ct.vectors[:, j] for j in _sorted_triples(m)[first])
+        return FalsifierWitness(u, evaluate(*u), -1)
+    tol = decision_tol(global_fpdim(fd))
     rng = np.random.default_rng(seed)
     for counter in range(num_samples):
         u = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))

@@ -135,7 +135,10 @@ class FusionData:
         )
 
     def __hash__(self):
-        return hash((self.rank, self.tensor.tobytes(), self.dual.tobytes()))
+        # by value, as __eq__ compares: an integer tensor hashes as its
+        # float copy, and adding 0.0 turns each -0.0 into 0.0
+        values = self.tensor.astype(np.float64) + 0.0
+        return hash((self.rank, values.tobytes(), self.dual.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -407,19 +410,11 @@ def type_signature(fd: FusionData) -> TypeSignature:
     d = np.sort(fp_dimensions(fd))
     integral = bool(np.max(np.abs(d - np.round(d))) <= INTEGER_TOL)
     entries = []
-    if integral:
-        for n in np.round(d).astype(int):
-            n = int(n)
-            if entries and entries[-1][0] == n:
-                entries[-1][1] += 1
-            else:
-                entries.append([n, 1])
-    else:
-        for x in d:
-            if entries and abs(entries[-1][0] - x) <= INTEGER_TOL:
-                entries[-1][1] += 1
-            else:
-                entries.append([float(x), 1])
+    for x in (np.round(d).astype(int).tolist() if integral else d.tolist()):
+        if entries and abs(entries[-1][0] - x) <= INTEGER_TOL:
+            entries[-1][1] += 1
+        else:
+            entries.append([x, 1])
     return TypeSignature(tuple((n, m) for n, m in entries), integral)
 
 

@@ -869,7 +869,7 @@ def _canonical_keys(flat, m, group) -> list:
     return keys
 
 
-#: rings one (type, involution) unit may find before its search stops
+#: rings one search (a (type, involution) unit or the rank-5 family) may find
 UNIT_MAX_RESULTS = 100_000
 
 #: found tensors that ``_collect`` checks and tabulates as one stack; its
@@ -977,7 +977,7 @@ def rank5_three_selfadjoint_family(
     """
     dual = list(RANK5_TEMPLATE_DUAL)
     prob = _build_problem(None, dual, max_mult=max_multiplicity)
-    return _search(prob, dual, "r5sa", node_budget, 200_000, stats)
+    return _search(prob, dual, "r5sa", node_budget, UNIT_MAX_RESULTS, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fusionforge.bialgebra import (
     INV_P_GRID,
     SUITE_CHUNK,
     CheckResult,
+    Element,
     Rank3Type1Params,
     _fold,
     _k_table,
@@ -82,6 +83,17 @@ class TestFourierLayer:
             assert np.argmax(np.abs(jx.coeffs)) == Bz6.fd.dual[j]
             jb = Bz6.modular_conj(Bz6.basis(j, "B"))
             assert np.argmax(np.abs(jb.coeffs)) == j
+
+    def test_element_arithmetic(self):
+        x, y = Element([1, 2], "A"), Element([3, -1], "A")
+        for z, want in ((x + y, [4, 1]), (x - y, [-2, 3]), (2 * x, [2, 4])):
+            assert z.side == "A" and np.array_equal(z.coeffs, want)
+        with pytest.raises(SideMismatch):
+            x + y.retag("B")
+        with pytest.raises(SideMismatch):
+            x - y.retag("B")
+        with pytest.raises(SideMismatch, match="unknown side 'C'"):
+            Element([1], "C")
 
     def test_side_mismatch(self, B60):
         x = B60.basis(1, "A")
@@ -217,6 +229,12 @@ class TestKConstant:
         assert k_constant(1.0, 1.0, mu) == pytest.approx(mu)
         assert k_constant(0.25, 0.75, mu) == pytest.approx(mu**0.25)
         assert k_constant(0.75, 0.75, mu) == pytest.approx(mu**0.5)
+
+    @pytest.mark.parametrize("ip,iq", [(math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5),
+                                       (0.5, 1.5)])
+    def test_exponent_outside_unit_square_raises(self, ip, iq):
+        with pytest.raises(BadExponent):
+            k_constant(ip, iq, 60.0)
 
     def test_continuity_at_boundaries(self):
         mu = 17.0

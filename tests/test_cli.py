@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fusionforge import corpus
+from fusionforge import corpus, criteria, rings, search, spectral
 from fusionforge.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from test_bialgebra import _s3_group_ring
 
@@ -96,6 +96,25 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 4
 
+    def test_chartable_json(self, capsys):
+        code, out, _ = run(capsys, "chartable", "--json", "z3")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["rank"] == 3 and payload["residual"] < 1e-9
+        lam = np.array([[complex(*z) for z in row] for row in payload["table"]])
+        assert np.allclose(lam[:, 0], 1) and np.allclose(lam[0], 1)
+        assert np.allclose(lam.conj().T @ lam, 3 * np.eye(3))
+
+    def test_verify_gate_on_failing_axiom(self, capsys, tmp_path):
+        """x2 x2 = 1, x3 x3 = 1 and x2 x3 = 0 pass every check but associativity."""
+        p = tmp_path / "nonassoc.frt"
+        p.write_text("frt 1\nrank 3\ndual 1 2 3\nmatrix 1\n1 0 0\n0 1 0\n0 0 1\n"
+                     "matrix 2\n0 1 0\n1 0 0\n0 0 0\nmatrix 3\n0 0 1\n0 0 0\n1 0 0\n")
+        code, out, _ = run(capsys, "verify", str(p))
+        assert code == EXIT_OK and "associativity: FAIL at (2, 2, 3, 3)" in out
+        code, gated, _ = run(capsys, "verify", str(p), "--gate")
+        assert code == EXIT_NEGATIVE and gated == out
+
     def test_subrings(self, capsys):
         code, out, _ = run(capsys, "subrings", "z4")
         assert code == EXIT_OK and "{1, 3}" in out
@@ -141,6 +160,19 @@ class TestSearchCommands:
         assert payload["complete"] is True
         assert sum(t["rings_found"] for t in payload["types"]) == 1
         assert sum(t["prune_symmetry"] for t in payload["types"]) > 0
+
+    def test_classify_schur_emit(self, capsys):
+        """Of the two FPdim-21 rank-5 rings, --schur lists and --emit prints
+        the one that passes the Schur criterion."""
+        argv = ("classify", "--fpdim", "21", "--rank", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and "2 ring(s), 0 simple, 1 Schur-pass" in out
+        code, out, _ = run(capsys, *argv, "--schur", "--emit")
+        assert code == EXIT_OK
+        _, text = out.split("total rings: 1\n")
+        fd = corpus.parse_fusion_ring(text)
+        assert fd.rank == 5 and rings.type_signature(fd).fpdim == 21
+        assert criteria.schur_commutative(spectral.character_table(fd)).holds
 
     def test_classify_text_reports_symmetry_prunes(self, capsys):
         code, out, _ = run(capsys, "classify", "--fpdim", "60", "--rank", "5", "--perfect",
@@ -199,6 +231,17 @@ class TestSearchCommands:
         assert "5 ring(s)" in out
         assert all(f"{k}: " in err for k in ("prune_knapsack", "prune_associativity",
                                              "prune_symmetry"))
+
+    def test_rank5_family_emit(self, capsys):
+        code, out, _ = run(capsys, "rank5-family", "--max-mult", "1", "--emit")
+        assert code == EXIT_OK
+        texts = [t.split("\n", 1)[1] for t in out.split("# r5sa-")[1:]]  # drop the label
+        assert [corpus.parse_fusion_ring(t) for t in texts] == \
+            search.rank5_three_selfadjoint_family(1)
+
+    def test_search_timeout_exits_1(self, capsys):
+        code, out, err = run(capsys, "rank5-family", "--max-mult", "4", "--budget-nodes", "10")
+        assert (code, out, err) == (EXIT_NEGATIVE, "", "error: node budget 10 exhausted\n")
 
     def test_bialg_rank3(self, capsys):
         code, out, _ = run(
@@ -282,7 +325,8 @@ class TestSurface:
 def _readme_block(heading):
     """The first fenced block of the README after ``heading``, without its
     language tag."""
-    text = open(os.path.join(ROOT, "README.md")).read()
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
     return text.split(heading, 1)[1].split("```", 2)[1].split("\n", 1)[1]
 
 

@@ -56,6 +56,21 @@ class TestFormat:
             parse_fusion_ring(text)
         assert (exc.value.line, exc.value.column) == (9, 2)
 
+    @pytest.mark.parametrize("text,message,line", [
+        ("frt 1\nrnk 1\n", "expected 'rank m'", 2),
+        ("frt 1\nrank x\n", "bad rank 'x'", 2),
+        ("frt 1\nrank 0\n", "rank must be positive", 2),
+        ("frt 1\nrank 2\n\ndual 1\n", "expected 'dual' with 2 entries", 4),
+        ("frt 1\nrank 1\ndual a\n", "duality entries must be integers", 3),
+        ("frt 1\nrank 1\ndual 1\nmatrix 2\n1\n", "expected 'matrix 1'", 4),
+        ("frt 1\nrank 2\ndual 1 2\nmatrix 1\n1 0 0\n", "expected 2 entries, got 3", 5),
+        ("frt 1\nrank 1\ndual 1\nmatrix 1\n1\n# end\n1\n", "trailing content", 7),
+    ])
+    def test_malformed_line_has_position(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_fusion_ring(text)
+        assert exc.value.line == line
+
     def test_declared_dual_checked(self):
         text = "frt 1\nrank 2\ndual 2 1\nmatrix 1\n1 0\n0 1\nmatrix 2\n0 1\n1 1\n"
         with pytest.raises(ValidationError):

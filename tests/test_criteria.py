@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionforge import corpus, rings
+from fusionforge import corpus, criteria, rings
 from fusionforge.criteria import (
     decision_tol,
     obstruction_report,
@@ -124,7 +124,9 @@ class TestSchurCommutative:
             assert_same_worst(rep.worst_value, rep.worst_triple, worst, triple, values,
                               global_fpdim(e.fd), e.id)
             assert rep.holds == (worst >= -rep.tolerance), e.id
-            assert rep.n_triples == len(values)
+            assert len(rep.values) == len(values), e.id
+            eps = 1e-12 * (1 + global_fpdim(e.fd))
+            assert np.max(np.abs(rep.values - list(values.values()))) <= eps, e.id
 
     def test_tie_goes_to_the_first_triple(self):
         # Z/2: the sums at (1,1,2) and (2,2,2) are both exactly 0
@@ -176,6 +178,27 @@ class TestFalsifier:
             assert abs(w.value - value) <= 1e-9 * (1 + mu), label
             failing.append(label)
         assert failing[0] == "r7-210-ruledout" and len(failing) == 31
+
+    def test_commutative_rings_draw_no_sample(self, corpus_entries, ruled210, monkeypatch):
+        """The character table decides a commutative ring: a witness exactly
+        where schur_commutative fails, and no random draw either way."""
+        cases = [(e.id, e.fd) for e in corpus_entries] + [("r7-210-ruledout", ruled210)]
+        verdicts = [(label, fd, schur_commutative(character_table(fd)).holds)
+                    for label, fd in cases if rings.is_commutative(fd)]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the falsifier drew a random sample")
+
+        monkeypatch.setattr(criteria.np.random, "default_rng", no_draw)
+        witnesses = {}
+        for label, fd, holds in verdicts:
+            w = schur_noncommutative_falsify(fd)
+            assert (w is None) == holds, label
+            if w is not None:
+                witnesses[label] = w
+        assert len(witnesses) == 31
+        tol = decision_tol(global_fpdim(ruled210))
+        assert abs(witnesses["r7-210-ruledout"].value + 65 / 42) <= tol
 
     def test_ruled_out_ring_yields_witness(self, ruled210):
         w = schur_noncommutative_falsify(ruled210, num_samples=0, seed=0)

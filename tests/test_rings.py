@@ -84,6 +84,18 @@ class TestConstruction:
         with pytest.raises(rings.NegativeEntry):
             new_fusion_data([np.eye(2, dtype=int), m2])
 
+    def test_equal_rings_hash_equal(self, psl25):
+        """Equality compares values, so the hash does too: an integer ring
+        and its float copy, and float rings apart only by a -0.0 entry."""
+        text = "frt 1\nrank 2\ndual 1 2\nmatrix 1\n1 {}\n0 1\nmatrix 2\n0 1\n1 0.5\n"
+        pairs = [
+            (psl25, rings.FusionData(psl25.tensor.astype(float), psl25.dual)),
+            (corpus.parse_fusion_ring(text.format("0")),
+             corpus.parse_fusion_ring(text.format("-0.0"))),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
 
 class TestVerifyAxioms:
     def test_all_paper_rings_pass_exactly(self, paper_entries):

@@ -695,6 +695,19 @@ class TestClassify:
         assert len(resumed.all_rings) == len(first.all_rings)
         assert resumed.to_dict()["kernel_backend"] is None
 
+    def test_result_buffer_stop(self, monkeypatch):
+        """A unit with more rings than ``UNIT_MAX_RESULTS`` stops with the
+        first ones: the family search raises with them, and classify
+        reports the unit incomplete."""
+        monkeypatch.setattr(search, "UNIT_MAX_RESULTS", 2)
+        with pytest.raises(SearchTimeout, match="result buffer 2 exhausted") as exc:
+            rank5_three_selfadjoint_family(2)
+        assert len(exc.value.partial) == 2
+        report = classify(SearchConstraints(fpdim=78, rank=5))  # one unit has 3 rings
+        assert not report.complete
+        assert [(len(tr.rings), tr.stats.complete) for tr in report.types
+                if not tr.stats.complete] == [(2, False)]
+
     def test_partial_report_on_budget(self):
         c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
         report = classify(c, node_budget=50)
