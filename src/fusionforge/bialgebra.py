@@ -428,9 +428,12 @@ class Rank3DualData:
     """Spectral data of the dual of the rank-3 type I family.
 
     lambda2 <= lambda3 are the roots of
-    t^2 - (a d3^2 - b d2^2 + 1) t - b d2^2, and the minimal projections
-    of the dual algebra are Q_1 = mu^{-1}(x_1 + d2 x_2 + d3 x_3) and
-    Q_j = nu_j^{-1}(x_1 - (lambda_j/d2) x_2 - ((1-lambda_j)/d3) x_3).
+    t^2 - (a d3^2 - b d2^2 + 1) t - b d2^2.  ``table`` is the closed-form
+    character table of the ring: its columns are (1, d2, d3) and
+    (1, -lambda_j/d2, -(1-lambda_j)/d3), in that order.  The minimal
+    projections of the dual algebra are Q_1 = mu^{-1}(x_1 + d2 x_2 + d3 x_3)
+    and Q_j = nu_j^{-1}(x_1 - (lambda_j/d2) x_2 - ((1-lambda_j)/d3) x_3),
+    with nu_j the squared norm of column j.
     """
 
     params: Rank3Type1Params
@@ -441,6 +444,7 @@ class Rank3DualData:
     q1: Element
     q2: Element
     q3: Element
+    table: spectral.CharacterTable
 
 
 def rank3_dual_data(params: Rank3Type1Params) -> Rank3DualData:
@@ -448,44 +452,30 @@ def rank3_dual_data(params: Rank3Type1Params) -> Rank3DualData:
 
     The labeling follows the counterexample analysis: lambda2 is the
     smaller root (the one with lambda2/d2^2 -> -b^2 in the large-d2
-    regime), lambda3 the larger.  Idempotency and mutual orthogonality
-    are verified to relative tolerance 1e-8; a double root raises
-    DegenerateSpectrum.
+    regime), lambda3 the larger.  The roots are distinct: with
+    u = a d3^2 + 1 >= 1 and w = b d2^2 >= 0 the discriminant is
+    (u - w)^2 + 4w >= 1.
+
+    Each column of the table is a joint eigenvector of the fusion matrices,
+    since sum_s N[i,k,s] lambda_sj = lambda_ij lambda_kj; its unit vector
+    has its largest entry positive.  The projections are those of
+    ``spectral.dual_projections``, which verifies them.
     """
-    params.validate()
+    fd = rank3_type1(params).fd
     d2, d3, a, b = params.d2, params.d3, params.a, params.b
     omega1 = a * d3 * d3 - b * d2 * d2 + 1.0
-    omega2 = -b * d2 * d2
-    disc = omega1 * omega1 - 4.0 * omega2
-    if disc < 0:
-        raise InfeasibleParams("negative discriminant for the dual eigenvalues")
-    root = math.sqrt(disc)
-    lam2, lam3 = (omega1 - root) / 2.0, (omega1 + root) / 2.0
-    scale = max(abs(lam2), abs(lam3), 1.0)
-    if abs(lam3 - lam2) <= 1e-12 * scale:
-        raise DegenerateSpectrum("double root: the two dual projections collapse")
-
-    bialg = rank3_type1(params)
-    mu = bialg.mu
-
-    def q_of(lam, nu):
-        return bialg.element([1.0 / nu, -lam / d2 / nu, -(1 - lam) / d3 / nu], "B")
-
-    nu2 = 1.0 + lam2 * lam2 / (d2 * d2) + (1 - lam2) ** 2 / (d3 * d3)
-    nu3 = 1.0 + lam3 * lam3 / (d2 * d2) + (1 - lam3) ** 2 / (d3 * d3)
-    q1 = bialg.element(np.array([1.0, d2, d3]) / mu, "B")
-    q2, q3 = q_of(lam2, nu2), q_of(lam3, nu3)
-
-    qs = (q1, q2, q3)
-    for i, qi in enumerate(qs):
-        for j, qj in enumerate(qs):
-            prod = bialg.mult(qi, qj).coeffs
-            want = qi.coeffs if i == j else np.zeros(3)
-            if np.max(np.abs(prod - want)) > 1e-8 * (1 + np.max(np.abs(qi.coeffs))):
-                raise DegenerateSpectrum(
-                    f"Q_{i + 1} Q_{j + 1} deviates from the projection relations"
-                )
-    return Rank3DualData(params, lam2, lam3, nu2, nu3, q1, q2, q3)
+    root = math.sqrt(omega1 * omega1 + 4.0 * b * d2 * d2)
+    lams = np.array([omega1 - root, omega1 + root]) / 2.0
+    lam = np.array([[1.0, 1.0, 1.0], [d2, *(-lams / d2)], [d3, *(-(1 - lams) / d3)]])
+    V = lam / np.linalg.norm(lam, axis=0)
+    V *= np.sign(V[np.abs(V).argmax(axis=0), np.arange(3)])
+    lam.setflags(write=False)
+    V.setflags(write=False)
+    residual = spectral._eigen_residual(fd.tensor, V, lam)[1]
+    table = spectral.CharacterTable(lam, V, float(residual))
+    q1, q2, q3 = (Element(P, "B") for P in spectral.dual_projections(fd, table))
+    nu2, nu3 = table.norms[1:].tolist()
+    return Rank3DualData(params, *lams.tolist(), nu2, nu3, q1, q2, q3, table)
 
 
 def rank3_dual_schur(params: Rank3Type1Params) -> dict:
@@ -493,9 +483,9 @@ def rank3_dual_schur(params: Rank3Type1Params) -> dict:
 
     The scaled projections nu_j Q_j have coefficients
     (1, -lambda_j/d2, -(1-lambda_j)/d3), which are exactly the character
-    values of the ring, so these triple products coincide with the
-    character-table triple sums of the commutative Schur criterion.
-    The positive scale nu_i nu_j nu_k > 1 preserves signs but keeps the
+    values of the ring, so these triple products are the triple sums of
+    the commutative Schur criterion on the closed-form table.  The
+    positive scale nu_i nu_j nu_k > 1 preserves signs but keeps the
     decisive negatives O(1) instead of crushing them below the decision
     tolerance (nu_2 ~ 1e4 already at d2 = 1000).
 
@@ -504,11 +494,7 @@ def rank3_dual_schur(params: Rank3Type1Params) -> dict:
     verdict uses the commutative criterion's ``decision_tol``.
     """
     data = rank3_dual_data(params)
-    d2, d3 = params.d2, params.d3
-    lams = np.array([data.lambda2, data.lambda3])
-    # the scaled projections are the columns of the character table
-    lam = np.array([[1.0, 1.0, 1.0], [d2, *(-lams / d2)], [d3, *(-(1 - lams) / d3)]])
-    rep = criteria._schur_report(lam)
+    rep = criteria.schur_commutative(data.table)
     return {"min_value": rep.worst_value, "holds": rep.holds,
             "worst_triple": rep.worst_triple, "data": data}
 
@@ -651,8 +637,6 @@ def _fold(res: CheckResult, slack: np.ndarray, tol, detail) -> None:
     a later batch replaces the worst only when strictly below it.
     ``detail`` turns the argmin's index tuple into its description.
     """
-    if slack.size == 0:
-        return
     i = np.unravel_index(int(np.argmin(slack)), slack.shape)
     res.n_evals += slack.size
     res.violations += int(np.count_nonzero(slack < -tol))

@@ -110,13 +110,18 @@ def schur_triple_sum(ct: CharacterTable, j1: int, j2: int, j3: int) -> complex:
     return complex(_triple_sums(ct.lam)[j1, j2, j3])
 
 
-def _schur_report(lam: np.ndarray) -> SchurReport:
-    """The Schur verdict on the character table ``lam`` (Perron column
-    first) at ``decision_tol``; the worst triple is the first minimum in
-    a <= b <= c order."""
-    tol = decision_tol(float(np.sum(lam[:, 0].real ** 2)))
-    sums = _triple_sums(lam)
-    triples = _sorted_triples(lam.shape[0])
+def schur_commutative(ct: CharacterTable) -> SchurReport:
+    """Scan all column triples j1 <= j2 <= j3 (the sum is symmetric).
+
+    Every triple sum comes from one contraction of the table; the report
+    names the smallest, the first in a <= b <= c order on a tie.  Values
+    in [-tol, 0) are flagged inconclusive rather than failed, with tol the
+    ``decision_tol`` of the ring, whose FPdim is read off the table's
+    Perron column.
+    """
+    tol = decision_tol(float(np.sum(ct.fp_column ** 2)))
+    sums = _triple_sums(ct.lam)
+    triples = _sorted_triples(ct.rank)
     values = sums.real[tuple(triples.T)]
     values.flags.writeable = False
     k = int(np.argmin(values))
@@ -127,17 +132,6 @@ def _schur_report(lam: np.ndarray) -> SchurReport:
         values,
         float(np.max(np.abs(sums.imag))),
     )
-
-
-def schur_commutative(ct: CharacterTable) -> SchurReport:
-    """Scan all column triples j1 <= j2 <= j3 (the sum is symmetric).
-
-    Every triple sum comes from one contraction of the table; the report
-    names the smallest, the first in loop order on a tie.  Values in
-    [-tol, 0) are flagged inconclusive rather than failed, with tol the
-    ``decision_tol`` of the ring.
-    """
-    return _schur_report(ct.lam)
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,9 @@ def new_fusion_data(matrices: Sequence, mode: str = "exact", label=None) -> Fusi
 
     ``matrices[i]`` is the m-by-m matrix with entry (k, s) = N_{i,k}^s;
     matrix 0 must be the identity.  The duality involution is derived
-    from the unit column N[j,k,0].  ``mode="exact"`` rounds the entries
-    to int64 (they must be integers), ``"float"`` casts them to float64.
+    from the unit column N[j,k,0].  Every entry must be finite.
+    ``mode="exact"`` rounds the entries to int64 (they must be integers),
+    ``"float"`` casts them to float64.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
@@ -222,6 +223,8 @@ def new_fusion_data(matrices: Sequence, mode: str = "exact", label=None) -> Fusi
         if M.shape != (m, m):
             raise NonSquare(f"matrix {i + 1} has shape {M.shape}, expected {(m, m)}")
     tensor = np.stack(mats)
+    if not np.isfinite(tensor.astype(float)).all():
+        raise ValueError("structure constants must be finite")
     if mode == "exact":
         if not np.allclose(tensor, np.round(tensor.astype(float))):
             raise ValueError("exact mode requires integer structure constants")
@@ -247,8 +250,6 @@ def new_fusion_data(matrices: Sequence, mode: str = "exact", label=None) -> Fusi
         if len(hits) != 1 or not _close(unit_col[j, hits[0]], 1, tol):
             raise NoDuality(f"row {j + 1} of the unit column is not a standard basis vector")
         dual[j] = hits[0]
-    if dual[0] != 0:
-        raise BadInvolution("dual(1) != 1")
     if not np.array_equal(dual[dual], np.arange(m)):
         raise BadInvolution("derived duality is not an involution")
     return FusionData(tensor, dual, label=label)

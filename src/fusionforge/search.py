@@ -186,15 +186,11 @@ def enumerate_types(constraints: SearchConstraints) -> list:
             if m1 > 1 and constraints.min_d2 > 1:
                 continue  # the second basis element would have dimension 1
             rest = mu - m1  # budget for sum m_i n_i^2 over n_i >= 2
-            if rest < 0:
-                continue
 
             def extend(prev_n, budget, parts, slots):
                 if budget == 0:
                     r = m1 + slots
                     if r < rlo or (rhi is not None and r > rhi):
-                        return
-                    if parts and constraints.min_d2 > parts[0][0]:
                         return
                     if constraints.require_gcd_one and parts:
                         if math.gcd(*(n for n, _ in parts)) != 1:

@@ -60,7 +60,9 @@ class CharacterTable:
     max_{i,j} ||M_i v_j - lam[i,j] v_j||, at most ``RESIDUAL_TOL`` times a
     scale of the ring, and ``column_order`` records the permutation applied
     to the raw eigensolver output (Perron column first, the rest sorted by
-    rounded values).
+    rounded values).  A table built from closed-form columns, such as the
+    rank-3 family's in ``bialgebra.rank3_dual_data``, keeps its given
+    column order and has ``column_order == ()``.
     """
 
     lam: np.ndarray
@@ -148,7 +150,7 @@ def _character_tables(fds: list) -> list:
         Nt = N[todo]
         _, V = np.linalg.eigh(np.einsum("bi,bikl->bkl", c, Nt.astype(complex)))
         lam, residual = _eigen_residual(Nt, V)
-        ok = ~(residual > RESIDUAL_TOL * scale[todo])  # NaN passes, as it always has
+        ok = residual <= RESIDUAL_TOL * scale[todo]
         if ok.any():
             lam, V = lam[ok], V[ok]
             ring = np.arange(len(V))[:, None]
@@ -252,12 +254,14 @@ def dual_projections(fd: FusionData, ct: CharacterTable) -> np.ndarray:
     to scale; idempotency gives the normalization 1 / sum_k |lambda_{k,j}|^2.
     The trace of P_j is ``P[j, 0].real``.  Verifies P_j P_j = P_j,
     P_j P_k = 0 for j != k, and sum_j P_j = 1 within ``RESIDUAL_TOL``
-    times a scale of the table.
+    times 1 + max |P|; a NaN fails every check.
     """
     if not is_commutative(fd):
         raise NotCommutative("dual projections require a commutative ring")
     m = fd.rank
     N = np.asarray(fd.tensor, dtype=float)
+    if not np.isfinite(ct.lam).all():
+        raise NormalizationFailure("the character table has a non-finite value")
     norm = ct.norms
     if np.any(norm <= 0):
         raise NormalizationFailure(
@@ -270,8 +274,8 @@ def dual_projections(fd: FusionData, ct: CharacterTable) -> np.ndarray:
     prod = np.einsum("bk,aks->abs", P, (P @ N.reshape(m, -1)).reshape(m, m, m))
     prod[np.arange(m), np.arange(m)] -= P
     err = np.max(np.abs(prod), axis=2)
-    scale = 1.0 + float(np.max(np.abs(ct.lam)))
-    bad = np.argwhere(np.triu(err > RESIDUAL_TOL * scale))
+    tol = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(P))))
+    bad = np.argwhere(np.triu(~(err <= tol)))
     if len(bad):
         a, b = bad[0]
         raise NormalizationFailure(
@@ -279,7 +283,7 @@ def dual_projections(fd: FusionData, ct: CharacterTable) -> np.ndarray:
         )
     unit = np.zeros(m, dtype=complex)
     unit[0] = 1.0
-    if float(np.max(np.abs(P.sum(axis=0) - unit))) > RESIDUAL_TOL * scale:
+    if not float(np.max(np.abs(P.sum(axis=0) - unit))) <= tol:
         raise NormalizationFailure("projections do not sum to the unit")
     return P
 

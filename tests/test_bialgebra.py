@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fusionforge import bialgebra, corpus, rings
+from fusionforge import bialgebra, corpus, rings, spectral
 from fusionforge.bialgebra import (
     INV_P_GRID,
     SUITE_CHUNK,
@@ -57,6 +57,10 @@ class TestFourierLayer:
         assert y.side == "B" and np.array_equal(y.coeffs, x.coeffs)
         back = B60.fourier_inv(y)
         assert back.side == "A" and np.array_equal(back.coeffs, x.coeffs)
+
+    def test_element_wrong_length(self, B60):
+        with pytest.raises(ValueError, match="expected 5 coefficients"):
+            B60.element([1.0, 2.0], "A")
 
     def test_plancherel(self, B60):
         rng = np.random.default_rng(0)
@@ -284,6 +288,10 @@ class TestFamilies:
         with pytest.raises(InfeasibleParams, match="must be finite"):
             rank3_from_mnq(*mnq)
 
+    def test_rank3_from_mnq_needs_positive_n(self):
+        with pytest.raises(InfeasibleParams, match="n must be positive"):
+            rank3_from_mnq(0, 0, 1)
+
     def test_rank3_type2_at_mu9(self):
         B = rank3_type2(9.0)
         assert np.allclose(B.dims, [1, 2, 2], atol=1e-9)
@@ -415,6 +423,37 @@ class TestRank3Dual:
             worst, triple, values, tol, mu = reference_rank3_dual_schur(p)
             assert_same_worst(res["min_value"], res["worst_triple"], worst, triple, values, mu, p)
             assert res["holds"] == (worst >= -tol), p
+
+
+class TestRank3Table:
+    """The closed-form character table that rank3_dual_data keeps."""
+
+    POINTS = [Rank3Type1Params(1000.0, 500.0, 0.750001), Rank3Type1Params(3.0, 3.0, 0.5),
+              Rank3Type1Params(3.0, 2.0, 1.0), rank3_from_mnq(0, 1, 1)]
+
+    def test_columns_vectors_and_residual(self):
+        for p in self.POINTS:
+            data = rank3_dual_data(p)
+            ct, fd = data.table, rank3_type1(p).fd
+            lams = np.array([data.lambda2, data.lambda3])
+            assert np.array_equal(ct.lam[:, 0], [1.0, p.d2, p.d3])
+            assert np.array_equal(ct.lam[:, 1:], [[1.0, 1.0], -lams / p.d2, -(1 - lams) / p.d3])
+            assert ct.column_order == ()
+            assert not ct.lam.flags.writeable and not ct.vectors.flags.writeable
+            assert np.allclose(np.linalg.norm(ct.vectors, axis=0), 1.0, rtol=1e-15)
+            top = ct.vectors[np.abs(ct.vectors).argmax(axis=0), np.arange(3)]
+            assert (top > 0).all()
+            assert ct.residual == spectral.verify_character_table(fd, ct)
+            scale = np.abs(fd.tensor).max() * 3 + 1.0
+            assert ct.residual <= 1e-6 * spectral.RESIDUAL_TOL * scale, p
+
+    def test_projections_and_norms_come_from_the_table(self):
+        for p in self.POINTS:
+            data = rank3_dual_data(p)
+            P = spectral.dual_projections(rank3_type1(p).fd, data.table)
+            for q, row in zip((data.q1, data.q2, data.q3), P):
+                assert q.side == "B" and np.array_equal(q.coeffs, row)
+            assert [data.nu2, data.nu3] == data.table.norms[1:].tolist()
 
 
 class TestBiprojections:

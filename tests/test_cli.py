@@ -118,6 +118,24 @@ class TestBasicCommands:
     def test_subrings(self, capsys):
         code, out, _ = run(capsys, "subrings", "z4")
         assert code == EXIT_OK and "{1, 3}" in out
+        gated = run(capsys, "subrings", "z4", "--gate")
+        assert gated == (EXIT_NEGATIVE, out, "")  # z4 is not simple
+
+    def test_chartable_text_prints_complex_values(self, capsys):
+        code, out, _ = run(capsys, "chartable", "z3")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0].startswith("character table of z3 (residual ")
+        assert lines[1].split() == ["1", "1", "1"]
+        assert sorted(lines[2].split()[1:]) == ["-0.5+0.866025403784i", "-0.5-0.866025403784i"]
+
+    def test_classify_budget_exhausted_warns(self, capsys):
+        code, out, err = run(capsys, "classify", "--fpdim", "210", "--rank", "7", "--perfect",
+                             "--frobenius", "--min-d2", "3", "--gcd-one", "--exclude-ppp",
+                             "--growth-cap", "--budget-nodes", "64")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "total rings: 0  (INCOMPLETE: budget exhausted)"
+        assert err == "warning: search budget exhausted, report is partial\n"
 
     def test_unknown_ring(self, capsys):
         code, _, err = run(capsys, "verify", "definitely-not-a-ring")

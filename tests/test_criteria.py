@@ -10,7 +10,7 @@ from fusionforge.criteria import (
     schur_triple_sum,
 )
 from fusionforge.rings import cyclic_group_ring, fp_dimensions, global_fpdim
-from fusionforge.spectral import CharacterTable, character_table
+from fusionforge.spectral import CharacterTable, character_table, dual_fusion_coefficients
 
 
 def brute_triple_sum(lam, j1, j2, j3):
@@ -133,6 +133,18 @@ class TestSchurCommutative:
         lam = np.array([[1.0, 1.0], [1.0, -1.0]])
         rep = schur_commutative(CharacterTable(lam, np.eye(2), 0.0))
         assert rep.worst_value == 0.0 and rep.worst_triple == (1, 1, 2)
+
+    def test_dual_coefficients_negative_beyond_rounding_exactly_when_schur_fails(
+            self, corpus_entries):
+        """The dual structure constants of a ring that passes may still dip
+        to rounding level below 0 (psl25: about -6e-18), so the README's
+        reading is "negative beyond rounding", not "negative"."""
+        for e in corpus_entries:
+            ct = character_table(e.fd)
+            low = float(dual_fusion_coefficients(e.fd, ct).min())
+            holds = schur_commutative(ct).holds
+            assert (low < -decision_tol(global_fpdim(e.fd))) == (not holds), e.id
+            assert holds or low <= -1e-3, e.id  # failures are far from rounding
 
     def test_nf924_passes(self):
         fd = corpus.get("nf924").fd

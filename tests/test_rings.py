@@ -51,10 +51,15 @@ class TestConstruction:
     def test_nonsquare(self):
         with pytest.raises(NonSquare):
             new_fusion_data([np.eye(2), np.zeros((2, 3))])
+        with pytest.raises(NonSquare, match="at least one matrix"):
+            new_fusion_data([])
 
     def test_no_unit(self):
         with pytest.raises(NoUnit):
             new_fusion_data([np.zeros((2, 2), dtype=int), np.eye(2, dtype=int)])
+        # x_2 * 1 = x_1: row 1 of matrix 2 is not the second basis vector
+        with pytest.raises(NoUnit, match="x_j \\* 1 != x_j"):
+            new_fusion_data([np.eye(2, dtype=int), [[1, 0], [0, 1]]])
 
     def test_no_duality(self):
         m2 = [[0, 1], [0, 1]]  # unit column of matrix 2 is all zero
@@ -78,6 +83,23 @@ class TestConstruction:
         m4[2, 2] = m4[3, 1] = 1
         with pytest.raises(BadInvolution):
             new_fusion_data([eye, m2, m3, m4])
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, mode, bad):
+        """Checked first: a NaN would fail the unit check and an inf the
+        duality check, each with a message about something else."""
+        with pytest.raises(ValueError, match="must be finite"):
+            new_fusion_data([np.eye(2), [[0, 1], [1, bad]]], mode=mode)
+
+    def test_bad_mode(self):
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'float'"):
+            new_fusion_data([np.eye(1)], mode="fuzzy")
+
+    def test_exact_mode_needs_integers(self):
+        with pytest.raises(ValueError, match="integer structure constants"):
+            new_fusion_data([np.eye(2), [[0, 1], [1, 0.5]]])
+        assert new_fusion_data([np.eye(2), [[0, 1], [1, 0.5]]], mode="float").mode == "float"
 
     def test_negative_entry(self):
         m2 = [[0, 1], [1, -1]]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -67,6 +68,8 @@ class TestEnumerateTypes:
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedSearch):
             enumerate_types(SearchConstraints(fpdim=None))
+        with pytest.raises(UnboundedSearch, match="upper bound must be finite"):
+            SearchConstraints(fpdim=(1, math.inf)).fpdim_range()
 
     def test_growth_cap_filters(self):
         # the rank-7 FPdim-7224 type [[1,1],[3,2],[6,1],[7,1],[8,1],[84,1]]
@@ -142,6 +145,11 @@ class TestEnumerateFusionRings:
         for inv in enumerate_involutions(sig):
             for fd in enumerate_fusion_rings(sig, inv):
                 assert rings.verify_axioms(fd).all_ok
+
+    def test_non_integral_type_rejected(self):
+        sig = TypeSignature(((1.0, 1), (1.618034, 1)), False)
+        with pytest.raises(ValueError, match="requires an integral type"):
+            enumerate_fusion_rings(sig, (0, 1))
 
     def test_node_budget_timeout(self):
         sig = TypeSignature(((1, 1), (5, 3), (6, 1), (7, 2)), True)

@@ -12,7 +12,12 @@ from fusionforge.bialgebra import (
     rank3_type1,
     rank3_type2,
 )
-from fusionforge.errors import DegenerateSpectrum, InfeasibleParams, NotCommutative
+from fusionforge.errors import (
+    DegenerateSpectrum,
+    InfeasibleParams,
+    NormalizationFailure,
+    NotCommutative,
+)
 from fusionforge.rings import FusionData, cyclic_group_ring, fp_dimensions
 from fusionforge.spectral import (
     CharacterTable,
@@ -543,6 +548,57 @@ class TestDualProjections:
             np.round(q.coeffs.real, 8).tolist() for q in (data.q1, data.q2, data.q3)
         )
         assert np.allclose(got, want, atol=1e-7)
+
+
+def scaled_column(ct, j, factor):
+    """``ct`` with column j of its values multiplied by ``factor``."""
+    lam = np.array(ct.lam)
+    lam[:, j] *= factor
+    return CharacterTable(lam, ct.vectors, ct.residual)
+
+
+class TestCorruptedTables:
+    """``dual_projections`` checks at RESIDUAL_TOL * (1 + max|P|), and a
+    NaN fails it instead of slipping past a comparison."""
+
+    def test_any_scaled_column_rejected(self, psl25):
+        ct = character_table(psl25)
+        for j in range(ct.rank):
+            with pytest.raises(NormalizationFailure, match=f"P_{j + 1} \\* P_{j + 1}"):
+                dual_projections(psl25, scaled_column(ct, j, 1 + 1e-6))
+
+    def test_scaled_rank3_column_rejected(self):
+        """At RESIDUAL_TOL * (1 + max|lam|) the lambda_3 column scaled by
+        1 + 1e-6 would pass (error 1.0e-6 against 1.0e-5); at
+        RESIDUAL_TOL * (1 + max|P|) it fails."""
+        from fusionforge.bialgebra import rank3_dual_data
+
+        params = Rank3Type1Params(1000.0, 500.0, 0.750001)
+        ct = rank3_dual_data(params).table
+        with pytest.raises(NormalizationFailure, match="P_3 \\* P_3"):
+            dual_projections(rank3_type1(params).fd, scaled_column(ct, 2, 1 + 1e-6))
+
+    @pytest.mark.parametrize("factor, message", [
+        (np.nan, "non-finite value"), (0.0, "projection 4 has vanishing norm")])
+    def test_degenerate_column_rejected(self, psl25, factor, message):
+        with pytest.raises(NormalizationFailure, match=message):
+            dual_projections(psl25, scaled_column(character_table(psl25), 3, factor))
+
+    def test_nan_residual_is_not_validated(self, monkeypatch):
+        real = spectral._eigen_residual
+        monkeypatch.setattr(spectral, "_eigen_residual",
+                            lambda N, V: (real(N, V)[0], np.full(len(N), np.nan)))
+        z3 = cyclic_group_ring(3)
+        with pytest.raises(DegenerateSpectrum, match="residual nan"):
+            character_table(z3)
+        assert z3._char_table is None
+
+    def test_imaginary_mass_raises(self):
+        z3 = cyclic_group_ring(3)
+        ct = character_table(z3)
+        P = dual_projections(z3, ct) * np.exp(0.25j * np.pi)  # conv picks up a factor i
+        with pytest.raises(NormalizationFailure, match="imaginary mass"):
+            spectral._dual_coefficients(P, ct)
 
 
 class TestDualFusionCoefficients:
