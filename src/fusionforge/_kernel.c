@@ -9,11 +9,12 @@
    Entering depth o (at the start and after each push), the kernel
    narrows orbit o to the interval lo..hi of values that every row
    (j, k) the orbit touches allows, given orbits 0..o-1.  For such a row
-   let R be its residual (d_j d_k less what is placed), CAPR the summed
-   cap * d_s of its open cells (this orbit's included), and W the summed
-   d_s of orbit o's cells in it.  Then
-       v W <= R,   v W >= R - (CAPR - caps[o] W).
-   A row the orbit completes has CAPR = caps[o] W, so there the two force
+   let R be its residual (d_j d_k less what is placed), W the summed d_s
+   of orbit o's cells in it, and REST (orb_row_rest) the summed cap * d_s
+   of its cells at later search positions, fixed by the search order.
+   Then
+       v W <= R,   v W >= R - REST.
+   A row the orbit completes has REST = 0, so there the two force
    v W = R; hi is also at most caps[o].  The values from 0 to caps[o]
    outside lo..hi are counted as knapsack prunes.  R stays nonnegative
    (search._check_kernel_args checks the start), so the integer divisions
@@ -57,13 +58,13 @@ void ff_free(i64 *p) { free(p); }
    entries in one malloc'd block, to be released with ff_free. */
 i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
                   const i64 *cell_idx, const i64 *caps, const i64 *orb_row_ptr,
-                  const i64 *orb_row, const i64 *orb_row_wt, const i64 *row_target,
-                  const i64 *row_capacity, const i64 *eq_ptr, const i64 *eq_data,
+                  const i64 *orb_row, const i64 *orb_row_wt, const i64 *orb_row_rest,
+                  const i64 *row_target, const i64 *eq_ptr, const i64 *eq_data,
                   const i64 *sym, const i64 *init_tensor, i64 node_budget, i64 max_results,
                   i64 *counts, i64 **results)
 {
     const i64 mm = m * m, ncells = mm * m, nwait = norb * nsym;
-    i64 *N = malloc((ncells + 2 * nrows + 4 * norb + 3 * nwait) * sizeof(i64));
+    i64 *N = malloc((ncells + nrows + 4 * norb + 3 * nwait) * sizeof(i64));
     i64 *found = NULL, *grown;
     i64 nfound = 0, room = 0, nodes = 0, prune_knap = 0, prune_assoc = 0, prune_sym = 0;
     i64 status = 0, o = 0, vv, t, e, q, s, r, w, x, lo, hi, g, p, a, i;
@@ -76,12 +77,11 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
     /* wait_g/wait_p + a * nsym: the (g, p) waiting on depth a, wait_n[a]
        of them; pushed + o * nsym: the depths that depth o's current value
        added an entry to, npushed[o] of them */
-    i64 *R = N + ncells, *CAPR = R + nrows, *v = CAPR + nrows, *vhi = v + norb,
+    i64 *R = N + ncells, *v = R + nrows, *vhi = v + norb,
         *wait_n = vhi + norb, *npushed = wait_n + norb, *wait_g = npushed + norb,
         *wait_p = wait_g + nwait, *pushed = wait_p + nwait;
     memcpy(N, init_tensor, ncells * sizeof(i64));
     memcpy(R, row_target, nrows * sizeof(i64));
-    memcpy(CAPR, row_capacity, nrows * sizeof(i64));
     memset(v, 0, 4 * norb * sizeof(i64));
     for (g = 0; g < nsym; g++) {
         a = sym[g * norb];
@@ -99,7 +99,7 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
                 w = orb_row_wt[q];
                 if (R[r] / w < hi)
                     hi = R[r] / w;
-                x = R[r] - CAPR[r] + caps[o] * w;
+                x = R[r] - orb_row_rest[q];
                 if (x > lo * w)
                     lo = (x + w - 1) / w;
             }
@@ -149,11 +149,8 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
             nodes++;
             for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++)
                 N[cell_idx[t]] = vv;
-            for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++) {
-                r = orb_row[q];
-                R[r] -= vv * orb_row_wt[q];
-                CAPR[r] -= caps[o] * orb_row_wt[q];
-            }
+            for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++)
+                R[orb_row[q]] -= vv * orb_row_wt[q];
             ok = 1;
             for (e = eq_ptr[o]; e < eq_ptr[o + 1]; e++) {
                 const i64 *qd = eq_data + 4 * e;
@@ -198,11 +195,8 @@ i64 ff_dfs_kernel(i64 m, i64 norb, i64 nrows, i64 nsym, const i64 *orb_ptr,
         vv = v[o];
         for (t = orb_ptr[o]; t < orb_ptr[o + 1]; t++)
             N[cell_idx[t]] = 0;
-        for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++) {
-            r = orb_row[q];
-            R[r] += vv * orb_row_wt[q];
-            CAPR[r] += caps[o] * orb_row_wt[q];
-        }
+        for (q = orb_row_ptr[o]; q < orb_row_ptr[o + 1]; q++)
+            R[orb_row[q]] += vv * orb_row_wt[q];
         while (npushed[o] > 0)
             wait_n[pushed[o * nsym + --npushed[o]]]--;
         v[o] = vv + 1;

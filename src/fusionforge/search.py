@@ -44,7 +44,7 @@ computed together, each kept by its ring, so the Schur test of
 
 Each (type, involution) unit becomes flat int64 arrays, each built by
 whole-array numpy operations with no loop over cells: orbit numbers,
-caps, search order, cell layout, row capacities, the associativity
+caps, search order, cell layout, each orbit's rows, the associativity
 trigger table and the action of the relabelings on search positions.
 The inner DFS is an iterative loop over those arrays.  It runs as C
 (``_kernel.c``, built on first use with the system C compiler and
@@ -268,9 +268,10 @@ def _build_problem(dims, dual, max_mult=None):
     The kernel's cell arrays list the cells by (search position, flat
     index), and its orbit-row arrays list the distinct rows (j, k) of
     each orbit by (search position, row) with the orbit's summed d_s in
-    the row; there are none without dimensions.  Each orbit is capped by
-    the least row-sum cap floor(d_j d_k / d_s) over its cells and by
-    ``max_mult``.
+    the row and the row's REST, the summed cap * d_s of its cells at
+    later search positions; there are none without dimensions.  Each
+    orbit is capped by the least row-sum cap floor(d_j d_k / d_s) over
+    its cells and by ``max_mult``.
     ``group`` holds the unit's relabelings (``_dedup_group``), the
     identity first, and ``sym`` their action on search positions for the
     kernel's lex-leader test, one row per relabeling but the identity.
@@ -339,13 +340,9 @@ def _build_problem(dims, dual, max_mult=None):
     orb_ptr = np.zeros(norb + 1, dtype=np.int64)
     orb_ptr[1:] = np.bincount(cell_pos, minlength=norb).cumsum()
 
-    # remaining knapsack capacity per row
-    row_capacity = np.zeros(n * n, dtype=np.int64)
-    np.add.at(row_capacity, cell_row, cap[orbit] * cell_wt)
-
     # the distinct rows of each orbit, by (search position, row), with the
-    # summed d_s of the orbit's cells in the row.  Without dimensions there
-    # is no row equation, so every orbit has none.
+    # orbit's summed d_s in the row and the row's REST.  Without dimensions
+    # there is no row equation, so every orbit has none.
     orb_row_ptr = np.zeros(norb + 1, dtype=np.int64)
     if use_dims:
         key, inv = np.unique(cell_pos.astype(np.int64) * n * n + cell_row, return_inverse=True)
@@ -353,8 +350,14 @@ def _build_problem(dims, dual, max_mult=None):
         # float sums of small integers are exact
         orb_row_wt = np.bincount(inv, weights=cell_wt).astype(np.int64)
         orb_row_ptr[1:] = np.bincount(orb_row_pos, minlength=norb).cumsum()
+        # REST, in (row, search position) order: the row's total less its running sum
+        by_row = orb_row.argsort(kind="stable")
+        held = np.bincount(inv, weights=cap[orbit] * cell_wt).astype(np.int64)[by_row].cumsum()
+        last = np.searchsorted(orb_row[by_row], orb_row[by_row], side="right") - 1
+        orb_row_rest = np.empty_like(orb_row)
+        orb_row_rest[by_row] = held[last] - held
     else:
-        orb_row = orb_row_wt = np.zeros(0, dtype=np.int64)
+        orb_row = orb_row_wt = orb_row_rest = np.zeros(0, dtype=np.int64)
 
     # associativity instances (i, j, k, t >= 1), triggered at the orbit
     # that completes their last free cell: the latest search position among
@@ -408,8 +411,8 @@ def _build_problem(dims, dual, max_mult=None):
         "orb_row_ptr": orb_row_ptr,
         "orb_row": orb_row,
         "orb_row_wt": orb_row_wt,
+        "orb_row_rest": orb_row_rest,
         "row_target": row_target,
-        "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
         "sym": sym,
@@ -452,8 +455,8 @@ def _greedy_assoc_order(orb, norb):
 # the problem arrays in the order the C kernel takes them, after m, norb,
 # the number of rows and the number of rows of sym
 _KERNEL_ARRAYS = (
-    "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "row_target",
-    "row_capacity", "eq_ptr", "eq_data", "sym", "init_tensor",
+    "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "orb_row_rest",
+    "row_target", "eq_ptr", "eq_data", "sym", "init_tensor",
 )
 
 
@@ -469,10 +472,11 @@ def _dfs_kernel(prob, node_budget, max_results):
     Entering depth o, the kernel narrows orbit o to the interval lo..hi
     of values that every row (j, k) the orbit touches allows, given the
     orbits before it.  Let R be the row's residual (d_j d_k less what is
-    placed), CAPR the summed cap * d_s of its open cells (this orbit's
-    included), and W the summed d_s of this orbit's cells in it.  Then
-    v W <= R and v W >= R - (CAPR - caps[o] W).  A row the orbit
-    completes has CAPR = caps[o] W, so there the two force v W = R; hi is
+    placed), W the summed d_s of this orbit's cells in it, and REST
+    (``orb_row_rest``) the summed cap * d_s of its cells at later search
+    positions: the most the later orbits can place there, fixed by the
+    search order alone.  Then v W <= R and v W >= R - REST.  A row the
+    orbit completes has REST = 0, so there the two force v W = R; hi is
     also at most caps[o].  The values from 0 to caps[o] outside lo..hi
     are counted as knapsack prunes.
 
@@ -496,12 +500,11 @@ def _dfs_kernel(prob, node_budget, max_results):
     v[o] is the next candidate of orbit o, not yet applied.
     """
     m, norb = prob["m"], prob["norb"]
-    (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, row_target, row_capacity,
+    (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, orb_row_rest, row_target,
      eq_ptr, eq_data, sym, init_tensor) = (prob[k].tolist() for k in _KERNEL_ARRAYS)
     mm = m * m
     N = init_tensor
     R = row_target
-    CAPR = row_capacity
     v = [0] * norb
     vhi = [0] * norb
     # wait[a]: the (g, p) waiting on depth a; pushed[o]: the depths that
@@ -528,7 +531,7 @@ def _dfs_kernel(prob, node_budget, max_results):
                 r = orb_row[q]
                 w = orb_row_wt[q]
                 hi = min(hi, R[r] // w)
-                x = R[r] - CAPR[r] + caps[o] * w
+                x = R[r] - orb_row_rest[q]
                 if x > lo * w:
                     lo = -(-x // w)
             prune_knap += caps[o] + 1 - max(hi - lo + 1, 0)
@@ -575,9 +578,7 @@ def _dfs_kernel(prob, node_budget, max_results):
             for t in range(orb_ptr[o], orb_ptr[o + 1]):
                 N[cell_idx[t]] = vv
             for q in range(orb_row_ptr[o], orb_row_ptr[o + 1]):
-                r = orb_row[q]
-                R[r] -= vv * orb_row_wt[q]
-                CAPR[r] -= caps[o] * orb_row_wt[q]
+                R[orb_row[q]] -= vv * orb_row_wt[q]
             ok = True
             for e in range(eq_ptr[o], eq_ptr[o + 1]):
                 i_, j_, k_, t_ = eq_data[e]
@@ -605,9 +606,7 @@ def _dfs_kernel(prob, node_budget, max_results):
         for t in range(orb_ptr[o], orb_ptr[o + 1]):
             N[cell_idx[t]] = 0
         for q in range(orb_row_ptr[o], orb_row_ptr[o + 1]):
-            r = orb_row[q]
-            R[r] += vv * orb_row_wt[q]
-            CAPR[r] += caps[o] * orb_row_wt[q]
+            R[orb_row[q]] += vv * orb_row_wt[q]
         for a in pushed[o]:
             wait[a].pop()
         pushed[o].clear()
@@ -669,7 +668,7 @@ def _check_kernel_args(a):
         and norb >= 1
         and len(a["caps"]) == norb
         and len(a["init_tensor"]) == m**3
-        and len(a["row_capacity"]) == nrows
+        and len(a["orb_row_rest"]) == len(a["orb_row"])
         and all(len(a[k]) == norb + 1 and a[k][0] == 0 and np.all(np.diff(a[k]) >= 0)
                 for k in ("orb_ptr", "orb_row_ptr", "eq_ptr"))
         and a["orb_ptr"][-1] == len(a["cell_idx"])
@@ -899,20 +898,20 @@ def enumerate_fusion_rings(
         if stats is not None:
             stats.merge(SearchStats(raw_solutions=1))
         return [fd] if rings.verify_axioms(fd).all_ok else []
-    return _search(prob, dual, "found", node_budget, UNIT_MAX_RESULTS, stats)
+    return _search(prob, dual, "found", node_budget, stats)
 
 
-def _search(prob, dual, label_prefix, node_budget, max_results, stats) -> list:
-    """Run the kernel on ``prob`` and return the rings it found, up to
-    isomorphism; SearchTimeout carries them when the kernel stopped early."""
-    status, found, st = _run_kernel(prob, node_budget, max_results)
+def _search(prob, dual, label_prefix, node_budget, stats) -> list:
+    """Run the kernel on ``prob`` and return up to ``UNIT_MAX_RESULTS`` rings,
+    up to isomorphism; SearchTimeout carries them when it stopped early."""
+    status, found, st = _run_kernel(prob, node_budget, UNIT_MAX_RESULTS)
     if stats is not None:
         stats.merge(st)
     out = _collect(found, prob["group"], dual, label_prefix)
     if status == 1:
         raise SearchTimeout(f"node budget {node_budget} exhausted", partial=out)
     if status == 2:
-        raise SearchTimeout(f"result buffer {max_results} exhausted", partial=out)
+        raise SearchTimeout(f"result buffer {UNIT_MAX_RESULTS} exhausted", partial=out)
     return out
 
 
@@ -973,7 +972,7 @@ def rank5_three_selfadjoint_family(
     """
     dual = list(RANK5_TEMPLATE_DUAL)
     prob = _build_problem(None, dual, max_mult=max_multiplicity)
-    return _search(prob, dual, "r5sa", node_budget, UNIT_MAX_RESULTS, stats)
+    return _search(prob, dual, "r5sa", node_budget, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,13 +1109,13 @@ def classify(
     depend on scheduling.  The pool pays when several units are long
     (2 workers cut the FPdim-990 rank-8 row by half) and not on the short
     census rows; the README gives the times.  ``checkpoint`` names a
-    JSONL file: each complete unit is appended with its rings and
+    JSONL file: each complete unit is appended with its rings only and
     flushed as soon as it is taken.  Rerunning with the same path
-    resumes, reusing every stored unit of the same multiplicity cap; a
-    last line without its newline, as a killed run leaves it, is dropped
-    and its unit reruns, and any other bad line raises ParseError.  The
-    wall budget is read from a monotonic clock, so a step in the system
-    clock neither stretches nor cuts it.
+    resumes, reusing every stored unit of the same multiplicity cap, which
+    reports 0 nodes and 0 prunes; a last line without its newline, as a
+    killed run leaves it, is dropped and its unit reruns, and any other
+    bad line raises ParseError.  The wall budget is read from a monotonic
+    clock, so a step in the system clock neither stretches nor cuts it.
     """
     import contextlib
 

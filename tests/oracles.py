@@ -13,9 +13,11 @@ set arithmetic.  The array-built problem must equal it array for array.
 ``reference_dfs_kernel`` is the kernel that tried every value of an
 orbit from 0 to its cap and checked the rows' dimension equations and
 square-sum bounds after applying each one, then the lex-leader test by
-a full rescan of every relabeling.  The interval kernel must find the
-same solutions in the same order with the same prune counts, and skip
-exactly the values this one applied only to prune them.
+a full rescan of every relabeling.  It reads no REST from the build:
+it keeps each row's open capacity itself, from the caps and the cells.
+The interval kernel must find the same solutions in the same order
+with the same prune counts, and skip exactly the values this one
+applied only to prune them.
 
 Both references keep the coefficient and square-sum bounds that the
 search leaves to its orbit caps, so matching them shows the caps imply
@@ -229,25 +231,26 @@ def reference_build_problem(dims, dual, max_mult=None):
     cell_wt = np.array([c[1] for c in flat_cells], dtype=np.int64)
     cell_idx = np.array([c[2] for c in flat_cells], dtype=np.int64)
 
-    # remaining knapsack capacity per row
-    row_capacity = np.zeros(nrows, dtype=np.int64)
+    # the distinct rows of each orbit, in row order, with the summed d_s
+    # of the orbit's cells in each and the row's REST, the summed
+    # cap * d_s of its cells in later orbits; none without dimensions
+    left = [0] * nrows  # per row, the summed cap * d_s of the cells not yet walked
     for oi in range(norb):
         for t in range(orb_ptr[oi], orb_ptr[oi + 1]):
-            row_capacity[cell_row[t]] += caps[oi] * cell_wt[t]
-
-    # the distinct rows of each orbit, in row order, with the summed d_s
-    # of the orbit's cells in each; none without dimensions
+            left[cell_row[t]] += int(caps[oi]) * int(cell_wt[t])
     orb_rows = []
     row_ptr = [0]
     for oi in range(norb):
         per_row = {}
         for t in range(orb_ptr[oi], orb_ptr[oi + 1]):
+            left[cell_row[t]] -= int(caps[oi]) * int(cell_wt[t])
             if use_dims:
                 per_row[int(cell_row[t])] = per_row.get(int(cell_row[t]), 0) + int(cell_wt[t])
-        orb_rows += sorted(per_row.items())
+        orb_rows += [(r, w, left[r]) for r, w in sorted(per_row.items())]
         row_ptr.append(len(orb_rows))
     orb_row_ptr = np.array(row_ptr, dtype=np.int64)
-    orb_row, orb_row_wt = (np.array([x[i] for x in orb_rows], dtype=np.int64) for i in range(2))
+    orb_row, orb_row_wt, orb_row_rest = (
+        np.array([x[i] for x in orb_rows], dtype=np.int64) for i in range(3))
 
     # associativity instances (i, j, k, t >= 1), triggered at the orbit
     # that completes their last free cell: the latest search position among
@@ -300,8 +303,8 @@ def reference_build_problem(dims, dual, max_mult=None):
         "orb_row_ptr": orb_row_ptr,
         "orb_row": orb_row,
         "orb_row_wt": orb_row_wt,
+        "orb_row_rest": orb_row_rest,
         "row_target": row_target,
-        "row_capacity": row_capacity,
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
         "sym": sym,
@@ -374,9 +377,9 @@ def reference_dfs_kernel(prob, node_budget, max_results):
     """
     m, norb = prob["m"], prob["norb"]
     use_dims = len(prob["orb_row"]) > 0  # only a problem with dimensions has orbit rows
-    (orb_ptr, cell_idx, caps, row_target, row_capacity0, eq_ptr, eq_data, sym) = (
+    (orb_ptr, cell_idx, caps, row_target, eq_ptr, eq_data, sym) = (
         prob[k].tolist() for k in ("orb_ptr", "cell_idx", "caps", "row_target",
-                                   "row_capacity", "eq_ptr", "eq_data", "sym"))
+                                   "eq_ptr", "eq_data", "sym"))
     # the square-sum bound min(d_j, d_k)^2 - [k = j*] of each row, read off
     # the dimensions and the unit column N[j,k,0] = [k = j*]
     dd = prob["d"][1:]
@@ -389,7 +392,11 @@ def reference_dfs_kernel(prob, node_budget, max_results):
     ncells = m * m * m
     N = prob["init_tensor"].tolist()
     R = list(row_target)
-    CAPR = list(row_capacity0)
+    # the summed cap * d_s of each row's open cells
+    CAPR = [0] * len(row_target)
+    for o in range(norb):
+        for t in range(orb_ptr[o], orb_ptr[o + 1]):
+            CAPR[cell_row[t]] += caps[o] * cell_wt[t]
     CNT = [m - 1] * len(row_target)
     SS = [0] * len(row_target)
 

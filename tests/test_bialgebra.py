@@ -348,11 +348,10 @@ def sign_agreement_points():
         p = Rank3Type1Params(d2, d3, a)
         try:
             p.validate()
-            r1 = rank3_dual_schur(p)
-            r2 = schur_commutative(character_table(rank3_type1(p).fd))
-        except Exception:
+        except InfeasibleParams:
             continue
-        out.append((p, r1, r2))
+        r2 = schur_commutative(character_table(rank3_type1(p).fd))
+        out.append((p, rank3_dual_schur(p), r2))
     return out
 
 

@@ -381,9 +381,10 @@ class TestKernelFallback:
         """The C kernel divides by each orbit row's weight and
         indexes the row state by its row id and the values by the search
         positions in ``sym``, whose rows its lex-leader test takes for
-        permutations; the checks refuse a zero weight, a row id past the
-        last row, a position outside 0..norb-1, a repeated
-        position and a ``sym`` whose rows are not norb long."""
+        permutations, and REST by the orbit row; the checks refuse a zero
+        weight, a row id past the last row, a position outside 0..norb-1,
+        a repeated position, a ``sym`` whose rows are not norb long and a
+        REST array one entry short or one entry long."""
         from fusionforge.search import _build_problem, _check_kernel_args
 
         prob = _build_problem([1, 3, 3, 4, 5], list(range(5)))
@@ -396,9 +397,12 @@ class TestKernelFallback:
             bad[key].reshape(-1)[-1] = value
             with pytest.raises(ValueError, match="malformed search problem"):
                 _check_kernel_args(bad)
-        for sym in (prob["sym"][:, :-1].copy(), prob["sym"].reshape(-1)):
+        rest = prob["orb_row_rest"]
+        for key, value in (("sym", prob["sym"][:, :-1].copy()), ("sym", prob["sym"].reshape(-1)),
+                           ("orb_row_rest", rest[:-1].copy()),
+                           ("orb_row_rest", np.append(rest, 0))):
             with pytest.raises(ValueError, match="malformed search problem"):
-                _check_kernel_args(dict(prob, sym=sym))
+                _check_kernel_args(dict(prob, **{key: value}))
 
     def test_max_results_is_exact(self):
         """A cap of n returns exactly n solutions, with status 2 only when
@@ -648,6 +652,40 @@ def test_kernel_source_compiles_without_warnings():
     proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", search._C_SOURCE],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_c_kernel_clean_under_sanitizers(tmp_path):
+    """The C kernel built with AddressSanitizer and UBSan, in a child that
+    preloads the ASan runtime, runs every unit of the census rows up to
+    FPdim 660 and the rank-5 family at multiplicities 1, 2 and 4 with no
+    report, and gives the status, counts and solutions of the normal build."""
+    try:
+        libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True).stdout.strip()
+    except OSError:
+        libasan = ""
+    if not os.path.isfile(libasan):
+        pytest.skip("cc has no AddressSanitizer runtime")
+    problems = [(list(sig.dims), list(inv), None) for f, r in CENSUS_ROWS[:-1]
+                for sig, inv in units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+    problems += [(None, list(search.RANK5_TEMPLATE_DUAL), mult) for mult in (1, 2, 4)]
+    script = (
+        "import json, sys; from fusionforge import search; "
+        "search._C_CACHE_DIR = sys.argv[1]; "
+        "search._C_COMMAND += ('-fsanitize=address,undefined', '-fno-sanitize-recover=all'); "
+        "kernel = search._load_c_kernel(); "
+        "runs = [kernel(search._build_problem(*p), 10**9, 10**6) "
+        "        for p in json.loads(sys.argv[2])]; "
+        "print(json.dumps([[*r[:5], r[5].tolist()] for r in runs]))"
+    )
+    proc = run_python(script, str(tmp_path), json.dumps(problems), LD_PRELOAD=libasan,
+                      ASAN_OPTIONS="detect_leaks=0")
+    out, err = proc.communicate(timeout=600)
+    assert proc.returncode == 0, err
+    kernel = search._load_c_kernel()
+    want = [[*r[:5], r[5].tolist()] for r in
+            (kernel(search._build_problem(*p), 10**9, 10**6) for p in problems)]
+    assert len(want) == 66 and json.loads(out) == want
 
 
 class TestCensusRows:
