@@ -40,6 +40,12 @@
    removed when its value is undone.  Each g waits at most once in each
    list, so a list holds at most nsym entries.
 
+   A node then checks the associativity instances (i, j, k, t) of
+   eq_data[eq_ptr[o] .. eq_ptr[o + 1]), up to the first that fails.
+   eq_data holds one instance per dihedral orbit (search._assoc_instances):
+   under Frobenius reciprocity the others are the same equation, so each
+   distinct equation is checked once.
+
    Invariant: orbits 0..o-1 are applied with the values v[0..o-1]; v[o]
    is the next candidate of orbit o, not yet applied. */
 

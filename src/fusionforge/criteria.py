@@ -65,6 +65,11 @@ class SchurReport:
     values: np.ndarray
     max_imag: float
 
+    def __setstate__(self, state):
+        # unpickling (as from a worker process) restores values writeable
+        state["values"].setflags(write=False)
+        self.__dict__.update(state)
+
     @property
     def holds(self) -> bool:
         return self.worst_value >= -self.tolerance
@@ -83,13 +88,14 @@ class SchurReport:
 
 
 def _triple_sums(lam: np.ndarray) -> np.ndarray:
-    """All Schur triple sums of a character table, as an (m, m, m) array.
+    """All Schur triple sums of a character table, as an (m, m, m) array,
+    or of a stack of tables (..., m, m), one (m, m, m) array each.
 
     ``S[a, b, c] = sum_i lam[i,a] lam[i,b] lam[i,c] / lam[i,0]``, with
     the Frobenius-Perron column first; S is symmetric in a, b, c.
     """
-    w = lam / lam[:, 0].real[:, None]  # w[i,j] = lam[i,j]/d_i
-    return np.einsum("ia,ib,ic->abc", lam, lam, w)
+    w = lam / lam[..., 0].real[..., None]  # w[i,j] = lam[i,j]/d_i
+    return np.einsum("...ia,...ib,...ic->...abc", lam, lam, w)
 
 
 @functools.cache
@@ -117,21 +123,31 @@ def schur_commutative(ct: CharacterTable) -> SchurReport:
     names the smallest, the first in a <= b <= c order on a tie.  Values
     in [-tol, 0) are flagged inconclusive rather than failed, with tol the
     ``decision_tol`` of the ring, whose FPdim is read off the table's
-    Perron column.
+    Perron column.  The report is kept on the table (``_schur``,
+    write-once), so this decides a table once, whoever asks first: this
+    function, or the search for the rings it returns.
     """
-    tol = decision_tol(float(np.sum(ct.fp_column ** 2)))
-    sums = _triple_sums(ct.lam)
-    triples = _sorted_triples(ct.rank)
-    values = sums.real[tuple(triples.T)]
-    values.flags.writeable = False
-    k = int(np.argmin(values))
-    return SchurReport(
-        tuple(int(i) + 1 for i in triples[k]),
-        float(values[k]),
-        tol,
-        values,
-        float(np.max(np.abs(sums.imag))),
-    )
+    return _schur_reports([ct])[0]
+
+
+def _schur_reports(tables: list) -> list:
+    """``schur_commutative`` of each of the character tables ``tables``,
+    all of one rank, as one stack: one contraction gives the triple sums
+    of every table without a report, and each of them keeps its own."""
+    todo = [ct for ct in tables if ct._schur is None]
+    if todo:
+        lam = np.array([ct.lam for ct in todo])
+        tol = decision_tol(np.sum(lam[:, :, 0].real ** 2, axis=1))
+        sums = _triple_sums(lam)
+        a, b, c = _sorted_triples(lam.shape[1]).T
+        values = sums.real[:, a, b, c]
+        values.flags.writeable = False
+        worst = values.argmin(axis=1).tolist()
+        imag = np.abs(sums.imag).max(axis=(1, 2, 3)).tolist()
+        for ct, v, k, t, im in zip(todo, values, worst, tol.tolist(), imag):
+            triple = (int(a[k]) + 1, int(b[k]) + 1, int(c[k]) + 1)
+            object.__setattr__(ct, "_schur", SchurReport(triple, float(v[k]), t, v, im))
+    return [ct._schur for ct in tables]
 
 
 @dataclass(frozen=True)

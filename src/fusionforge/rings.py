@@ -88,10 +88,11 @@ class FusionData:
     and cached (write-once).  Every ring keeps its table once computed:
     ``_char_table`` holds the character table ``spectral.character_table``
     or the search computed, with read-only arrays (write-once; None until
-    then, and for a ring whose table raises).
+    then, and for a ring whose table raises).  ``_simple`` holds the flag
+    ``is_simple`` or the search decided (write-once; None until then).
     """
 
-    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims", "_char_table")
+    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims", "_char_table", "_simple")
 
     def __init__(self, tensor, dual, *, label=None):
         tensor = np.asarray(tensor)
@@ -101,6 +102,7 @@ class FusionData:
         self.label = label
         self._fp_dims = None
         self._char_table = None
+        self._simple = None
         self.tensor.setflags(write=False)
         self.dual.setflags(write=False)
 
@@ -350,10 +352,12 @@ def _axiom_residuals(N: np.ndarray, dual: np.ndarray, exact: bool) -> dict:
     frob = np.abs(N[:, None] - np.stack([star, rot], axis=1))
     out["frobenius_reciprocity"] = (frob.max(axis=(1, 2, 3, 4)), tol, frob)
 
-    # sum_s N[i,j,s] N[s,k,t] == sum_s N[j,k,s] N[i,s,t]
-    left = np.einsum("bijs,bskt->bijkt", N, N)
+    # sum_s N[i,j,s] N[s,k,t] == sum_s N[j,k,s] N[i,s,t], each side one
+    # stacked matrix product: (i j, s) by (s, k t), and (j k, s) by each N[i]
+    left = (N.reshape(b, m * m, m) @ N.reshape(b, m, m * m)).reshape((b,) + (m,) * 4)
     assoc_tol = tol if exact else tol * (1 + np.abs(left).max(axis=(1, 2, 3, 4)))
-    diff = np.subtract(left, np.einsum("bjks,bist->bijkt", N, N), out=left)
+    right = (N.reshape(b, 1, m * m, m) @ N).reshape((b,) + (m,) * 4)
+    diff = np.subtract(left, right, out=left)
     np.abs(diff, out=diff)  # in place: the (b, m^4) arrays dominate a stack's memory
     out["associativity"] = (diff.max(axis=(1, 2, 3, 4)), assoc_tol, diff)
     return out
@@ -423,19 +427,25 @@ def type_signature(fd: FusionData) -> TypeSignature:
 # subrings and predicates
 
 
-def _closures(fd: FusionData, gens: np.ndarray) -> np.ndarray:
-    """Close every row of the boolean (b, m) array ``gens`` at once: add
-    the unit, then the duals and the fusion support of each set until no
-    row changes.  Each round adds an element to every row not yet closed,
-    so at most m rounds run."""
-    support = (fd.tensor > _entry_tol(fd.tensor, fd.exact)).astype(np.int64)  # [j, k, s]
+def _closures(fds: Sequence[FusionData], gens: np.ndarray) -> np.ndarray:
+    """Close every set of the boolean (r, b, m) array ``gens`` at once, set
+    ``gens[r, b]`` in ring ``fds[r]`` (all of rank m): add the unit, then
+    the duals and the fusion support of each set until no set changes.
+    Each round adds an element to every set not yet closed, so at most m
+    rounds run."""
+    N = np.array([fd.tensor for fd in fds])
+    r, m = N.shape[:2]
+    tol = np.array([_entry_tol(fd.tensor, fd.exact) for fd in fds])
+    support = (N > tol[:, None, None, None]).astype(np.int64).reshape(r, m, m * m)
+    dual = np.array([fd.dual for fd in fds])[:, None, :]
     S = np.array(gens, dtype=bool)
-    S[:, 0] = True
+    S[..., 0] = True
     while True:
-        # s joins a row when N[j,k,s] > 0 for some j, k in it
+        # s joins a set when N[j,k,s] > 0 for some j, k in it
         T = S.astype(np.int64)
-        new = S | (np.einsum("bj,jks,bk->bs", T, support, T) > 0)
-        new |= new[:, fd.dual]
+        by_k = (T @ support).reshape(*S.shape, m)  # [r, b, k, s]: summed over the j in the set
+        new = S | ((T[..., None, :] @ by_k)[..., 0, :] > 0)
+        new |= np.take_along_axis(new, np.broadcast_to(dual, new.shape), axis=2)
         if np.array_equal(new, S):
             return S
         S = new
@@ -447,9 +457,9 @@ def subring_closure(fd: FusionData, generators: Iterable[int]) -> frozenset:
 
     Indices are 0-based.
     """
-    gens = np.zeros((1, fd.rank), dtype=bool)
-    gens[0, [int(g) for g in generators]] = True
-    return frozenset(np.flatnonzero(_closures(fd, gens)[0]).tolist())
+    gens = np.zeros((1, 1, fd.rank), dtype=bool)
+    gens[0, 0, [int(g) for g in generators]] = True
+    return frozenset(np.flatnonzero(_closures([fd], gens)[0, 0]).tolist())
 
 
 def proper_subrings(fd: FusionData) -> list:
@@ -465,10 +475,10 @@ def proper_subrings(fd: FusionData) -> list:
         raise RankTooLarge(f"rank {m} exceeds subring enumeration cap {SUBRING_RANK_CAP}")
 
     def close(sets):
-        gens = np.zeros((len(sets), m), dtype=bool)
-        for row, S in zip(gens, sets):
+        gens = np.zeros((1, len(sets), m), dtype=bool)
+        for row, S in zip(gens[0], sets):
             row[list(S)] = True
-        return {frozenset(np.flatnonzero(row).tolist()) for row in _closures(fd, gens)}
+        return {frozenset(np.flatnonzero(row).tolist()) for row in _closures([fd], gens)[0]}
 
     closures = close([{j} for j in range(1, m)])
     lattice = set(closures)
@@ -489,9 +499,27 @@ def is_simple(fd: FusionData) -> bool:
     Equivalently, every singleton {j}, j >= 1, generates the whole
     basis: a proper subring S != {1} holds some j != 0 and with it the
     closure of {j}, which is then proper too.  This needs m closures,
-    not the subring lattice, so no rank cap applies.
+    not the subring lattice, so no rank cap applies.  The flag is kept
+    on the ring (``_simple``, write-once), so this decides it once,
+    whoever asks first: this function, or the search for the rings it
+    returns.
     """
-    return bool(_closures(fd, np.eye(fd.rank, dtype=bool)[1:]).all())
+    if fd._simple is None:
+        _decide_simple([fd])
+    return fd._simple
+
+
+def _decide_simple(fds: Sequence[FusionData]) -> None:
+    """Give each of the rings ``fds``, all of one rank, that holds no
+    simple flag yet its flag, from one stacked closure of every singleton
+    of every ring."""
+    todo = [fd for fd in fds if fd._simple is None]
+    if not todo:
+        return
+    m = todo[0].rank
+    gens = np.broadcast_to(np.eye(m, dtype=bool)[1:], (len(todo), m - 1, m))
+    for fd, simple in zip(todo, _closures(todo, gens).all(axis=(1, 2)).tolist()):
+        fd._simple = simple
 
 
 def is_perfect(fd: FusionData) -> bool:

@@ -23,7 +23,9 @@ on three facts:
   separately.
 
 Associativity instances (i, j, k, t >= 1) are checked the moment their
-last cell is assigned.  The relabelings of a unit are the permutations
+last cell is assigned, each distinct equation once: Frobenius
+reciprocity makes up to 8 instances one equation (``_assoc_instances``).
+The relabelings of a unit are the permutations
 that fix the unit, commute with the involution and preserve dimensions
 (all equal when unknown, as in the rank-5 family); every isomorphism
 between two rings with the same dimensions and involution is one.  The
@@ -38,9 +40,11 @@ twice means the symmetry breaking failed, and raises.
 
 A unit's found tensors are then handled as stacks, not one by one: one
 fancy index per relabeling keys them all, one stacked check verifies
-the axioms, and the character tables of the commutative rings are
-computed together, each kept by its ring, so the Schur test of
-``classify`` and every later ``character_table`` call read them.
+the axioms, one stacked closure decides which are simple, and the
+character tables and Schur reports of the commutative rings are
+computed together.  Each ring keeps its flag and table, and each table
+its report, so ``classify`` and every later ``is_simple``,
+``character_table`` or ``schur_commutative`` call read them.
 
 Each (type, involution) unit becomes flat int64 arrays, each built by
 whole-array numpy operations with no loop over cells: orbit numbers,
@@ -55,6 +59,7 @@ for the C kernel.  ``KERNEL_BACKEND`` names the backend in use.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -272,6 +277,10 @@ def _build_problem(dims, dual, max_mult=None):
     later search positions; there are none without dimensions.  Each
     orbit is capped by the least row-sum cap floor(d_j d_k / d_s) over
     its cells and by ``max_mult``.
+    ``eq_data`` holds one associativity instance per dihedral orbit
+    (``_assoc_instances``), so each distinct equation once, sorted by the
+    search position that completes it, with ``eq_ptr`` delimiting each
+    position's; the trigger is four gathers over the kept instances.
     ``group`` holds the unit's relabelings (``_dedup_group``), the
     identity first, and ``sym`` their action on search positions for the
     kernel's lex-leader test, one row per relabeling but the identity.
@@ -359,29 +368,21 @@ def _build_problem(dims, dual, max_mult=None):
     else:
         orb_row = orb_row_wt = orb_row_rest = np.zeros(0, dtype=np.int64)
 
-    # associativity instances (i, j, k, t >= 1), triggered at the orbit
-    # that completes their last free cell: the latest search position among
-    # the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t) over all s.  Cells
-    # with a unit index are fixed and count as position 0.  An instance
-    # with t = 0 reads N[i,j,k*] = N[j,k,i*], which Frobenius reciprocity
-    # makes an identity, so it is left out.
+    # associativity instances, one per equation (``_assoc_instances``),
+    # triggered at the orbit that completes their last free cell: the latest
+    # search position among the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t)
+    # over all s.  Cells with a unit index are fixed and count as position 0.
     pos_of = np.zeros((m, m, m), dtype=orb_pos.dtype)
     pos_of[1:, 1:, 1:] = cell_pos.reshape(n, n, n)
     last_in_row = pos_of.max(axis=2)  # [a, b] -> max_s pos_of[a, b, s]
     last_in_col = pos_of.max(axis=0)  # [b, c] -> max_s pos_of[s, b, c]
     last_in_mid = pos_of.max(axis=1)  # [a, c] -> max_s pos_of[a, s, c]
-    trig = np.maximum(
-        np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, 1:]),
-        np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, 1:]),
-    ).ravel()
+    inst = _assoc_instances(tuple(du.tolist()))
+    i, j, k, t = inst.T
+    trig = np.maximum(np.maximum(last_in_row[i, j], last_in_col[k, t]),
+                      np.maximum(last_in_row[j, k], last_in_mid[i, t]))
     # a stable sort keeps (i, j, k, t) order within each trigger
-    eq_order = trig.argsort(kind="stable")
-    inst = np.empty((n, n, n, n, 4), dtype=np.int64)  # (i, j, k, t) of each instance
-    inst[..., 0] = ar[:, None, None, None]
-    inst[..., 1] = ar[:, None, None]
-    inst[..., 2] = ar[:, None]
-    inst[..., 3] = ar
-    eq_data = inst.reshape(-1, 4).take(eq_order, axis=0)
+    eq_data = inst[trig.argsort(kind="stable")]
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
     eq_by_orbit_ptr[1:] = np.bincount(trig, minlength=norb).cumsum()
 
@@ -419,6 +420,45 @@ def _build_problem(dims, dual, max_mult=None):
         "init_tensor": init_tensor.reshape(-1),
         "group": group,
     }
+
+
+@functools.lru_cache(maxsize=128)
+def _assoc_instances(dual: tuple) -> np.ndarray:
+    """The associativity instances (i, j, k, t >= 1) that the search checks
+    for the involution ``dual``, as a read-only (n, 4) int64 array in lex
+    order: one per equation.
+
+    Instance (i, j, k, t) is the equation
+    sum_s N[i,j,s] N[s,k,t] = sum_s N[j,k,s] N[i,s,t].  Under Frobenius
+    reciprocity r: (i,j,k,t) -> (j,k,t*,i*) and f: (i,j,k,t) -> (k*,j*,i*,t*)
+    each map an instance to the same equation with its sides swapped, read
+    off cells of the same Frobenius orbits, so to the same trigger
+    position.  They generate a dihedral group of order 8 (f r f = r^-1),
+    and only the lex-least instance of each orbit is kept.  An instance
+    that a side-swapping element (r, r^3, f or f r^2) maps to itself is an
+    identity, so its orbit is dropped, as are the instances with t = 0,
+    which read N[i,j,k*] = N[j,k,i*].  The result depends on ``dual``
+    alone, so it is cached per involution.
+    """
+    m = len(dual)
+    du = np.asarray(dual, dtype=np.int64)
+    inst = np.indices((m - 1,) * 4).reshape(4, -1) + 1  # lex order
+
+    def code(x):
+        return ((x[0] * m + x[1]) * m + x[2]) * m + x[3]
+
+    own = code(inst)
+    least = own
+    identity = np.zeros(own.shape, dtype=bool)
+    x = inst
+    for p in range(4):  # x = r^p(inst), which swaps sides for odd p; f x for even p
+        flipped = np.stack([du[x[2]], du[x[1]], du[x[0]], du[x[3]]])
+        least = np.minimum(least, np.minimum(code(x), code(flipped)))
+        identity |= code(flipped if p % 2 == 0 else x) == own
+        x = np.stack([x[1], x[2], du[x[3]], du[x[0]]])
+    out = np.ascontiguousarray(inst[:, (least == own) & ~identity].T)
+    out.setflags(write=False)  # cached, shared by every problem of this involution
+    return out
 
 
 def _greedy_assoc_order(orb, norb):
@@ -495,6 +535,12 @@ def _dfs_kernel(prob, node_budget, max_results):
     assignment, or found to fix it, waits no more.  What depth o adds to
     the later lists is logged and removed when its value is undone, so
     the lists always describe v[0..o-1].
+
+    A node then checks the associativity instances its orbit completes,
+    ``eq_data[eq_ptr[o]:eq_ptr[o + 1]]``, up to the first that fails, and
+    counts an associativity prune if one does.  ``eq_data`` holds one
+    instance per dihedral orbit (``_assoc_instances``): the others are the
+    same equation, so they hold or fail with it.
 
     Invariant: orbits 0..o-1 are applied with the values v[0..o-1];
     v[o] is the next candidate of orbit o, not yet applied.
@@ -801,7 +847,9 @@ class SearchStats:
     dimension interval excluded, so they were never applied (0 without
     dimensions).
     ``prune_associativity``: applied values that failed an associativity
-    instance they completed.
+    equation they completed.  ``eq_data`` holds one instance per dihedral
+    orbit, each distinct equation once, so this counts the values that
+    fail any equation, as a check of every instance would.
     ``prune_symmetry``: values inside the dimension interval that the
     lex-leader test rejected, because a relabeling of the dedup group
     maps the assignment so far to a lexicographically smaller one; they
@@ -867,8 +915,8 @@ def _canonical_keys(flat, m, group) -> list:
 #: rings one search (a (type, involution) unit or the rank-5 family) may find
 UNIT_MAX_RESULTS = 100_000
 
-#: found tensors that ``_collect`` checks and tabulates as one stack; its
-#: associativity check holds a few (n, m^4) arrays
+#: found tensors that ``_collect`` checks, and rings that ``_decide``
+#: decides, as one stack; the associativity check holds a few (n, m^4) arrays
 COLLECT_CHUNK = 256
 
 
@@ -917,12 +965,13 @@ def _search(prob, dual, label_prefix, node_budget, stats) -> list:
 
 def _collect(found, group, dual, label_prefix) -> list:
     """The found tensors as rings, sorted by canonical key under
-    ``group``, checked against the axioms, each commutative one keeping
-    its character table; keys, checks and tables are computed
-    for stacks of ``COLLECT_CHUNK`` tensors.  The lex-leader test keeps
-    one tensor per isomorphism class, so two tensors with one key mean
-    the symmetry breaking is wrong and raise InvalidSearchResult, as does
-    a ring failing an axiom."""
+    ``group``, checked against the axioms, each holding its simple flag
+    and each commutative one its character table and Schur report
+    (``_decide``); keys and checks are computed for stacks of
+    ``COLLECT_CHUNK`` tensors.  The lex-leader test keeps one tensor per
+    isomorphism class, so two tensors with one key mean the symmetry
+    breaking is wrong and raise InvalidSearchResult, as does a ring failing
+    an axiom."""
     m = len(dual)
     if not len(found):
         return []
@@ -941,13 +990,29 @@ def _collect(found, group, dual, label_prefix) -> list:
         if not holds.all():
             summary = rings.verify_axioms(chunk[int(np.argmin(holds))]).summary()
             raise InvalidSearchResult(f"search emitted an invalid ring: {summary}")
+    _decide(out)
+    return out
+
+
+def _decide(fds) -> None:
+    """Store on each of the rings ``fds``, all of one rank, its simple flag
+    and, if it is commutative, its character table and Schur report, each
+    computed for stacks of ``COLLECT_CHUNK`` rings; what a ring already
+    holds is kept.  ``is_simple``, ``character_table`` and
+    ``schur_commutative`` then read them."""
+    for lo in range(0, len(fds), COLLECT_CHUNK):
+        chunk = fds[lo:lo + COLLECT_CHUNK]
+        rings._decide_simple(chunk)
         commutative = [fd for fd in chunk if rings.is_commutative(fd)]
-        if commutative:
+        todo = [fd for fd in commutative if fd._char_table is None]
+        if todo:
             try:
-                spectral._character_tables(commutative)
+                spectral._character_tables(todo)
             except DegenerateSpectrum:
                 pass  # kept by none: character_table recomputes each and raises as before
-    return out
+        tables = [fd._char_table for fd in commutative if fd._char_table is not None]
+        if tables:
+            criteria._schur_reports(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,7 +1163,9 @@ def classify(
     """Run types -> involutions -> tensors -> predicates.
 
     Every type keeps all its rings and the simple and Schur-passing ones
-    among them.  On budget exhaustion the report is returned with
+    among them.  The search decides simplicity and Schur for the rings of
+    each unit as one stack (``_decide``), and rings resumed from a
+    checkpoint are decided the same way, per type.  On budget exhaustion the report is returned with
     ``complete=False`` instead of raising: ``node_budget`` applies to
     each (type, involution) unit, and once ``wall_budget`` seconds have
     passed no further unit is taken and the remaining ones are reported
@@ -1160,6 +1227,7 @@ def classify(
     for tr in types.values():
         for i, fd in enumerate(tr.rings):
             fd.label = f"{tr.signature}-{i + 1}"
+        _decide([fd for fd in tr.rings if fd._simple is None])  # those resumed from a checkpoint
         tr.simple = [fd for fd in tr.rings if rings.is_simple(fd)]
         tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
                          and criteria.schur_commutative(spectral.character_table(fd)).holds]

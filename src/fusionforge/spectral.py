@@ -27,7 +27,7 @@ search for the commutative rings it returns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,13 +62,16 @@ class CharacterTable:
     to the raw eigensolver output (Perron column first, the rest sorted by
     rounded values).  A table built from closed-form columns, such as the
     rank-3 family's in ``bialgebra.rank3_dual_data``, keeps its given
-    column order and has ``column_order == ()``.
+    column order and has ``column_order == ()``.  ``_schur`` holds the
+    ``criteria.SchurReport`` of the table once ``criteria.schur_commutative``
+    or the search decided it (write-once; None until then).
     """
 
     lam: np.ndarray
     vectors: np.ndarray
     residual: float
     column_order: tuple = ()
+    _schur: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:

@@ -256,7 +256,9 @@ def reference_build_problem(dims, dual, max_mult=None):
     # that completes their last free cell: the latest search position among
     # the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t) over all s.  Cells
     # with a unit index are fixed and count as position 0.  Frobenius
-    # reciprocity makes the instances with t = 0 identities.
+    # reciprocity makes the instances with t = 0 identities, and makes the
+    # eight images of an instance (``reference_equation_images``) one
+    # equation, of which only the lex-least instance is kept.
     pos_of = np.zeros((m, m, m), dtype=np.int64)
     for cell, o in orbit_of.items():
         pos_of[cell] = order_index[o]
@@ -267,8 +269,10 @@ def reference_build_problem(dims, dual, max_mult=None):
         np.maximum(last_in_row[1:, 1:, None, None], last_in_col[None, None, 1:, 1:]),
         np.maximum(last_in_row[None, 1:, 1:, None], last_in_mid[1:, None, None, 1:]),
     )
-    # a stable sort keeps (i, j, k, t) order within each trigger
-    eq_order = np.argsort(trig, axis=None, kind="stable")
+    # one instance per equation; a stable sort keeps (i, j, k, t) order
+    # within each trigger
+    kept = np.array(reference_kept_instances(tuple(int(x) for x in dual)), dtype=np.int64)
+    eq_order = kept[np.argsort(trig.ravel()[kept], kind="stable")]
     i, j, k, t = np.unravel_index(eq_order, trig.shape)
     eq_data = np.stack([i + 1, j + 1, k + 1, t + 1], axis=1).astype(np.int64)
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
@@ -311,6 +315,42 @@ def reference_build_problem(dims, dual, max_mult=None):
         "init_tensor": init_tensor,
         "group": np.array(group, dtype=np.int64).reshape(-1, m),
     }
+
+
+def reference_equation_images(inst, dual) -> list:
+    """The eight images of the associativity instance ``inst`` = (i, j, k, t)
+    under the group generated by r: (i,j,k,t) -> (j,k,t*,i*) and
+    f: (i,j,k,t) -> (k*,j*,i*,t*), as (image, whether it swaps the two
+    sides of the equation): r^p swaps for odd p, f r^p for even p."""
+    def r(x):
+        return (x[1], x[2], dual[x[3]], dual[x[0]])
+
+    def f(x):
+        return (dual[x[2]], dual[x[1]], dual[x[0]], dual[x[3]])
+
+    out, x = [], tuple(inst)
+    for p in range(4):
+        out += [(x, p % 2 == 1), (f(x), p % 2 == 0)]
+        x = r(x)
+    return out
+
+
+def reference_keeps_instance(inst, dual) -> bool:
+    """Whether the search checks instance ``inst``: it is the lex-least of
+    its eight images, and no side-swapping image equals it (that would make
+    it an identity)."""
+    images = reference_equation_images(inst, dual)
+    return (min(x for x, _ in images) == tuple(inst)
+            and not any(swaps and x == tuple(inst) for x, swaps in images))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_kept_instances(dual) -> tuple:
+    """The lex positions among all instances (i, j, k, t >= 1) of those that
+    ``reference_keeps_instance`` keeps, for the involution ``dual`` (a tuple)."""
+    free = range(1, len(dual))
+    return tuple(p for p, inst in enumerate(itertools.product(free, repeat=4))
+                 if reference_keeps_instance(inst, dual))
 
 
 @functools.lru_cache(maxsize=None)

@@ -250,6 +250,13 @@ class TestSearchCommands:
         assert all(f"{k}: " in err for k in ("prune_knapsack", "prune_associativity",
                                              "prune_symmetry"))
 
+    def test_rank5_family_counts(self, capsys):
+        """The paper's rank-5 numbers at multiplicity 4."""
+        code, out, _ = run(capsys, "rank5-family", "--max-mult", "4")
+        assert code == EXIT_OK
+        assert out == ("multiplicity <= 4: 47 ring(s) up to equivalence, 4 simple, "
+                       "Schur fails on 6\n")
+
     def test_rank5_family_emit(self, capsys):
         code, out, _ = run(capsys, "rank5-family", "--max-mult", "1", "--emit")
         assert code == EXIT_OK

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fusionforge import corpus, rings, search
+from fusionforge import corpus, criteria, rings, search, spectral
 from fusionforge.errors import InvalidSearchResult, ParseError, SearchTimeout, UnboundedSearch
 from fusionforge.rings import TypeSignature, are_isomorphic
 from fusionforge.search import (
@@ -28,6 +28,8 @@ from oracles import (
     reference_canonical_key,
     reference_dfs_kernel,
     reference_enumerate_types,
+    reference_equation_images,
+    reference_keeps_instance,
 )
 
 PAPER_FLAGS = dict(
@@ -290,6 +292,71 @@ def test_is_simple_matches_subring_lattice(corpus_entries, dims112):
     assert 0 < sum(verdicts) < len(fds)
 
 
+def fresh(fd):
+    """A copy of ``fd`` that holds no stored result yet."""
+    return rings.FusionData(fd.tensor, fd.dual, label=fd.label)
+
+
+def assert_same_report(a, b, where):
+    """Two Schur reports agree bit for bit."""
+    assert (a.worst_triple, a.worst_value, a.tolerance, a.max_imag) == (
+        b.worst_triple, b.worst_value, b.tolerance, b.max_imag), where
+    assert a.values.tobytes() == b.values.tobytes() and not a.values.flags.writeable, where
+
+
+def test_stacked_predicates_match_one_ring_at_a_time(corpus_entries):
+    """The stacked pass (``search._decide``) gives every ring the simple flag
+    and every commutative one the Schur report that the ring alone gets,
+    bit for bit: the 52 corpus rings, the 47 rings of the rank-5 family at
+    multiplicity 4 and the 47 of the census rows FPdim 60-660, stacked by
+    rank, and three float rings of the rank-2 family stacked with the exact
+    rank-2 rings; the S3 group ring, which is noncommutative, gets a flag
+    and no table."""
+    from fusionforge.bialgebra import rank2_family
+
+    perms = list(itertools.permutations(range(3)))
+    s3 = rings.group_ring([[perms.index(tuple(g[i] for i in h)) for h in perms] for g in perms])
+
+    fds = [e.fd for e in corpus_entries] + rank5_three_selfadjoint_family(4)
+    for f, r in CENSUS_ROWS[:-1]:
+        c = SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS)
+        fds += [fd for sig, inv in units(c) for fd in enumerate_fusion_rings(sig, inv, c)]
+    assert len(fds) == 146
+    fds += [rank2_family(mu).fd for mu in (2.5, 3.7, 5.5)] + [s3]
+    stacked = [fresh(fd) for fd in fds]
+    for m in {fd.rank for fd in fds}:
+        search._decide([fd for fd in stacked if fd.rank == m])
+    simple = commutative = 0
+    for fd, got in zip(fds, stacked):
+        alone = fresh(fd)
+        assert got._simple is rings.is_simple(alone), fd.label
+        simple += got._simple
+        if rings.is_commutative(fd):
+            want = criteria.schur_commutative(spectral.character_table(alone))
+            assert got._char_table.lam.tobytes() == alone._char_table.lam.tobytes(), fd.label
+            assert_same_report(got._char_table._schur, want, fd.label)
+            commutative += 1
+        else:
+            assert got._char_table is None, fd.label
+    assert 0 < simple < len(fds) and 0 < commutative < len(fds)
+
+
+def test_search_results_hold_their_predicates():
+    """Every ring the rank-5 family and ``classify`` return already holds its
+    simple flag, and every commutative one its table and Schur report: the
+    stacked pass ran, and ``is_simple`` and ``schur_commutative`` read it."""
+    fam = rank5_three_selfadjoint_family(4)
+    report = classify(SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS))
+    found = fam + report.all_rings
+    assert len(fam) == 47 and len(report.all_rings) == 2
+    for fd in found:
+        assert fd._simple is not None, fd.label
+        if rings.is_commutative(fd):
+            assert fd._char_table is not None and fd._char_table._schur is not None, fd.label
+    assert (sum(fd._simple for fd in fam),
+            sum(not fd._char_table._schur.holds for fd in fam)) == (4, 6)
+
+
 def kernel_backends() -> dict:
     """Every kernel backend that loads here, the Python reference first."""
     found = {"python": search._dfs_kernel}
@@ -464,7 +531,9 @@ class TestKernelFallback:
         instance (i, j, k, t) with t >= 1 fires at the last search position
         among its free cells, and instances are sorted by (trigger, i, j, k,
         t).  The instances with t = 0 are identities under Frobenius
-        reciprocity and are left out."""
+        reciprocity and are left out, and of the eight images of an
+        instance that are one equation only the one
+        ``oracles.reference_keeps_instance`` keeps is in."""
         from fusionforge.search import _build_problem
 
         for dims, dual in [([1, 3, 3, 4, 5], [0, 2, 1, 3, 4]),
@@ -486,11 +555,103 @@ class TestKernelFallback:
                                 for cell in ((i, j, s), (s, k, t), (j, k, s), (i, s, t)):
                                     if min(cell) >= 1:
                                         trig = max(trig, pos[cell])
-                            eqs.append((trig, i, j, k, t))
+                            if reference_keeps_instance((i, j, k, t), dual):
+                                eqs.append((trig, i, j, k, t))
             eqs.sort()
             assert prob["eq_data"].tolist() == [list(e[1:]) for e in eqs]
             ptr = [sum(e[0] <= o for e in eqs) for o in range(prob["norb"])]
             assert prob["eq_ptr"].tolist() == [0] + ptr
+
+
+class TestOneCheckPerEquation:
+    """``eq_data`` holds one associativity instance per dihedral orbit
+    (``search._assoc_instances``).  The oracle is the same problem with the
+    unfiltered table, every instance (i, j, k, t >= 1) sorted by (trigger,
+    i, j, k, t): the kernels must not tell the two apart."""
+
+    @staticmethod
+    def every_instance(prob) -> dict:
+        """``prob`` with the unfiltered (trigger, i, j, k, t) table."""
+        m, norb = prob["m"], prob["norb"]
+        pos = np.zeros(m**3, dtype=np.int64)
+        pos[prob["cell_idx"]] = np.repeat(np.arange(norb), np.diff(prob["orb_ptr"]))
+        pos = pos.reshape(m, m, m)
+        row, col, mid = pos.max(axis=2), pos.max(axis=0), pos.max(axis=1)
+        i, j, k, t = (x.ravel() + 1 for x in np.indices((m - 1,) * 4))
+        trig = np.maximum(np.maximum(row[i, j], col[k, t]), np.maximum(row[j, k], mid[i, t]))
+        order = np.lexsort((t, k, j, i, trig))
+        eq_ptr = np.zeros(norb + 1, dtype=np.int64)
+        eq_ptr[1:] = np.bincount(trig, minlength=norb).cumsum()
+        eq_data = np.ascontiguousarray(np.stack([i, j, k, t], axis=1)[order])
+        return dict(prob, eq_data=eq_data, eq_ptr=eq_ptr)
+
+    def test_kernels_match_unfiltered_table(self):
+        """Status, nodes, the knapsack, associativity and symmetry prunes and
+        the solutions in order are the same on both tables, for every backend
+        and for ``oracles.reference_dfs_kernel``, on the census rows FPdim
+        60-360, FPdim 1-60 at rank <= 6 (both at ``max_mult`` None and 2) and
+        the rank-5 family at multiplicities 1, 2 and 4; and for the compiled
+        backends on the FPdim-660 row, which takes the plain-Python kernels
+        minutes on the unfiltered table."""
+        from fusionforge.search import _build_problem
+
+        kernels = dict(kernel_backends(), reference=reference_dfs_kernel)
+        compiled = {name: k for name, k in kernels.items() if name not in ("python", "reference")}
+        rows = [u for f, r in CENSUS_ROWS[:4] for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        small = [u for u in units(SearchConstraints(fpdim=(1, 60), rank=(1, 6)))
+                 if u[0].rank > 1]
+        f660 = units(SearchConstraints(fpdim=660, rank=8, **PAPER_FLAGS))
+        cases = [(kernels, list(sig.dims), list(inv), max_mult)
+                 for sig, inv in rows + small for max_mult in (None, 2)]
+        cases += [(kernels, None, list(search.RANK5_TEMPLATE_DUAL), mult) for mult in (1, 2, 4)]
+        cases += [(compiled, list(sig.dims), list(inv), None) for sig, inv in f660]
+        fewer = pruned = 0
+        for backends, dims, dual, max_mult in cases:
+            prob = _build_problem(dims, dual, max_mult)
+            full = self.every_instance(prob)
+            fewer += len(prob["eq_data"]) < len(full["eq_data"])
+            for name, kernel in backends.items():
+                got, want = kernel(prob, 10**9, 10**6), kernel(full, 10**9, 10**6)
+                where = (name, dims, dual, max_mult)
+                assert want[0] == 0 and got[:5] == want[:5], where
+                assert np.array_equal(got[5], want[5]), where
+                pruned += got[3] > 0
+        assert fewer == len(cases)
+        assert pruned > 0
+
+    def test_kept_instances(self):
+        """The kept instances are exactly those ``oracles.reference_keeps_instance``
+        keeps, in lex order; 33 of the 256 on the rank-5 template."""
+        from fusionforge.search import _assoc_instances
+
+        duals = [tuple(inv) for m in range(1, 8)
+                 for inv in enumerate_involutions(TypeSignature(((1, m),), True))]
+        for dual in duals + [search.RANK5_TEMPLATE_DUAL]:
+            kept = _assoc_instances(tuple(dual))
+            want = [x for x in itertools.product(range(1, len(dual)), repeat=4)
+                    if reference_keeps_instance(x, dual)]
+            assert kept.tolist() == [list(x) for x in want], dual
+            assert not kept.flags.writeable
+        assert len(_assoc_instances(search.RANK5_TEMPLATE_DUAL)) == 33
+
+    def test_images_are_one_equation(self, corpus_entries):
+        """On every corpus ring, which obeys Frobenius reciprocity, each of the
+        eight images of an instance (``oracles.reference_equation_images``)
+        has the instance's two sides, swapped exactly when the image says so:
+        r and f map each equation to itself."""
+        for e in corpus_entries:
+            fd = e.fd
+            m = fd.rank
+            if m > 7:
+                continue
+            N = fd.tensor
+            left = np.einsum("ijs,skt->ijkt", N, N)
+            right = np.einsum("jks,ist->ijkt", N, N)
+            for x in itertools.product(range(1, m), repeat=4):
+                for y, swaps in reference_equation_images(x, fd.dual.tolist()):
+                    pair = (right[y], left[y]) if swaps else (left[y], right[y])
+                    assert pair == (left[x], right[x]), (e.id, x, y)
 
 
 class TestRank5Family:
@@ -796,16 +957,19 @@ class TestClassify:
         ]
 
     def test_threads_keep_stored_tables(self):
-        """A pooled run returns the rings with the character tables the
-        search stored on them, pickled along, equal to a serial run's and
-        read-only as they are."""
+        """A pooled run returns the rings with the character tables, Schur
+        reports and simple flags the search stored on them, pickled along,
+        equal to a serial run's and read-only as they are."""
         c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
         seq, par = classify(c).all_rings, classify(c, threads=2).all_rings
         assert [fd.label for fd in par] == [fd.label for fd in seq]
         for a, b in zip(seq, par):
             assert a == b and a._char_table is not None and b._char_table is not None
+            assert a._simple is not None and b._simple is a._simple
             assert not any(x.flags.writeable for x in (b.tensor, b.dual, b._char_table.lam,
-                                                        b._char_table.vectors))
+                                                        b._char_table.vectors,
+                                                        b._char_table._schur.values))
+            assert_same_report(b._char_table._schur, a._char_table._schur, a.label)
             assert a._char_table.lam.tobytes() == b._char_table.lam.tobytes()
             assert a._char_table.vectors.tobytes() == b._char_table.vectors.tobytes()
             assert (a._char_table.residual, a._char_table.column_order) == (

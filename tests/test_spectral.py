@@ -251,12 +251,26 @@ class TestCharacterTable:
         assert len(calls) == spectral.REDRAWS
 
     def test_ring_keeps_its_table(self, psl25):
+        """The table, its Schur report and the ring's simple flag are kept,
+        and survive pickling (as from a worker process) frozen and equal."""
+        from fusionforge.criteria import schur_commutative
+        from fusionforge.rings import is_simple
+
         ct = character_table(psl25)
         assert character_table(psl25) is ct is psl25._char_table
         assert ct.norms is ct.norms
-        unpickled = pickle.loads(pickle.dumps(psl25))._char_table  # as from a worker process
+        rep = schur_commutative(ct)
+        assert schur_commutative(ct) is rep is ct._schur
+        assert is_simple(psl25) is psl25._simple is True
+        ring = pickle.loads(pickle.dumps(psl25))
+        unpickled = ring._char_table
+        assert ring._simple is True
+        got = unpickled._schur
+        assert (got.worst_triple, got.worst_value, got.tolerance, got.max_imag) == (
+            rep.worst_triple, rep.worst_value, rep.tolerance, rep.max_imag)
+        assert got.values.tobytes() == rep.values.tobytes()
         for t in (ct, unpickled):
-            for a in (t.lam, t.vectors, t.norms):
+            for a in (t.lam, t.vectors, t.norms, t._schur.values):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0
