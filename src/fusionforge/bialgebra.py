@@ -30,6 +30,8 @@ table raises, takes that SVD itself: the singular values of X, weighted by
 the tau of its right singular vectors.  A singular value that is 0 comes
 out at rounding level there, where the square root of an eigenvalue of
 X*X would be off by about 1e-8 ||X||_2, the size of ``SUPPORT_RTOL``.
+The inequality suite's targeted dual-Young probes depend on the ring
+alone, so every ring keeps their slacks once its first suite took them.
 """
 
 from __future__ import annotations
@@ -656,7 +658,8 @@ def _dual_young_probes(bialg: CanonicalBialgebra):
     u = sum_s sign(Nhat_{a,b}^s) P_s against each P_s, which converts any
     negative dual structure constant into a violation of
     ||x *_B y||_inf <= ||x||_inf ||y||_1.  The projections come from the
-    ring's character table.
+    ring's character table.  The pairs depend on the ring alone, so
+    ``_dual_young`` builds them once per ring and keeps their outcome.
     """
     m = bialg.rank
     basis = np.concatenate([np.eye(m), bialg.dims[None, :]])  # x_1 .. x_m, Perron
@@ -675,6 +678,36 @@ def _dual_young_probes(bialg: CanonicalBialgebra):
     P, u = m + 1 + np.arange(m), 2 * m + 1
     return (elements, np.concatenate([pairs[0], P[a], np.full(m, u)]),
             np.concatenate([pairs[1], P[b], P])), None
+
+
+@dataclass(frozen=True)
+class _DualYoungProbes:
+    """The outcome of a ring's targeted dual-Young pairs: ``slack`` is
+    rhs - ||x *_B y||_inf and ``scale`` is max(1, rhs) for each pair, with
+    rhs = ||x||_inf ||y||_1, both read-only; ``skipped`` says why the
+    dual-projection probes were skipped (None when they ran)."""
+
+    slack: np.ndarray
+    scale: np.ndarray
+    skipped: Optional[str]
+
+
+def _dual_young(bialg: CanonicalBialgebra) -> _DualYoungProbes:
+    """The targeted dual-Young outcome of ``bialg``'s ring, computed on the
+    first call and kept on the ring (``FusionData._dual_young``)."""
+    fd = bialg.fd
+    if fd._dual_young is None:
+        (elements, x, y), skipped = _dual_young_probes(bialg)
+        # side-B moduli of x *_B y for every pair, then of each distinct element once
+        conv = elements[x] * elements[y] / bialg.dims
+        norms = _norms(*bialg._moduli_b(np.concatenate([conv, elements])), [np.inf, 1.0])
+        conv_inf, (inf, one) = norms[: len(x), 0], norms[len(x):].T
+        rhs = inf[x] * one[y]
+        slack, scale = rhs - conv_inf, np.maximum(1.0, rhs)
+        slack.setflags(write=False)
+        scale.setflags(write=False)
+        fd._dual_young = _DualYoungProbes(slack, scale, skipped)
+    return fd._dual_young
 
 
 def _check_batch(bialg: CanonicalBialgebra, z: np.ndarray, start: int, K: np.ndarray,
@@ -786,24 +819,20 @@ def inequality_suite(
     x_a, y_a, x_b and y_b as ``standard_normal(m)`` real then imaginary
     parts.  The targeted dual-Young probes follow the samples; when the
     dual-projection probes among them cannot be built, the report's
-    ``probes_skipped`` says why.
+    ``probes_skipped`` says why.  The probes depend on the ring alone: the
+    first suite on a ring keeps their slacks on it (``_dual_young``), and
+    every suite folds them against ``SLACK_TOL`` as it reads at the call.
     """
     tol = SLACK_TOL
     rng = np.random.default_rng(seed)
     K = _k_table(bialg.mu)
     checks = {name: CheckResult(name, math.inf, 0, 0, {}, name == "dual_young_falsify")
               for name in _CHECK_NAMES}
-    (elements, x, y), probes_skipped = _dual_young_probes(bialg)
     for start in range(0, num_samples, SUITE_CHUNK):
         n = min(SUITE_CHUNK, num_samples - start)
         _check_batch(bialg, rng.standard_normal((n, 4, 2, bialg.rank)), start, K, tol, checks)
-
-    # side-B moduli of x *_B y for every pair, then of each distinct element once
-    conv = elements[x] * elements[y] / bialg.dims
-    norms = _norms(*bialg._moduli_b(np.concatenate([conv, elements])), [np.inf, 1.0])
-    conv_inf, (inf, one) = norms[: len(x), 0], norms[len(x):].T
-    rhs = inf[x] * one[y]
-    _fold(checks["dual_young_falsify"], rhs - conv_inf, tol * np.maximum(1.0, rhs),
+    probes = _dual_young(bialg)
+    _fold(checks["dual_young_falsify"], probes.slack, tol * probes.scale,
           lambda k: {"sample": -1})
     return InequalitySuiteReport(
         label=bialg.fd.label,
@@ -811,5 +840,5 @@ def inequality_suite(
         seed=seed,
         tol=tol,
         checks=list(checks.values()),
-        probes_skipped=probes_skipped,
+        probes_skipped=probes.skipped,
     )

@@ -90,9 +90,15 @@ class FusionData:
     or the search computed, with read-only arrays (write-once; None until
     then, and for a ring whose table raises).  ``_simple`` holds the flag
     ``is_simple`` or the search decided (write-once; None until then).
+    ``_dual_young`` holds the outcome of the targeted dual-Young probes
+    that ``bialgebra.inequality_suite`` takes on its first call: each
+    pair's slack and scale as read-only arrays, and why the
+    dual-projection probes were skipped (write-once; None until then, and
+    kept for a ring whose table raises too).
     """
 
-    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims", "_char_table", "_simple")
+    __slots__ = ("rank", "tensor", "dual", "label", "_fp_dims", "_char_table", "_simple",
+                 "_dual_young")
 
     def __init__(self, tensor, dual, *, label=None):
         tensor = np.asarray(tensor)
@@ -103,6 +109,7 @@ class FusionData:
         self._fp_dims = None
         self._char_table = None
         self._simple = None
+        self._dual_young = None
         self.tensor.setflags(write=False)
         self.dual.setflags(write=False)
 
@@ -111,7 +118,9 @@ class FusionData:
         # freeze them again, the cached ones included (a table freezes its own)
         for name, value in state[1].items():
             setattr(self, name, value)
-        for a in (self.tensor, self.dual, self._fp_dims):
+        probes = self._dual_young
+        for a in (self.tensor, self.dual, self._fp_dims,
+                  *((probes.slack, probes.scale) if probes is not None else ())):
             if a is not None:
                 a.setflags(write=False)
 

@@ -299,17 +299,9 @@ def _build_problem(dims, dual, max_mult=None):
     n = m - 1
     dd, dn = d[1:], du[1:] - 1  # dimension and dual of the free indices, 0-based
 
-    # lex[j-1, k-1, s-1] is the lex position of the free cell (j, k, s)
-    lex = np.arange(n**3).reshape(n, n, n)
-    c = lex.ravel()
-    lex_dual = lex[dn]  # [j-1, k-1, s-1] -> lex position of (j*, k, s)
-    flip = lex_dual[:, dn][:, :, dn].transpose(1, 0, 2).ravel()  # (j,k,s) -> (k*,j*,s*)
-    turn = lex_dual.transpose(0, 2, 1).ravel()  # (j,k,s) -> (j*,s,k)
-    turn_flip = turn[flip]
-    least = np.minimum.reduce([c, flip, turn, flip[turn], turn_flip, flip[turn_flip]])
-    is_least = least == c
-    orbit = (is_least.cumsum() - 1)[least]  # numbered in the order of their least cells
+    orbit, is_least = _frobenius_orbits(dn)
     norb = int(np.count_nonzero(is_least))
+    c = np.arange(n**3)  # the lex position of the free cell (j, k, s)
     cell_row, cell_col = np.divmod(c, n)  # row (j, k) is (j - 1) * n + k - 1
     cell_wt = dd[cell_col]  # d_s
 
@@ -332,9 +324,7 @@ def _build_problem(dims, dual, max_mult=None):
         np.minimum.at(first, orbit[(rows[:, None] * n + cols).ravel()], c)
         orb_order = first.argsort()
     else:
-        orb = np.full((m, m, m), -1, dtype=np.int64)  # orbit of each cell, -1 if fixed
-        orb[1:, 1:, 1:] = orbit.reshape(n, n, n)
-        orb_order = _greedy_assoc_order(orb, norb)
+        orb_order = _greedy_assoc_order(tuple(du.tolist()))
     # search position of each orbit, in the narrowest integer type that
     # holds norb so that the stable sorts by position are radix sorts
     orb_pos = np.empty(norb, dtype=np.min_scalar_type(norb))
@@ -461,16 +451,42 @@ def _assoc_instances(dual: tuple) -> np.ndarray:
     return out
 
 
-def _greedy_assoc_order(orb, norb):
-    """Static orbit order maximizing early associativity completion.
+def _frobenius_orbits(dn: np.ndarray):
+    """The Frobenius orbits of the free cells (j, k, s >= 1) of an
+    involution whose free part, 0-based, is ``dn``: the orbit of each cell
+    in lex order, numbered in the order of their least cells, and the mask
+    of the cells that are least in their orbit.  The orbit of N[j,k,s] is
+    generated by N[j,k,s] = N[k*,j*,s*] = N[j*,s,k]."""
+    n = len(dn)
+    # lex[j-1, k-1, s-1] is the lex position of the free cell (j, k, s)
+    lex = np.arange(n**3).reshape(n, n, n)
+    c = lex.ravel()
+    lex_dual = lex[dn]  # [j-1, k-1, s-1] -> lex position of (j*, k, s)
+    flip = lex_dual[:, dn][:, :, dn].transpose(1, 0, 2).ravel()  # (j,k,s) -> (k*,j*,s*)
+    turn = lex_dual.transpose(0, 2, 1).ravel()  # (j,k,s) -> (j*,s,k)
+    turn_flip = turn[flip]
+    least = np.minimum.reduce([c, flip, turn, flip[turn], turn_flip, flip[turn_flip]])
+    is_least = least == c
+    return (is_least.cumsum() - 1)[least], is_least
+
+
+@functools.lru_cache(maxsize=128)
+def _greedy_assoc_order(dual: tuple) -> np.ndarray:
+    """Static orbit order maximizing early associativity completion, for
+    the involution ``dual``, as a read-only array of orbit ids.
 
     ``orb[a, b, c]`` is the orbit of cell (a, b, c), -1 for a fixed cell.
     ``E[e, o]`` is 1 when orbit o has a free cell in associativity
     instance e = (i, j, k, t).  Each step takes the first orbit, by id,
     among those not yet chosen that maximizes (instances it completes,
-    instances it leaves at most one orbit short of complete).
+    instances it leaves at most one orbit short of complete).  The order
+    depends on ``dual`` alone, so it is cached per involution.
     """
-    m = orb.shape[0]
+    m, n = len(dual), len(dual) - 1
+    orbit, is_least = _frobenius_orbits(np.asarray(dual[1:], dtype=np.int64) - 1)
+    norb = int(np.count_nonzero(is_least))
+    orb = np.full((m, m, m), -1, dtype=np.int64)  # orbit of each cell, -1 if fixed
+    orb[1:, 1:, 1:] = orbit.reshape(n, n, n)
     i, j, k, t, s = np.ix_(*[np.arange(1, m)] * 3, np.arange(m), np.arange(m))
     cells = np.broadcast_arrays(orb[i, j, s], orb[s, k, t], orb[j, k, s], orb[i, s, t])
     ids = np.stack(cells, axis=-1).reshape((m - 1) ** 3 * m, 4 * m)
@@ -485,6 +501,7 @@ def _greedy_assoc_order(orb, norb):
         score[chosen] = -1
         order[step] = best = np.argmax(score)
         chosen[best] = True
+    order.setflags(write=False)  # cached, shared by every problem of this involution
     return order
 
 
@@ -1229,6 +1246,8 @@ def classify(
             fd.label = f"{tr.signature}-{i + 1}"
         _decide([fd for fd in tr.rings if fd._simple is None])  # those resumed from a checkpoint
         tr.simple = [fd for fd in tr.rings if rings.is_simple(fd)]
-        tr.schur_pass = [fd for fd in tr.rings if rings.is_commutative(fd)
+        # a ring that holds a table is commutative; one without takes the test
+        tr.schur_pass = [fd for fd in tr.rings
+                         if (fd._char_table is not None or rings.is_commutative(fd))
                          and criteria.schur_commutative(spectral.character_table(fd)).holds]
     return ClassificationReport(constraints, list(types.values()), time.perf_counter() - t0)

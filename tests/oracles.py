@@ -145,6 +145,22 @@ def frobenius_orbit(cell, dual):
     return seen
 
 
+def reference_orbits(dual):
+    """The Frobenius orbits of the free cells, each a sorted cell list,
+    numbered in the lex order of their least cells, and the orbit of each
+    free cell."""
+    m = len(dual)
+    orbit_of, orbits = {}, []
+    for c in itertools.product(range(1, m), repeat=3):
+        if c in orbit_of:
+            continue
+        orb = sorted(frobenius_orbit(c, dual))
+        for cc in orb:
+            orbit_of[cc] = len(orbits)
+        orbits.append(orb)
+    return orbits, orbit_of
+
+
 def reference_build_problem(dims, dual, max_mult=None):
     """Flatten the orbit/row/equation structure for the DFS kernel.
 
@@ -158,16 +174,7 @@ def reference_build_problem(dims, dual, max_mult=None):
     use_dims = dims is not None
     d = np.asarray(dims if use_dims else [1] * m, dtype=np.int64)
 
-    cells = [(j, k, s) for j in range(1, m) for k in range(1, m) for s in range(1, m)]
-    orbit_of = {}
-    orbits = []
-    for c in cells:
-        if c in orbit_of:
-            continue
-        orb = sorted(frobenius_orbit(c, dual))
-        for cc in orb:
-            orbit_of[cc] = len(orbits)
-        orbits.append(orb)
+    orbits, orbit_of = reference_orbits(dual)
 
     def row_id(j, k):
         return (j - 1) * (m - 1) + (k - 1)

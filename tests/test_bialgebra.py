@@ -499,16 +499,20 @@ class TestInequalitySuite:
         assert payload["num_samples"] == 5
         assert len(payload["checks"]) == 13
 
-    def test_probes_skipped_names_the_reason(self, B60, monkeypatch):
+    def test_probes_skipped_names_the_reason(self, psl25, monkeypatch):
+        # fresh rings: a ring keeps its probe outcome from its first suite on
         from fusionforge import spectral
 
-        assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
+        def fresh():
+            return canonical_from_fusion_data(rings.FusionData(psl25.tensor, psl25.dual))
+
+        assert inequality_suite(fresh(), num_samples=3, seed=1).probes_skipped is None
 
         def degenerate(fd, *args, **kwargs):
             raise DegenerateSpectrum("forced collapse")
 
         monkeypatch.setattr(spectral, "character_table", degenerate)
-        rep = inequality_suite(B60, num_samples=3, seed=1)
+        rep = inequality_suite(fresh(), num_samples=3, seed=1)
         assert rep.probes_skipped == "DegenerateSpectrum: forced collapse"
         assert rep.to_dict()["probes_skipped"] == rep.probes_skipped
         assert rep["dual_young_falsify"].n_evals == 3 + 5  # samples + basis/Perron pairs
@@ -518,17 +522,21 @@ class TestInequalitySuite:
 
         monkeypatch.setattr(spectral, "character_table", broken)
         with pytest.raises(TypeError):
-            inequality_suite(B60, num_samples=3, seed=1)
+            inequality_suite(fresh(), num_samples=3, seed=1)
 
-    def test_dual_projections_built_once(self, B60, monkeypatch):
-        """The targeted probes build the dual projections once and take the
-        dual structure constants from them."""
+    def test_dual_projections_built_once(self, psl25, monkeypatch):
+        """The targeted probes build the dual projections once per ring and
+        take the dual structure constants from them; a later suite on the
+        ring reads the kept outcome."""
         from fusionforge import spectral
 
         calls, real = [], spectral.dual_projections
         monkeypatch.setattr(spectral, "dual_projections",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
-        assert inequality_suite(B60, num_samples=3, seed=1).probes_skipped is None
+        B = canonical_from_fusion_data(rings.FusionData(psl25.tensor, psl25.dual))
+        assert inequality_suite(B, num_samples=3, seed=1).probes_skipped is None
+        assert len(calls) == 1
+        assert inequality_suite(B, num_samples=3, seed=1).probes_skipped is None
         assert len(calls) == 1
 
     def test_suites_on_one_ring_build_one_table(self, psl25, monkeypatch):
@@ -890,3 +898,63 @@ class TestBatchedSuiteMatchesLoop:
     def test_one_past_a_chunk(self, Bz6):
         rep = assert_matches_reference(Bz6, SUITE_CHUNK + 1, 11)
         assert rep.num_samples == SUITE_CHUNK + 1
+
+
+class TestKeptDualYoungProbes:
+    """Each ring keeps the outcome of its targeted dual-Young probes from its
+    first suite (``FusionData._dual_young``): a ring that holds it reports
+    what a fresh copy of the ring reports."""
+
+    @staticmethod
+    def fresh(fd):
+        return rings.FusionData(fd.tensor, fd.dual, label=fd.label)
+
+    def test_kept_outcome_matches_a_fresh_ring(self, corpus_entries):
+        witness = rank3_type1(Rank3Type1Params(1000.0, 500.0, 0.750001))
+        fds = [e.fd for e in corpus_entries] + [
+            _s3_group_ring(), rank2_family(5.0).fd, rank3_type2(7.0).fd, witness.fd]
+        for fd in fds:
+            B = canonical_from_fusion_data(fd)
+            inequality_suite(B, num_samples=0)
+            assert fd._dual_young is not None, fd.label
+            for n, seed in ((0, 4), (10, 2)):
+                copy = self.fresh(fd)
+                assert copy._dual_young is None
+                got = inequality_suite(B, num_samples=n, seed=seed).to_dict()
+                want = inequality_suite(canonical_from_fusion_data(copy), n, seed).to_dict()
+                assert got == want, (fd.label, n)
+
+    def test_probes_built_once_per_ring(self, monkeypatch):
+        # a noncommutative ring, whose table raises, keeps the skip reason too
+        calls, real = [], bialgebra._dual_young_probes
+        monkeypatch.setattr(bialgebra, "_dual_young_probes",
+                            lambda B: calls.append(B.fd) or real(B))
+        B = canonical_from_fusion_data(_s3_group_ring())
+        reps = [inequality_suite(B, num_samples=4, seed=s) for s in (1, 2)]
+        assert calls == [B.fd]
+        assert all(r.probes_skipped.startswith("NotCommutative") for r in reps)
+        assert B.fd._dual_young.skipped == reps[0].probes_skipped
+
+    def test_read_only_and_after_a_pickle(self, psl25):
+        import pickle
+
+        fd = self.fresh(psl25)
+        inequality_suite(canonical_from_fusion_data(fd), num_samples=0)
+        kept = fd._dual_young
+        back = pickle.loads(pickle.dumps(fd))._dual_young
+        for a, b in ((kept.slack, back.slack), (kept.scale, back.scale)):
+            assert not a.flags.writeable and not b.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        assert back.skipped is kept.skipped is None
+
+    def test_tolerance_read_at_each_call(self, monkeypatch):
+        # on the witness two probe pairs have slacks about 1e-12 at scales
+        # 500 and 1000, so the count below -3e-13 times each scale, which
+        # the kept slacks are folded against, depends on the scales
+        W = rank3_type1(Rank3Type1Params(1000.0, 500.0, 0.750001))
+        B = canonical_from_fusion_data(self.fresh(W.fd))
+        assert_matches_reference(B, 5, 3)
+        assert B.fd._dual_young is not None
+        monkeypatch.setattr(bialgebra, "SLACK_TOL", -3e-13)
+        rep = assert_matches_reference(B, 0, 3)
+        assert rep.tol == -3e-13 and rep["dual_young_falsify"].violations == 10

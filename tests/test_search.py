@@ -29,7 +29,9 @@ from oracles import (
     reference_dfs_kernel,
     reference_enumerate_types,
     reference_equation_images,
+    reference_greedy_assoc_order,
     reference_keeps_instance,
+    reference_orbits,
 )
 
 PAPER_FLAGS = dict(
@@ -268,6 +270,23 @@ class TestBuildProblem:
                 self.assert_same(None, list(inv), 2)
                 self.assert_same(None, list(inv), 1)
 
+    def test_greedy_order_cached_per_involution(self):
+        """The greedy order is the reference order for every involution of
+        ranks 2 to 6, read-only, and computed once per involution."""
+        from fusionforge.search import _build_problem, _greedy_assoc_order
+
+        for m in range(2, 7):
+            for inv in enumerate_involutions(TypeSignature(((1, m),), True)):
+                order = _greedy_assoc_order(tuple(inv))
+                assert order.tolist() == reference_greedy_assoc_order(
+                    m, *reference_orbits(list(inv))), inv
+                assert not order.flags.writeable
+        _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), 4)
+        before = _greedy_assoc_order.cache_info()
+        _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), 4)
+        after = _greedy_assoc_order.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_dimensions_or_cap_required(self):
         from fusionforge.search import _build_problem
 
@@ -355,6 +374,17 @@ def test_search_results_hold_their_predicates():
             assert fd._char_table is not None and fd._char_table._schur is not None, fd.label
     assert (sum(fd._simple for fd in fam),
             sum(not fd._char_table._schur.holds for fd in fam)) == (4, 6)
+
+
+def test_schur_filter_reads_the_kept_tables(monkeypatch):
+    """``classify``'s Schur filter takes no commutativity test for a ring that
+    holds a table: each ring is tested once, by the stacked pass."""
+    calls, real = [], rings.is_commutative
+    monkeypatch.setattr(rings, "is_commutative", lambda fd: calls.append(fd) or real(fd))
+    report = classify(SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS))
+    assert len(report.all_rings) == 2
+    assert all(fd._char_table is not None for fd in report.all_rings)
+    assert sorted(map(id, calls)) == sorted(map(id, report.all_rings))
 
 
 def kernel_backends() -> dict:
