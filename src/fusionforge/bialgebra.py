@@ -680,7 +680,7 @@ def _dual_young_probes(bialg: CanonicalBialgebra):
             np.concatenate([pairs[1], P[b], P])), None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DualYoungProbes:
     """The outcome of a ring's targeted dual-Young pairs: ``slack`` is
     rhs - ||x *_B y||_inf and ``scale`` is max(1, rhs) for each pair, with
@@ -690,6 +690,12 @@ class _DualYoungProbes:
     slack: np.ndarray
     scale: np.ndarray
     skipped: Optional[str]
+
+    def __setstate__(self, state):
+        # unpickling (as from a worker process) restores the arrays writeable
+        state["slack"].setflags(write=False)
+        state["scale"].setflags(write=False)
+        self.__dict__.update(state)
 
 
 def _dual_young(bialg: CanonicalBialgebra) -> _DualYoungProbes:

@@ -115,12 +115,11 @@ class FusionData:
 
     def __setstate__(self, state):
         # unpickling (as from a worker process) restores arrays writeable:
-        # freeze them again, the cached ones included (a table freezes its own)
+        # freeze them again, the cached ones included (a table and a probe
+        # record freeze their own)
         for name, value in state[1].items():
             setattr(self, name, value)
-        probes = self._dual_young
-        for a in (self.tensor, self.dual, self._fp_dims,
-                  *((probes.slack, probes.scale) if probes is not None else ())):
+        for a in (self.tensor, self.dual, self._fp_dims):
             if a is not None:
                 a.setflags(write=False)
 

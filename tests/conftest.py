@@ -13,7 +13,9 @@ def corpus_entries():
 @pytest.fixture(scope="session", autouse=True)
 def corpus_tables(corpus_entries):
     """Every commutative corpus ring keeps its character table from the
-    start, so no test's outcome depends on which test computed it first."""
+    start, so no test's outcome depends on which test computed it first.
+    Their targeted dual-Young records are kept from a ring's first suite
+    on: a test that watches the probes being taken uses a fresh copy."""
     for e in corpus_entries:
         if rings.is_commutative(e.fd):
             spectral.character_table(e.fd)

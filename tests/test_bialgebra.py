@@ -554,9 +554,9 @@ class TestInequalitySuite:
     def test_memory_bounded_by_the_chunk(self):
         import tracemalloc
 
-        B = canonical_from_fusion_data(cyclic_group_ring(12))
         peaks = []
         for n in (SUITE_CHUNK, 8 * SUITE_CHUNK):
+            B = canonical_from_fusion_data(cyclic_group_ring(12))  # both take the probes
             tracemalloc.start()
             inequality_suite(B, num_samples=n, seed=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -834,8 +834,11 @@ class TestSideBModuli:
     def test_no_eigh_on_commutative_rings(self, monkeypatch):
         from fusionforge import spectral
 
-        B = canonical_from_fusion_data(corpus.get("si660-14").fd)
+        # a fresh ring, so that its suite takes the targeted probes too
+        fd = corpus.get("si660-14").fd
+        B = canonical_from_fusion_data(rings.FusionData(fd.tensor, fd.dual))
         assert spectral.character_table(B.fd) is B.fd._char_table  # its eigh runs once, here
+        assert B.fd._dual_young is None
         S3, svd, calls = canonical_from_fusion_data(_s3_group_ring()), np.linalg.svd, []
 
         def no_eigh(*args, **kwargs):
@@ -844,6 +847,7 @@ class TestSideBModuli:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         rep = inequality_suite(B, num_samples=300)
         assert rep.num_samples == 300 and rep.probes_skipped is None
+        assert B.fd._dual_young is not None
 
         # a noncommutative ring has no table and takes a stacked SVD
         monkeypatch.setattr(np.linalg, "svd", lambda *a: calls.append(1) or svd(*a))
