@@ -280,10 +280,20 @@ def _build_problem(dims, dual, max_mult=None):
     ``eq_data`` holds one associativity instance per dihedral orbit
     (``_assoc_instances``), so each distinct equation once, sorted by the
     search position that completes it, with ``eq_ptr`` delimiting each
-    position's; the trigger is four gathers over the kept instances.
-    ``group`` holds the unit's relabelings (``_dedup_group``), the
-    identity first, and ``sym`` their action on search positions for the
-    kernel's lex-leader test, one row per relabeling but the identity.
+    position's; the trigger is the latest search position among the
+    orbits of an instance's cells.  ``group`` holds the unit's
+    relabelings (``_dedup_group``), the identity first, and ``sym`` their
+    action on search positions for the kernel's lex-leader test, one row
+    per relabeling but the identity.
+
+    What depends on the involution alone is read from its cached
+    ``_involution_tables``: the orbits, their sizes and least cells, the
+    distinct (orbit, row) pairs, the flat cell indices, the unit's row
+    mask, ``init_tensor`` and the orbits of each instance's cells.  The
+    group and its action on the orbits are cached per dimension-class
+    pattern and involution (``_unit_group``).  Each unit computes only what its dimensions
+    decide: row targets, caps, search order and positions, REST, the
+    trigger sort and ``sym``.
 
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
@@ -294,20 +304,14 @@ def _build_problem(dims, dual, max_mult=None):
         raise ValueError("max_multiplicity is required without dimensions")
     if max_mult is not None and max_mult < 0:
         raise ValueError(f"max_multiplicity must be nonnegative, got {max_mult}")
-    d = np.asarray(dims if use_dims else [1] * m, dtype=np.int64)
-    du = np.asarray(dual, dtype=np.int64)
-    n = m - 1
-    dd, dn = d[1:], du[1:] - 1  # dimension and dual of the free indices, 0-based
-
-    orbit, is_least = _frobenius_orbits(dn)
-    norb = int(np.count_nonzero(is_least))
-    c = np.arange(n**3)  # the lex position of the free cell (j, k, s)
-    cell_row, cell_col = np.divmod(c, n)  # row (j, k) is (j - 1) * n + k - 1
-    cell_wt = dd[cell_col]  # d_s
-
+    dims = list(dims) if use_dims else [1] * m
+    dual = tuple(map(int, dual))
+    tab = _involution_tables(dual)
+    n, norb, orbit = m - 1, tab.norb, tab.orbit
+    d = np.asarray(dims, dtype=np.int64)
+    dd = d[1:]  # dimensions of the free indices
     dprod = np.multiply.outer(dd, dd)
-    unit = dn[:, None] == np.arange(n)  # N[j,k,0] = 1 when k = j*
-    row_target = (dprod - unit).ravel()
+    row_target = dprod.ravel() - tab.unit_row
 
     # caps per orbit: the least row-sum cap floor(d_j d_k / d_s) over the
     # orbit when dimensions are known, and the multiplicity cap
@@ -321,83 +325,61 @@ def _build_problem(dims, dual, max_mult=None):
         rows = dprod.ravel().argsort(kind="stable")
         cols = (-dd).argsort(kind="stable")
         first = np.full(norb, n**3)
-        np.minimum.at(first, orbit[(rows[:, None] * n + cols).ravel()], c)
+        np.minimum.at(first, orbit[(rows[:, None] * n + cols).ravel()], tab.lex)
         orb_order = first.argsort()
     else:
-        orb_order = _greedy_assoc_order(tuple(du.tolist()))
+        orb_order = _greedy_assoc_order(dual)
     # search position of each orbit, in the narrowest integer type that
     # holds norb so that the stable sorts by position are radix sorts
     orb_pos = np.empty(norb, dtype=np.min_scalar_type(norb))
     orb_pos[orb_order] = np.arange(norb)
-    cell_pos = orb_pos[orbit]
 
     # flatten orbit cells in search order; a stable sort keeps each orbit's
     # cells in lex order, which is flat-index order
-    layout = cell_pos.argsort(kind="stable")
-    ar = np.arange(1, m)
-    cell_idx = ((ar[:, None, None] * m + ar[:, None]) * m + ar).ravel()
+    layout = orb_pos[orbit].argsort(kind="stable")
     orb_ptr = np.zeros(norb + 1, dtype=np.int64)
-    orb_ptr[1:] = np.bincount(cell_pos, minlength=norb).cumsum()
+    orb_ptr[1:] = tab.orbit_size[orb_order].cumsum()
 
     # the distinct rows of each orbit, by (search position, row), with the
-    # orbit's summed d_s in the row and the row's REST.  Without dimensions
-    # there is no row equation, so every orbit has none.
+    # orbit's summed d_s in the row and the row's REST.  The (orbit, row)
+    # pairs are cached in (orbit, row) order, so a stable sort by position
+    # puts them in (search position, row) order.  Without dimensions there
+    # is no row equation, so every orbit has none.
     orb_row_ptr = np.zeros(norb + 1, dtype=np.int64)
     if use_dims:
-        key, inv = np.unique(cell_pos.astype(np.int64) * n * n + cell_row, return_inverse=True)
-        orb_row_pos, orb_row = np.divmod(key, n * n)
-        # float sums of small integers are exact
-        orb_row_wt = np.bincount(inv, weights=cell_wt).astype(np.int64)
-        orb_row_ptr[1:] = np.bincount(orb_row_pos, minlength=norb).cumsum()
+        by_pos = orb_pos[tab.pair_orbit].argsort(kind="stable")
+        orb_row = tab.pair_row[by_pos]
+        wt = tab.pair_cols @ dd
+        orb_row_wt = wt[by_pos]
+        orb_row_ptr[1:] = tab.orbit_rows[orb_order].cumsum()
         # REST, in (row, search position) order: the row's total less its running sum
         by_row = orb_row.argsort(kind="stable")
-        held = np.bincount(inv, weights=cap[orbit] * cell_wt).astype(np.int64)[by_row].cumsum()
-        last = np.searchsorted(orb_row[by_row], orb_row[by_row], side="right") - 1
+        held = (cap[tab.pair_orbit] * wt)[by_pos][by_row].cumsum()
         orb_row_rest = np.empty_like(orb_row)
-        orb_row_rest[by_row] = held[last] - held
+        orb_row_rest[by_row] = held[tab.row_last[orb_row[by_row]]] - held
     else:
         orb_row = orb_row_wt = orb_row_rest = np.zeros(0, dtype=np.int64)
 
     # associativity instances, one per equation (``_assoc_instances``),
-    # triggered at the orbit that completes their last free cell: the latest
-    # search position among the free cells (i,j,s), (s,k,t), (j,k,s), (i,s,t)
-    # over all s.  Cells with a unit index are fixed and count as position 0.
-    pos_of = np.zeros((m, m, m), dtype=orb_pos.dtype)
-    pos_of[1:, 1:, 1:] = cell_pos.reshape(n, n, n)
-    last_in_row = pos_of.max(axis=2)  # [a, b] -> max_s pos_of[a, b, s]
-    last_in_col = pos_of.max(axis=0)  # [b, c] -> max_s pos_of[s, b, c]
-    last_in_mid = pos_of.max(axis=1)  # [a, c] -> max_s pos_of[a, s, c]
-    inst = _assoc_instances(tuple(du.tolist()))
-    i, j, k, t = inst.T
-    trig = np.maximum(np.maximum(last_in_row[i, j], last_in_col[k, t]),
-                      np.maximum(last_in_row[j, k], last_in_mid[i, t]))
+    # triggered at the orbit that completes their last free cell
+    trig = orb_pos[tab.inst_orbits].max(axis=0, initial=0)
     # a stable sort keeps (i, j, k, t) order within each trigger
-    eq_data = inst[trig.argsort(kind="stable")]
+    eq_data = tab.inst[trig.argsort(kind="stable")]
     eq_by_orbit_ptr = np.zeros(norb + 1, dtype=np.int64)
     eq_by_orbit_ptr[1:] = np.bincount(trig, minlength=norb).cumsum()
 
-    # lex-leader symmetry breaking: each relabeling g of the dedup group
-    # maps orbits to orbits, so sym[g, p] is the search position of the
-    # orbit holding g applied to the least cell of the orbit at position
-    # p.  Row 0 of the group is the identity and gets no row.
-    group = np.array(_dedup_group(d.tolist(), dual), dtype=np.int64).reshape(-1, m)
-    gf = group[1:, 1:] - 1  # g on the free indices, 0-based
-    lj, lk, ls = np.unravel_index(np.flatnonzero(is_least)[orb_order], (n, n, n))
-    image = (gf[:, lj] * n + gf[:, lk]) * n + gf[:, ls]
-    sym = orb_pos[orbit[image]].astype(np.int64, order="C")
-
-    every = np.arange(m)
-    init_tensor = np.zeros((m, m, m), dtype=np.int64)
-    init_tensor[0, every, every] = 1
-    init_tensor[every, 0, every] = 1
-    init_tensor[every, du, 0] = 1
+    # lex-leader symmetry breaking: sym[g, p] is the search position of the
+    # orbit that relabeling g maps the orbit at position p to.  Row 0 of the
+    # group is the identity and gets no row.
+    group, moves = _unit_group(tuple(map(dims.index, dims)), dual)
+    sym = orb_pos[moves[:, orb_order]].astype(np.int64, order="C")
 
     return {
         "m": m,
         "d": d,
         "norb": norb,
         "orb_ptr": orb_ptr,
-        "cell_idx": cell_idx[layout],
+        "cell_idx": tab.cell_idx[layout],
         "caps": cap[orb_order],
         "orb_row_ptr": orb_row_ptr,
         "orb_row": orb_row,
@@ -407,9 +389,107 @@ def _build_problem(dims, dual, max_mult=None):
         "eq_ptr": eq_by_orbit_ptr,
         "eq_data": eq_data,
         "sym": sym,
-        "init_tensor": init_tensor.reshape(-1),
+        "init_tensor": tab.init_tensor,
         "group": group,
     }
+
+
+#: entries of the per-involution and per-group caches: a whole rank-8
+#: census with the paper flags (FPdim 1-4079, 8,196 units) has 21
+#: involutions and 264 (dimension-class pattern, involution) pairs
+_UNIT_CACHE_SIZE = 512
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)  # cached, shared by every problem that reads it
+
+
+@dataclass(frozen=True)
+class _InvolutionTables:
+    """What ``_build_problem`` needs of an involution whose free part has
+    n = m - 1 indices, every array read-only.
+
+    ``lex``: the lex positions 0..n^3-1 of the free cells; ``cell_idx``
+    their flat indices j*m*m + k*m + s.  ``orbit``: the Frobenius orbit
+    of each cell (``_frobenius_orbits``), of ``norb``; ``orbit_size`` its
+    cell count and ``least`` the (j, k, s), 0-based, of its least cell.
+    ``pair_orbit`` and ``pair_row`` list the distinct (orbit, row) pairs,
+    row (j, k) being (j - 1) n + k - 1, in (orbit, row) order;
+    ``pair_cols`` is 1 in the column s of each cell (j, k, s) of a pair,
+    so that ``pair_cols @ d`` sums a pair's d_s; ``orbit_rows`` is the
+    pair count of each orbit and ``row_last`` the index of each row's last
+    pair in (row, orbit) order.  ``unit_row``: 1 on the rows (j, j*), whose unit
+    column is fixed at 1.  ``init_tensor``: the fixed cells, flat.
+    ``inst``: ``_assoc_instances``; ``inst_orbits`` the orbits of the free
+    cells (i,j,s), (s,k,t), (j,k,s), (i,s,t), s >= 1, of each instance, one
+    column per instance; its cells with s = 0 are fixed.
+    """
+
+    norb: int
+    lex: np.ndarray
+    cell_idx: np.ndarray
+    orbit: np.ndarray
+    orbit_size: np.ndarray
+    least: np.ndarray
+    pair_orbit: np.ndarray
+    pair_row: np.ndarray
+    pair_cols: np.ndarray
+    orbit_rows: np.ndarray
+    row_last: np.ndarray
+    unit_row: np.ndarray
+    init_tensor: np.ndarray
+    inst: np.ndarray
+    inst_orbits: np.ndarray
+
+
+@functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)
+def _involution_tables(dual: tuple) -> _InvolutionTables:
+    """The tables of the involution ``dual`` that do not depend on the
+    dimensions (see ``_InvolutionTables``), cached per involution."""
+    m, n = len(dual), len(dual) - 1
+    du = np.asarray(dual, dtype=np.int64)
+    dn = du[1:] - 1  # the dual of each free index, 0-based
+    orbit, is_least = _frobenius_orbits(dn)
+    norb = int(np.count_nonzero(is_least))
+    lex = np.arange(n**3)
+    ar = np.arange(1, m)
+    cell_idx = ((ar[:, None, None] * m + ar[:, None]) * m + ar).ravel()
+    pairs, cell_pair = np.unique(orbit * n * n + lex // n, return_inverse=True)
+    pair_orbit, pair_row = np.divmod(pairs, n * n)
+    pair_cols = np.zeros((len(pairs), n), dtype=np.int64)
+    pair_cols[cell_pair.reshape(-1), lex % n] = 1
+    every = np.arange(m)
+    init_tensor = np.zeros((m, m, m), dtype=np.int64)
+    init_tensor[0, every, every] = 1
+    init_tensor[every, 0, every] = 1
+    init_tensor[every, du, 0] = 1
+    inst = _assoc_instances(dual)
+    i, j, k, t = (x[:, None] for x in inst.T - 1)
+    orb = orbit.reshape(n, n, n)
+    s = np.arange(n)
+    # one column per instance, so that the trigger is a max over rows
+    inst_orbits = np.concatenate(
+        [orb[i, j, s], orb[s, k, t], orb[j, k, s], orb[i, s, t]], axis=1).T.copy()
+    tab = _InvolutionTables(
+        norb=norb,
+        lex=lex,
+        cell_idx=cell_idx,
+        orbit=orbit,
+        orbit_size=np.bincount(orbit, minlength=norb),
+        least=np.array(np.unravel_index(np.flatnonzero(is_least), (n, n, n))),
+        pair_orbit=pair_orbit,
+        pair_row=pair_row,
+        pair_cols=pair_cols,
+        orbit_rows=np.bincount(pair_orbit, minlength=norb),
+        row_last=np.bincount(pair_row, minlength=n * n).cumsum() - 1,
+        unit_row=(dn[:, None] == np.arange(n)).astype(np.int64).ravel(),
+        init_tensor=init_tensor.reshape(-1),
+        inst=inst,
+        inst_orbits=inst_orbits,
+    )
+    _read_only(*(v for v in vars(tab).values() if isinstance(v, np.ndarray)))
+    return tab
 
 
 @functools.lru_cache(maxsize=128)
@@ -447,7 +527,7 @@ def _assoc_instances(dual: tuple) -> np.ndarray:
         identity |= code(flipped if p % 2 == 0 else x) == own
         x = np.stack([x[1], x[2], du[x[3]], du[x[0]]])
     out = np.ascontiguousarray(inst[:, (least == own) & ~identity].T)
-    out.setflags(write=False)  # cached, shared by every problem of this involution
+    _read_only(out)
     return out
 
 
@@ -483,8 +563,8 @@ def _greedy_assoc_order(dual: tuple) -> np.ndarray:
     depends on ``dual`` alone, so it is cached per involution.
     """
     m, n = len(dual), len(dual) - 1
-    orbit, is_least = _frobenius_orbits(np.asarray(dual[1:], dtype=np.int64) - 1)
-    norb = int(np.count_nonzero(is_least))
+    tab = _involution_tables(dual)
+    orbit, norb = tab.orbit, tab.norb
     orb = np.full((m, m, m), -1, dtype=np.int64)  # orbit of each cell, -1 if fixed
     orb[1:, 1:, 1:] = orbit.reshape(n, n, n)
     i, j, k, t, s = np.ix_(*[np.arange(1, m)] * 3, np.arange(m), np.arange(m))
@@ -501,7 +581,7 @@ def _greedy_assoc_order(dual: tuple) -> np.ndarray:
         score[chosen] = -1
         order[step] = best = np.argmax(score)
         chosen[best] = True
-    order.setflags(write=False)  # cached, shared by every problem of this involution
+    _read_only(order)
     return order
 
 
@@ -719,12 +799,14 @@ def _check_kernel_args(a):
     division a floor, and the search positions in ``sym``, whose rows
     must permute them."""
     m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
+    sym = a["sym"]
 
     def at_least(x, lo):
         return x.size == 0 or x.min() >= lo
 
     def within(x, hi):
-        return at_least(x, 0) and (x.size == 0 or x.max() < hi)
+        # a negative int64 read as uint64 is at least 2^63, so one max checks both ends
+        return x.size == 0 or x.view(np.uint64).max() < hi
 
     ok = (
         all(a[k].dtype == np.int64 and a[k].flags.c_contiguous for k in _KERNEL_ARRAYS)
@@ -732,19 +814,26 @@ def _check_kernel_args(a):
         and len(a["caps"]) == norb
         and len(a["init_tensor"]) == m**3
         and len(a["orb_row_rest"]) == len(a["orb_row"])
-        and all(len(a[k]) == norb + 1 and a[k][0] == 0 and np.all(np.diff(a[k]) >= 0)
-                for k in ("orb_ptr", "orb_row_ptr", "eq_ptr"))
-        and a["orb_ptr"][-1] == len(a["cell_idx"])
-        and a["orb_row_ptr"][-1] == len(a["orb_row"]) == len(a["orb_row_wt"])
-        and a["eq_data"].shape == (a["eq_ptr"][-1], 4)
-        and a["sym"].ndim == 2 and a["sym"].shape[1] == norb
-        and (np.sort(a["sym"], axis=1) == np.arange(norb)).all()  # rows permute 0..norb-1
-        and within(a["cell_idx"], m**3)
-        and within(a["orb_row"], nrows)
-        and at_least(a["orb_row_wt"], 1)
-        and at_least(a["row_target"], 0)
-        and within(a["eq_data"], m)
+        and len(a["orb_ptr"]) == len(a["orb_row_ptr"]) == len(a["eq_ptr"]) == norb + 1
     )
+    if ok:
+        # the three pointer arrays as rows: each starts at 0 and never decreases
+        ptrs = np.stack([a["orb_ptr"], a["orb_row_ptr"], a["eq_ptr"]])
+        ok = (
+            not ptrs[:, 0].any()
+            and (ptrs[:, 1:] >= ptrs[:, :-1]).all()
+            and ptrs[0, -1] == len(a["cell_idx"])
+            and ptrs[1, -1] == len(a["orb_row"]) == len(a["orb_row_wt"])
+            and a["eq_data"].shape == (ptrs[2, -1], 4)
+            and sym.ndim == 2 and sym.shape[1] == norb
+            # rows permute 0..norb-1
+            and (sym.size == 0 or (np.sort(sym, axis=1) == np.arange(norb)).all())
+            and within(a["cell_idx"], m**3)
+            and within(a["orb_row"], nrows)
+            and at_least(a["orb_row_wt"], 1)
+            and at_least(a["row_target"], 0)
+            and within(a["eq_data"], m)
+        )
     if not ok:
         raise ValueError("malformed search problem arrays")
 
@@ -853,6 +942,11 @@ def __getattr__(name):
 # wrappers
 
 
+#: the counts of ``SearchStats``, which a checkpoint record stores
+_SEARCH_COUNTS = ("nodes", "prune_knapsack", "prune_associativity", "prune_symmetry",
+                  "raw_solutions")
+
+
 @dataclass
 class SearchStats:
     """Counts of the tensor search, summed over the units merged in.
@@ -875,23 +969,25 @@ class SearchStats:
     before the final dedup.
     ``wall_time``: seconds in the kernel.  ``complete``: no unit stopped
     on a budget.  ``kernel_backends``: the backends that ran.
+
+    The five counts are None, and stay None through every merge, once a
+    unit with unknown counts is merged in: one resumed from a checkpoint
+    record written before records kept its counts.
     """
 
-    nodes: int = 0
-    prune_knapsack: int = 0
-    prune_associativity: int = 0
-    prune_symmetry: int = 0
-    raw_solutions: int = 0
+    nodes: Optional[int] = 0
+    prune_knapsack: Optional[int] = 0
+    prune_associativity: Optional[int] = 0
+    prune_symmetry: Optional[int] = 0
+    raw_solutions: Optional[int] = 0
     wall_time: float = 0.0
     complete: bool = True
     kernel_backends: frozenset = frozenset()
 
     def merge(self, other: "SearchStats"):
-        self.nodes += other.nodes
-        self.prune_knapsack += other.prune_knapsack
-        self.prune_associativity += other.prune_associativity
-        self.prune_symmetry += other.prune_symmetry
-        self.raw_solutions += other.raw_solutions
+        for f in _SEARCH_COUNTS:
+            a, b = getattr(self, f), getattr(other, f)
+            setattr(self, f, None if a is None or b is None else a + b)
         self.wall_time += other.wall_time
         self.complete = self.complete and other.complete
         self.kernel_backends |= other.kernel_backends
@@ -914,6 +1010,25 @@ def _dedup_group(dims, dual):
         if all(perm[dual[j]] == dual[perm[j]] for j in range(m)):
             perms.append(tuple(perm))
     return sorted(perms)
+
+
+@functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)
+def _unit_group(pattern: tuple, dual: tuple) -> tuple:
+    """``_dedup_group`` of the dimensions whose equality pattern is
+    ``pattern`` (the index of the first equal dimension, per index), as a
+    read-only (|G|, m) int64 array, and its action on the Frobenius orbits
+    of ``dual``: ``moves[g - 1, o]`` is the orbit that relabeling g maps
+    orbit o to, the orbit of g applied to o's least cell.  Both depend on
+    the dimensions only through which are equal, so they are cached on
+    that pattern and the involution."""
+    n = len(dual) - 1
+    tab = _involution_tables(dual)
+    group = np.array(_dedup_group(pattern, dual), dtype=np.int64).reshape(-1, n + 1)
+    gf = group[1:, 1:] - 1  # g on the free indices, 0-based
+    lj, lk, ls = tab.least
+    moves = tab.orbit[(gf[:, lj] * n + gf[:, lk]) * n + gf[:, ls]]
+    _read_only(group, moves)
+    return group, moves
 
 
 def _canonical_keys(flat, m, group) -> list:
@@ -1146,10 +1261,13 @@ def _checkpoint_key(sig, inv, max_multiplicity) -> str:
 
 def _read_checkpoint(f) -> dict:
     """The units stored in the open checkpoint file ``f`` (binary, append
-    mode): key -> rings.  Each record is written with its newline in one
-    write, so a last line without one is what a run killed mid-write
+    mode): key -> (rings, stats).  The stats hold the record's counts, no
+    kernel time and no backend; a record written before records kept
+    counts gives them as None.  Each record is written with its newline in
+    one write, so a last line without one is what a run killed mid-write
     leaves; it is cut off, so its unit reruns.  Any other unreadable line,
-    or a record whose key or rings are not strings, raises ParseError."""
+    or a record whose key or rings are not strings or whose counts are not
+    the five nonnegative integers, raises ParseError."""
     from . import corpus
 
     f.seek(0)
@@ -1161,9 +1279,14 @@ def _read_checkpoint(f) -> dict:
         try:
             rec = json.loads(line)
             key, texts = rec["key"], rec["rings"]
+            counts = rec.get("stats", dict.fromkeys(_SEARCH_COUNTS))  # None if not stored
             if not isinstance(key, str) or not all(isinstance(t, str) for t in texts):
                 raise TypeError("the key and every ring must be strings")
-            done[key] = [corpus.parse_fusion_ring(t) for t in texts]
+            if "stats" in rec and not (
+                    isinstance(counts, dict) and counts.keys() == set(_SEARCH_COUNTS)
+                    and all(type(x) is int and x >= 0 for x in counts.values())):
+                raise TypeError("the stats must be the five search counts")
+            done[key] = ([corpus.parse_fusion_ring(t) for t in texts], SearchStats(**counts))
         except (ValueError, LookupError, TypeError, FusionError) as exc:
             raise ParseError(f"bad checkpoint record in {f.name}: {exc}", line=n) from exc
         size += len(line)
@@ -1193,13 +1316,16 @@ def classify(
     depend on scheduling.  The pool pays when several units are long
     (2 workers cut the FPdim-990 rank-8 row by half) and not on the short
     census rows; the README gives the times.  ``checkpoint`` names a
-    JSONL file: each complete unit is appended with its rings only and
-    flushed as soon as it is taken.  Rerunning with the same path
-    resumes, reusing every stored unit of the same multiplicity cap, which
-    reports 0 nodes and 0 prunes; a last line without its newline, as a
-    killed run leaves it, is dropped and its unit reruns, and any other
-    bad line raises ParseError.  The wall budget is read from a monotonic
-    clock, so a step in the system clock neither stretches nor cuts it.
+    JSONL file: each complete unit is appended with its rings and its
+    counts (nodes, the three prune counts and raw solutions) and flushed
+    as soon as it is taken.  Rerunning with the same path resumes, reusing
+    every stored unit of the same multiplicity cap with its stored counts,
+    so a resumed report counts as an uninterrupted one; a record written
+    before records kept counts makes its type's counts None.  A last line
+    without its newline, as a killed run leaves it, is dropped and its
+    unit reruns, and any other bad line raises ParseError.  The wall
+    budget is read from a monotonic clock, so a step in the system clock
+    neither stretches nor cuts it.
     """
     import contextlib
 
@@ -1214,7 +1340,7 @@ def classify(
     with contextlib.ExitStack() as stack:
         if checkpoint is not None:
             ckpt = stack.enter_context(open(checkpoint, "a+b"))
-            outcomes = {k: (found, SearchStats()) for k, found in _read_checkpoint(ckpt).items()}
+            outcomes = _read_checkpoint(ckpt)
         todo = [i for i, k in enumerate(keys) if k not in outcomes]
         tasks = [(*units[i], constraints, node_budget) for i in todo]
         results = map(_search_task, tasks)
@@ -1231,7 +1357,9 @@ def classify(
             found, st = outcomes[keys[i]] = next(results)
             if checkpoint is not None and st.complete:
                 texts = [corpus.serialize_fusion_ring(fd) for fd in found]
-                ckpt.write(json.dumps({"key": keys[i], "rings": texts}).encode() + b"\n")
+                counts = {f: getattr(st, f) for f in _SEARCH_COUNTS}
+                rec = {"key": keys[i], "rings": texts, "stats": counts}
+                ckpt.write(json.dumps(rec).encode() + b"\n")
                 ckpt.flush()
 
     types = {sig: TypeResult(sig, 0, [], [], [], SearchStats()) for sig in sigs}

@@ -287,6 +287,63 @@ class TestBuildProblem:
         after = _greedy_assoc_order.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
+    def test_involution_tables_cached_once_per_involution(self):
+        """The 30 units of the census rows FPdim 60-360 share 13 involutions:
+        the per-involution tables miss once for each, and every array they
+        and the cached groups and group actions hold is read-only."""
+        from fusionforge.search import _build_problem, _involution_tables, _unit_group
+
+        rows = [u for f, r in CENSUS_ROWS[:4] for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        assert len(rows) == 30
+        _involution_tables.cache_clear()
+        for sig, inv in rows:
+            _build_problem(list(sig.dims), list(inv))
+        assert _involution_tables.cache_info().misses == len({inv for _, inv in rows}) == 13
+        for sig, inv in rows:
+            tab = _involution_tables(tuple(inv))
+            arrays = [v for k, v in vars(tab).items() if k != "norb"]
+            arrays += _unit_group(tuple(map(sig.dims.index, sig.dims)), tuple(inv))
+            assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+
+    def test_cached_group_is_the_dedup_group(self):
+        """The group cached per dimension-class pattern is ``_dedup_group`` of
+        the unit's own dimensions."""
+        from fusionforge.search import _build_problem, _dedup_group
+
+        for sig, inv in self.census_rows_and_small_types():
+            group = _build_problem(list(sig.dims), list(inv))["group"]
+            assert group.tolist() == [list(g) for g in _dedup_group(list(sig.dims), list(inv))]
+
+    def test_build_order_does_not_matter(self):
+        """Fresh interpreters that build the same units forward and in
+        reverse order give the same bytes: no build alters a cached array."""
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from fusionforge.search import _build_problem\n"
+            "cases, reverse = json.loads(sys.argv[1]), sys.argv[2] == '1'\n"
+            "out = {}\n"
+            "for i in (reversed if reverse else list)(range(len(cases))):\n"
+            "    prob = _build_problem(*cases[i])\n"
+            "    h = hashlib.sha256()\n"
+            "    for key, v in sorted(prob.items()):\n"
+            "        a = np.asarray(v)\n"
+            "        h.update(f'{key} {a.dtype} {a.shape} '.encode() + a.tobytes())\n"
+            "    out[i] = h.hexdigest()\n"
+            "print(json.dumps(out))\n"
+        )
+        cases = [(list(sig.dims), list(inv), mult)
+                 for sig, inv in self.census_rows_and_small_types() for mult in (None, 2)]
+        cases += [(None, list(search.RANK5_TEMPLATE_DUAL), mult) for mult in (1, 2, 4)]
+        procs = [run_python(script, json.dumps(cases), flag) for flag in ("0", "1")]
+        outs = []
+        for proc in procs:
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, stderr
+            outs.append(json.loads(stdout))
+        assert len(outs[0]) == len(cases) and outs[0] == outs[1]
+
     def test_dimensions_or_cap_required(self):
         from fusionforge.search import _build_problem
 
@@ -1012,8 +1069,11 @@ class TestClassify:
         assert ckpt.exists() and len(ckpt.read_text().splitlines()) == 2
         resumed = classify(c, checkpoint=str(ckpt))
         assert len(resumed.all_rings) == len(first.all_rings) == 1
-        # resumed run reused the stored results: no new nodes visited
-        assert all(tr.stats.nodes == 0 for tr in resumed.types)
+        # resumed run reused the stored results and their counts: no kernel ran
+        assert resumed.kernel_backend is None
+        assert type_counts(resumed) == type_counts(first)
+        assert [tr.stats.raw_solutions for tr in resumed.types] == [
+            tr.stats.raw_solutions for tr in first.types]
         # a run killed mid-write leaves its last line cut short: that
         # unit reruns and the rest is reused
         lines = ckpt.read_text().splitlines(keepends=True)
@@ -1040,6 +1100,12 @@ class TestClassify:
         '{"key": "k", "rings": [5]}\n',
         '{"key": "k", "rings": [null]}\n',
         '{"key": 5, "rings": []}\n',
+        '{"key": "k", "rings": [], "stats": null}\n',
+        '{"key": "k", "rings": [], "stats": {"nodes": 1}}\n',
+        '{"key": "k", "rings": [], "stats": {"nodes": -1, "prune_knapsack": 0, '
+        '"prune_associativity": 0, "prune_symmetry": 0, "raw_solutions": 0}}\n',
+        '{"key": "k", "rings": [], "stats": {"nodes": 1.5, "prune_knapsack": 0, '
+        '"prune_associativity": 0, "prune_symmetry": 0, "raw_solutions": 0}}\n',
     ])
     def test_bad_complete_record_is_an_error(self, tmp_path, text):
         """Only a last line without its newline counts as torn: a complete
@@ -1061,7 +1127,8 @@ class TestClassify:
 
     def test_killed_run_resumes(self, tmp_path, monkeypatch):
         """A run killed in the 3rd of its 7 units keeps the 2 finished ones
-        on disk, and resuming it gives the uninterrupted report."""
+        on disk, and resuming it gives the uninterrupted report, with the
+        same node and prune counts per type."""
         c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
         units = [(sig, inv) for sig in enumerate_types(c) for inv in enumerate_involutions(sig)]
         assert len(units) == 7
@@ -1084,6 +1151,31 @@ class TestClassify:
         resumed = classify(c, checkpoint=str(ckpt))
         assert ring_texts(resumed) == ring_texts(whole)
         assert type_counts(resumed) == type_counts(whole)
+
+    def test_record_without_counts_reports_none(self, tmp_path):
+        """A record written before records kept their counts still resumes:
+        its type's counts read None, in the report and in ``to_dict`` as
+        JSON null, never 0, and the other types keep theirs."""
+        c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
+        ckpt = tmp_path / "run.jsonl"
+        whole = classify(c, checkpoint=str(ckpt))
+        lines = ckpt.read_text().splitlines(keepends=True)
+        old = json.loads(lines[0])
+        del old["stats"]
+        ckpt.write_text(json.dumps(old) + "\n" + "".join(lines[1:]))
+        resumed = classify(c, checkpoint=str(ckpt))
+        assert ring_texts(resumed) == ring_texts(whole)
+        got, want = resumed.to_dict()["types"], whole.to_dict()["types"]
+        unknown = [str(sig) for sig, _ in units(c)][0]
+        counts = ("nodes", "prune_knapsack", "prune_associativity", "prune_symmetry")
+        for g, w in zip(got, want):
+            assert g["rings_found"] == w["rings_found"] and g["complete"] == w["complete"]
+            if g["type"] == unknown:
+                assert [g[k] for k in counts] == [None] * 4
+                assert '"nodes": null' in json.dumps(g)
+            else:
+                assert [g[k] for k in counts] == [w[k] for k in counts]
+        assert resumed.kernel_backend is None
 
     def test_report_constraints(self):
         """The report lists every constraint, in field order, as given."""
@@ -1135,7 +1227,8 @@ class TestClassify:
         assert len(classify(capped, checkpoint=ckpt).all_rings) == 0
         again = classify(uncapped, checkpoint=ckpt)
         assert len(again.all_rings) == 1
-        assert all(tr.stats.nodes == 0 for tr in again.types)
+        assert again.kernel_backend is None
+        assert type_counts(again) == type_counts(classify(uncapped))
 
     def test_checkpoint_same_in_both_modes(self, tmp_path):
         c = SearchConstraints(fpdim=210, rank=7, **PAPER_FLAGS)
@@ -1154,5 +1247,6 @@ def ring_texts(report) -> list:
 
 
 def type_counts(report) -> list:
-    keep = ("type", "rings_found", "simple", "schur_pass", "complete")
+    keep = ("type", "rings_found", "simple", "schur_pass", "complete", "nodes",
+            "prune_knapsack", "prune_associativity", "prune_symmetry")
     return [{k: t[k] for k in keep} for t in report.to_dict()["types"]]
