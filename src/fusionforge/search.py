@@ -46,18 +46,22 @@ computed together.  Each ring keeps its flag and table, and each table
 its report, so ``classify`` and every later ``is_simple``,
 ``character_table`` or ``schur_commutative`` call read them.
 
-Each (type, involution) unit becomes flat int64 arrays, each built by
-whole-array numpy operations with no loop over cells: orbit numbers,
+Each (type, involution) unit becomes flat int64 arrays: orbit numbers,
 caps, search order, cell layout, each orbit's rows, the associativity
 trigger table and the action of the relabelings on search positions.
 The inner DFS is an iterative loop over those arrays.  It runs as C
 (``_kernel.c``, built on first use with the system C compiler and
 loaded through ctypes), else as plain Python, which stays the reference
-for the C kernel.  ``KERNEL_BACKEND`` names the backend in use.
+for the C kernel.  ``KERNEL_BACKEND`` names the backend in use.  The C
+backend also builds each unit's arrays, from the tables cached per
+involution, into one block, and checks them before it searches; the
+Python backend builds them with whole-array numpy operations
+(``_build_problem``), which stay the reference for the C build.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import hashlib
@@ -187,6 +191,11 @@ def enumerate_types(constraints: SearchConstraints) -> list:
     for mu in range(max(lo, 1), hi + 1):
         if constraints.exclude_prime_power_products and _excluded_fpdim(mu):
             continue
+        # the dimensions n >= 2 with n^2 <= mu that a slot may take, ascending
+        if constraints.require_divisibility:
+            dims = [n for n in range(2, math.isqrt(mu) + 1) if mu % n == 0]
+        else:
+            dims = range(2, math.isqrt(mu) + 1)
         for m1 in ([1] if constraints.require_perfect else range(1, mu + 1)):
             if m1 > 1 and constraints.min_d2 > 1:
                 continue  # the second basis element would have dimension 1
@@ -209,9 +218,7 @@ def enumerate_types(constraints: SearchConstraints) -> list:
                     return
                 if constraints.growth_cap and parts:
                     top = min(top, prev_n * prev_n - 1)  # n_{i+1} < n_i^2
-                for n in range(max(prev_n + 1, 2), top + 1):
-                    if constraints.require_divisibility and mu % n != 0:
-                        continue
+                for n in dims[bisect.bisect_right(dims, prev_n):bisect.bisect_right(dims, top)]:
                     if parts == [] and n < constraints.min_d2:
                         continue
                     for k in range(1, budget // (n * n) + 1):
@@ -257,8 +264,40 @@ def enumerate_involutions(sig: TypeSignature) -> list:
 # orbit structure
 
 
+def _check_unit(dims, dual, max_mult) -> tuple:
+    """The unit (dims, dual, max_mult) as the builds take it: dims a list
+    or None, dual a tuple.  Raises ValueError without dimensions and
+    multiplicity cap, for a cap outside 0..2^63-1, and for dimensions that
+    are not m positive integers with m max(d)^2 < 2^63, the bound under
+    which no sum the build or the search forms overflows."""
+    dual = tuple(map(int, dual))
+    if dims is None:
+        if max_mult is None:
+            raise ValueError("max_multiplicity is required without dimensions")
+    else:
+        dims = list(dims)
+        m = len(dual)
+        if len(dims) != m or min(dims) < 1 or m * max(dims) ** 2 > _INT64_MAX:
+            raise ValueError(f"expected {m} positive dimensions with m max(d)^2 < 2^63, "
+                             f"got {dims}")
+    if max_mult is not None and not 0 <= max_mult <= _INT64_MAX:
+        raise ValueError(f"max_multiplicity must be nonnegative, got {max_mult}"
+                         if max_mult < 0 else "max_multiplicity must be below 2^63")
+    return dims, dual, max_mult
+
+
+def _pattern(dims, m) -> tuple:
+    """The index of the first equal dimension, per index: all 0 without
+    dimensions, whose relabelings need only commute with the involution."""
+    return (0,) * m if dims is None else tuple(map(dims.index, dims))
+
+
 def _build_problem(dims, dual, max_mult=None):
     """Flatten the orbit/row/equation structure for the DFS kernel.
+
+    This is the build of the Python backend and the reference for the C
+    build (``ff_build_problem`` in ``_kernel.c``), which must write the
+    same twelve ``_KERNEL_ARRAYS`` byte for byte.
 
     Built array at a time over the free cells N[j,k,s] (j, k, s >= 1),
     taken in lex order, which is the order of their flat index
@@ -298,14 +337,10 @@ def _build_problem(dims, dual, max_mult=None):
     ``dims=None`` (unknown dimensions, as in the rank-5 family) drops the
     dimension knapsack and caps every orbit at ``max_mult`` alone.
     """
+    dims, dual, max_mult = _check_unit(dims, dual, max_mult)
     m = len(dual)
     use_dims = dims is not None
-    if not use_dims and max_mult is None:
-        raise ValueError("max_multiplicity is required without dimensions")
-    if max_mult is not None and max_mult < 0:
-        raise ValueError(f"max_multiplicity must be nonnegative, got {max_mult}")
-    dims = list(dims) if use_dims else [1] * m
-    dual = tuple(map(int, dual))
+    dims = dims if use_dims else [1] * m
     tab = _involution_tables(dual)
     n, norb, orbit = m - 1, tab.norb, tab.orbit
     d = np.asarray(dims, dtype=np.int64)
@@ -328,7 +363,7 @@ def _build_problem(dims, dual, max_mult=None):
         np.minimum.at(first, orbit[(rows[:, None] * n + cols).ravel()], tab.lex)
         orb_order = first.argsort()
     else:
-        orb_order = _greedy_assoc_order(dual)
+        orb_order = _greedy_assoc_order(dual)[0]
     # search position of each orbit, in the narrowest integer type that
     # holds norb so that the stable sorts by position are radix sorts
     orb_pos = np.empty(norb, dtype=np.min_scalar_type(norb))
@@ -371,7 +406,7 @@ def _build_problem(dims, dual, max_mult=None):
     # lex-leader symmetry breaking: sym[g, p] is the search position of the
     # orbit that relabeling g maps the orbit at position p to.  Row 0 of the
     # group is the identity and gets no row.
-    group, moves = _unit_group(tuple(map(dims.index, dims)), dual)
+    group, moves, _ = _unit_group(_pattern(dims, m), dual)
     sym = orb_pos[moves[:, orb_order]].astype(np.int64, order="C")
 
     return {
@@ -405,6 +440,22 @@ def _read_only(*arrays) -> None:
         a.setflags(write=False)  # cached, shared by every problem that reads it
 
 
+def _within(x, hi) -> bool:
+    # a negative int64 read as uint64 is at least 2^63, so one max checks both ends
+    return x.size == 0 or x.view(np.uint64).max() < hi
+
+
+def _int64_c(*arrays) -> bool:
+    """Whether every array is int64 and C-contiguous, as C reads it."""
+    return all(a.dtype == np.int64 and a.flags.c_contiguous for a in arrays)
+
+
+#: the arrays of ``_InvolutionTables`` that the C build reads, in the order
+#: of ``_InvolutionTables.addresses``
+_C_TABLES = ("orbit", "orbit_size", "cell_idx", "pair_orbit", "pair_row", "pair_cols",
+             "orbit_rows", "row_last", "unit_row", "init_tensor", "inst", "inst_orbits")
+
+
 @dataclass(frozen=True)
 class _InvolutionTables:
     """What ``_build_problem`` needs of an involution whose free part has
@@ -423,7 +474,9 @@ class _InvolutionTables:
     column is fixed at 1.  ``init_tensor``: the fixed cells, flat.
     ``inst``: ``_assoc_instances``; ``inst_orbits`` the orbits of the free
     cells (i,j,s), (s,k,t), (j,k,s), (i,s,t), s >= 1, of each instance, one
-    column per instance; its cells with s = 0 are fixed.
+    column per instance; its cells with s = 0 are fixed.  ``addresses``:
+    the data addresses of the ``_C_TABLES``, which the C build reads
+    through; ``address``: the data address of ``addresses``.
     """
 
     norb: int
@@ -441,6 +494,8 @@ class _InvolutionTables:
     init_tensor: np.ndarray
     inst: np.ndarray
     inst_orbits: np.ndarray
+    addresses: np.ndarray
+    address: int
 
 
 @functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)
@@ -471,7 +526,7 @@ def _involution_tables(dual: tuple) -> _InvolutionTables:
     # one column per instance, so that the trigger is a max over rows
     inst_orbits = np.concatenate(
         [orb[i, j, s], orb[s, k, t], orb[j, k, s], orb[i, s, t]], axis=1).T.copy()
-    tab = _InvolutionTables(
+    tables = dict(
         norb=norb,
         lex=lex,
         cell_idx=cell_idx,
@@ -488,8 +543,37 @@ def _involution_tables(dual: tuple) -> _InvolutionTables:
         inst=inst,
         inst_orbits=inst_orbits,
     )
-    _read_only(*(v for v in vars(tab).values() if isinstance(v, np.ndarray)))
-    return tab
+    _read_only(*(v for v in tables.values() if isinstance(v, np.ndarray)))
+    _check_tables(m, tables)
+    addresses = np.array([tables[k].ctypes.data for k in _C_TABLES], dtype=np.uint64)
+    _read_only(addresses)
+    return _InvolutionTables(**tables, addresses=addresses, address=addresses.ctypes.data)
+
+
+def _check_tables(m, t) -> None:
+    """Raise ValueError unless the tables ``t`` of an involution of rank
+    ``m`` hold what the C build reads through them: int64 C-contiguous
+    arrays of the lengths it takes, orbit and row ids in bounds, and
+    orbit sizes, pair counts and row ends that match the ids, since it
+    sorts cells, pairs and rows into buckets of those sizes."""
+    n, norb = m - 1, t["norb"]
+    npairs, ninst = len(t["pair_orbit"]), len(t["inst"])
+    ok = (
+        _int64_c(*(t[k] for k in _C_TABLES))
+        and t["orbit"].shape == t["cell_idx"].shape == (n**3,)
+        and t["unit_row"].shape == (n * n,) and t["init_tensor"].shape == (m**3,)
+        and t["pair_row"].shape == (npairs,) and t["pair_cols"].shape == (npairs, n)
+        and t["inst"].shape == (ninst, 4) and t["inst_orbits"].shape == (4 * n, ninst)
+        and _within(t["orbit"], norb) and _within(t["pair_orbit"], norb)
+        and _within(t["pair_row"], n * n) and _within(t["inst_orbits"], norb)
+        and np.array_equal(t["orbit_size"], np.bincount(t["orbit"], minlength=norb))
+        and t["orbit_size"].all()
+        and np.array_equal(t["orbit_rows"], np.bincount(t["pair_orbit"], minlength=norb))
+        and np.array_equal(t["row_last"],
+                           np.bincount(t["pair_row"], minlength=n * n).cumsum() - 1)
+    )
+    if not ok:
+        raise ValueError("malformed involution tables")
 
 
 @functools.lru_cache(maxsize=128)
@@ -551,9 +635,10 @@ def _frobenius_orbits(dn: np.ndarray):
 
 
 @functools.lru_cache(maxsize=128)
-def _greedy_assoc_order(dual: tuple) -> np.ndarray:
+def _greedy_assoc_order(dual: tuple) -> tuple:
     """Static orbit order maximizing early associativity completion, for
-    the involution ``dual``, as a read-only array of orbit ids.
+    the involution ``dual``, as a read-only array of orbit ids, checked to
+    be a permutation, with its data address for the C build.
 
     ``orb[a, b, c]`` is the orbit of cell (a, b, c), -1 for a fixed cell.
     ``E[e, o]`` is 1 when orbit o has a free cell in associativity
@@ -582,24 +667,35 @@ def _greedy_assoc_order(dual: tuple) -> np.ndarray:
         order[step] = best = np.argmax(score)
         chosen[best] = True
     _read_only(order)
-    return order
+    if not np.array_equal(np.sort(order), np.arange(norb)):
+        raise ValueError("the greedy order is not a permutation of the orbits")
+    return order, order.ctypes.data
 
 
 # ---------------------------------------------------------------------------
 # DFS kernel
 
 
-# the problem arrays in the order the C kernel takes them, after m, norb,
-# the number of rows and the number of rows of sym
+# the problem arrays in their order in the C kernel's block
 _KERNEL_ARRAYS = (
     "orb_ptr", "cell_idx", "caps", "orb_row_ptr", "orb_row", "orb_row_wt", "orb_row_rest",
     "row_target", "eq_ptr", "eq_data", "sym", "init_tensor",
 )
 
 
+def _block_lengths(m, norb, nrows, nsym, ncell, nent, neq) -> tuple:
+    """The length of each of the ``_KERNEL_ARRAYS`` in the C kernel's block
+    (``layout`` in ``_kernel.c``) for norb orbits, m^3 cells of the tensor,
+    nrows rows, nsym rows of ``sym``, ncell free cells, nent orbit rows and
+    neq associativity instances: the sizes the C kernel takes."""
+    return (norb + 1, ncell, norb, norb + 1, nent, nent, nent, nrows, norb + 1, 4 * neq,
+            nsym * norb, m**3)
+
+
 def _dfs_kernel(prob, node_budget, max_results):
-    """Iterative DFS over the orbit values of ``prob`` (from
-    ``_build_problem``); the reference for every backend.
+    """Iterative DFS over the orbit values of ``prob``, a problem from
+    ``_build_problem`` or a unit (dims, dual, max_mult) that it builds so;
+    the reference for every backend.
 
     Returns (status, nodes, knapsack prunes, associativity prunes,
     symmetry prunes, solutions as a flat 2d array).  status: 0 done, 1 a
@@ -642,6 +738,8 @@ def _dfs_kernel(prob, node_budget, max_results):
     Invariant: orbits 0..o-1 are applied with the values v[0..o-1];
     v[o] is the next candidate of orbit o, not yet applied.
     """
+    if not isinstance(prob, dict):
+        prob = _build_problem(*prob)
     m, norb = prob["m"], prob["norb"]
     (orb_ptr, cell_idx, caps, orb_row_ptr, orb_row, orb_row_wt, orb_row_rest, row_target,
      eq_ptr, eq_data, sym, init_tensor) = (prob[k].tolist() for k in _KERNEL_ARRAYS)
@@ -761,7 +859,9 @@ def _dfs_kernel(prob, node_budget, max_results):
 
 def _run_kernel(prob, node_budget, max_results) -> tuple:
     """Run the DFS on ``prob`` with the backend in use: (status, solutions,
-    stats of this run naming that backend)."""
+    stats of this run naming that backend).  ``prob`` is a problem from
+    ``_build_problem`` or a unit (dims, dual, max_mult) as ``_check_unit``
+    returns it, which the backend builds, inside the timed run."""
     t0 = time.perf_counter()
     backend, kernel = _kernel()
     status, nodes, pk, pa, ps, found = kernel(prob, node_budget, max_results)
@@ -792,50 +892,21 @@ def _c_cache_dir() -> str:
     raise OSError(f"neither {_C_CACHE_DIR} nor {private} is a private writable directory")
 
 
-def _check_kernel_args(a):
-    """The layout, sizes, index bounds and signs the C kernel relies on
-    without checking, in the problem ``a``: among them the row weights it
-    divides by, the nonnegative row residuals that make its integer
-    division a floor, and the search positions in ``sym``, whose rows
-    must permute them."""
-    m, norb, nrows = a["m"], a["norb"], len(a["row_target"])
-    sym = a["sym"]
-
-    def at_least(x, lo):
-        return x.size == 0 or x.min() >= lo
-
-    def within(x, hi):
-        # a negative int64 read as uint64 is at least 2^63, so one max checks both ends
-        return x.size == 0 or x.view(np.uint64).max() < hi
-
-    ok = (
-        all(a[k].dtype == np.int64 and a[k].flags.c_contiguous for k in _KERNEL_ARRAYS)
-        and norb >= 1
-        and len(a["caps"]) == norb
-        and len(a["init_tensor"]) == m**3
-        and len(a["orb_row_rest"]) == len(a["orb_row"])
-        and len(a["orb_ptr"]) == len(a["orb_row_ptr"]) == len(a["eq_ptr"]) == norb + 1
-    )
-    if ok:
-        # the three pointer arrays as rows: each starts at 0 and never decreases
-        ptrs = np.stack([a["orb_ptr"], a["orb_row_ptr"], a["eq_ptr"]])
-        ok = (
-            not ptrs[:, 0].any()
-            and (ptrs[:, 1:] >= ptrs[:, :-1]).all()
-            and ptrs[0, -1] == len(a["cell_idx"])
-            and ptrs[1, -1] == len(a["orb_row"]) == len(a["orb_row_wt"])
-            and a["eq_data"].shape == (ptrs[2, -1], 4)
-            and sym.ndim == 2 and sym.shape[1] == norb
-            # rows permute 0..norb-1
-            and (sym.size == 0 or (np.sort(sym, axis=1) == np.arange(norb)).all())
-            and within(a["cell_idx"], m**3)
-            and within(a["orb_row"], nrows)
-            and at_least(a["orb_row_wt"], 1)
-            and at_least(a["row_target"], 0)
-            and within(a["eq_data"], m)
-        )
-    if not ok:
+def _pack(prob) -> tuple:
+    """A problem built in Python as the C kernel takes it: (one block
+    holding the ``_KERNEL_ARRAYS`` in order, its address, the sizes of
+    ``_block_lengths``).  Only what takes O(1) is checked here: the dtypes,
+    contiguity, lengths and shapes; the kernel checks the values.  Raises
+    ValueError for a malformed problem."""
+    arrays = [prob[k] for k in _KERNEL_ARRAYS]
+    eq_data, sym = prob["eq_data"], prob["sym"]
+    sizes = (prob["m"], prob["norb"], len(prob["row_target"]), len(sym), len(prob["cell_idx"]),
+             len(prob["orb_row"]), len(eq_data))
+    if not (_int64_c(*arrays) and eq_data.ndim == sym.ndim == 2
+            and [a.size for a in arrays] == list(_block_lengths(*sizes))):
         raise ValueError("malformed search problem arrays")
+    block = np.concatenate(arrays, axis=None)
+    return block, block.ctypes.data, sizes
 
 
 def _load_c_kernel():
@@ -876,39 +947,74 @@ def _load_c_kernel():
                         os.unlink(old)
                     except FileNotFoundError:
                         pass
-    lib = ctypes.CDLL(path)
-    i64, arr = ctypes.c_int64, ctypes.c_void_p
-    out_ptr = ctypes.POINTER(i64)
-    fn = lib.ff_dfs_kernel
-    # m, norb, nrows, nsym, the _KERNEL_ARRAYS, node_budget, max_results,
-    # counts, results; arrays go as bare data addresses (checked by
-    # _check_kernel_args, kept alive by the caller)
-    fn.argtypes = [i64] * 4 + [arr] * len(_KERNEL_ARRAYS) + [i64] * 2 + [
-        arr, ctypes.POINTER(out_ptr)]
-    fn.restype = i64
-    lib.ff_free.argtypes = [out_ptr]
-    lib.ff_free.restype = None
+    return _CKernel(ctypes.CDLL(path))
 
-    def c_kernel(prob, node_budget, max_results):
-        _check_kernel_args(prob)
-        m = prob["m"]
-        counts = np.zeros(5, dtype=np.int64)
-        found = out_ptr()
-        addr = [prob[k].ctypes.data for k in _KERNEL_ARRAYS]
-        status = fn(m, prob["norb"], len(prob["row_target"]), len(prob["sym"]), *addr,
-                    min(int(node_budget), _INT64_MAX), min(int(max_results), _INT64_MAX),
-                    counts.ctypes.data, ctypes.byref(found))
+
+class _CKernel:
+    """The C backend, called as a kernel on a problem from ``_build_problem``,
+    which it packs into one block (``_pack``), or on a unit, which it
+    builds in C into one block (``build``); either block is checked and
+    searched by ``ff_dfs_kernel``."""
+
+    def __init__(self, lib):
+        i64, arr = ctypes.c_int64, ctypes.c_void_p
+        self._out_ptr = out_ptr = ctypes.POINTER(i64)
+        # arrays go as bare data addresses, of arrays that the caller keeps
+        # alive; the build reads the cached tables, their bounds checked when
+        # their record was made, and the kernel checks its block first
+        self._build = lib.ff_build_problem
+        # m, norb, npairs, ninst, nsym, tables, order, moves, dims, max_mult, block
+        self._build.argtypes = [i64] * 5 + [arr] * 3 + [ctypes.POINTER(i64), i64, arr]
+        self._build.restype = i64
+        self._dfs = lib.ff_dfs_kernel
+        # the sizes of _block_lengths, block, node_budget, max_results, counts, results
+        self._dfs.argtypes = [i64] * 7 + [arr] + [i64] * 2 + [arr, ctypes.POINTER(out_ptr)]
+        self._dfs.restype = i64
+        self._free = lib.ff_free
+        self._free.argtypes = [out_ptr]
+        self._free.restype = None
+
+    def build(self, dims, dual, max_mult) -> tuple:
+        """The unit (dims, dual, max_mult), as ``_check_unit`` returns it,
+        built in C: (block, its address, sizes), as ``_pack`` gives them."""
+        m, tab = len(dual), _involution_tables(dual)
+        _, moves, moves_at = _unit_group(_pattern(dims, m), dual)
+        npairs, ninst, nsym = len(tab.pair_row), len(tab.inst), len(moves)
+        sizes = (m, tab.norb, (m - 1) ** 2, nsym, (m - 1) ** 3, 0 if dims is None else npairs,
+                 ninst)
+        block = np.empty(sum(_block_lengths(*sizes)), dtype=np.int64)
+        at = block.ctypes.data
+        if dims is None:
+            order_at, dims_c = _greedy_assoc_order(dual)[1], None
+        else:
+            order_at, dims_c = None, (ctypes.c_int64 * m)(*dims)
+        status = self._build(m, tab.norb, npairs, ninst, nsym, tab.address, order_at, moves_at,
+                             dims_c, -1 if max_mult is None else max_mult, at)
+        if status < 0:
+            raise MemoryError("the C problem build ran out of memory")
+        return block, at, sizes
+
+    def __call__(self, prob, node_budget, max_results):
+        # block stays referenced here while the kernel reads it at its address
+        block, at, sizes = _pack(prob) if isinstance(prob, dict) else self.build(*prob)
+        m = sizes[0]
+        if sizes[1] < 1:  # the kernel reads orbit 0
+            raise ValueError("malformed search problem arrays")
+        counts = (ctypes.c_int64 * 5)()
+        found = self._out_ptr()
+        status = self._dfs(*sizes, at, min(int(node_budget), _INT64_MAX),
+                           min(int(max_results), _INT64_MAX), counts, ctypes.byref(found))
         try:
+            if status == -2:
+                raise ValueError("malformed search problem arrays")
             if status < 0:
                 raise MemoryError("the C search kernel ran out of memory")
-            nfound = int(counts[4])
+            nfound = counts[4]
             solutions = (np.ctypeslib.as_array(found, shape=(nfound, m**3)).copy()
                          if nfound else np.empty((0, m**3), dtype=np.int64))
         finally:
-            lib.ff_free(found)
-        return (int(status), *(int(x) for x in counts[:4]), solutions)
-
-    return c_kernel
+            self._free(found)
+        return (int(status), *counts[:4], solutions)
 
 
 _KERNEL = None  # (backend name, kernel), chosen on the first search
@@ -967,7 +1073,8 @@ class SearchStats:
     were never applied.
     ``raw_solutions``: complete tensors found, one per isomorphism class,
     before the final dedup.
-    ``wall_time``: seconds in the kernel.  ``complete``: no unit stopped
+    ``wall_time``: seconds in the kernel, including the build of each
+    unit's problem, in C on the C backend.  ``complete``: no unit stopped
     on a budget.  ``kernel_backends``: the backends that ran.
 
     The five counts are None, and stay None through every merge, once a
@@ -1015,20 +1122,24 @@ def _dedup_group(dims, dual):
 @functools.lru_cache(maxsize=_UNIT_CACHE_SIZE)
 def _unit_group(pattern: tuple, dual: tuple) -> tuple:
     """``_dedup_group`` of the dimensions whose equality pattern is
-    ``pattern`` (the index of the first equal dimension, per index), as a
-    read-only (|G|, m) int64 array, and its action on the Frobenius orbits
-    of ``dual``: ``moves[g - 1, o]`` is the orbit that relabeling g maps
-    orbit o to, the orbit of g applied to o's least cell.  Both depend on
-    the dimensions only through which are equal, so they are cached on
-    that pattern and the involution."""
+    ``pattern`` (``_pattern``), as a read-only (|G|, m) int64 array, its
+    action on the Frobenius orbits of ``dual`` and the data address of
+    that action for the C build: ``moves[g - 1, o]`` is the orbit that
+    relabeling g maps orbit o to, the orbit of g applied to o's least
+    cell, checked to be in bounds.  Both depend on the dimensions only
+    through which are equal, so they are cached on that pattern and the
+    involution."""
     n = len(dual) - 1
     tab = _involution_tables(dual)
     group = np.array(_dedup_group(pattern, dual), dtype=np.int64).reshape(-1, n + 1)
     gf = group[1:, 1:] - 1  # g on the free indices, 0-based
     lj, lk, ls = tab.least
-    moves = tab.orbit[(gf[:, lj] * n + gf[:, lk]) * n + gf[:, ls]]
+    moves = np.ascontiguousarray(tab.orbit[(gf[:, lj] * n + gf[:, lk]) * n + gf[:, ls]])
     _read_only(group, moves)
-    return group, moves
+    if not (_int64_c(moves) and moves.shape == (len(group) - 1, tab.norb)
+            and _within(moves, tab.norb)):
+        raise ValueError("malformed relabeling action")
+    return group, moves, moves.ctypes.data
 
 
 def _canonical_keys(flat, m, group) -> list:
@@ -1069,25 +1180,25 @@ def enumerate_fusion_rings(
     """
     if not sig.integral:
         raise ValueError("tensor enumeration requires an integral type")
-    dims = list(sig.dims)
-    dual = list(involution)
     max_mult = constraints.max_multiplicity if constraints else None
-    prob = _build_problem(dims, dual, max_mult=max_mult)
-    if prob["norb"] == 0:  # rank 1: only the unit-only ring, no free cells
-        fd = FusionData(prob["init_tensor"].reshape(1, 1, 1).copy(), [0])
+    unit = _check_unit(sig.dims, involution, max_mult)
+    if len(unit[1]) == 1:  # rank 1: only the unit-only ring, no free cells
+        fd = FusionData(np.ones((1, 1, 1), dtype=np.int64), [0])
         if stats is not None:
             stats.merge(SearchStats(raw_solutions=1))
         return [fd] if rings.verify_axioms(fd).all_ok else []
-    return _search(prob, dual, "found", node_budget, stats)
+    return _search(unit, "found", node_budget, stats)
 
 
-def _search(prob, dual, label_prefix, node_budget, stats) -> list:
-    """Run the kernel on ``prob`` and return up to ``UNIT_MAX_RESULTS`` rings,
-    up to isomorphism; SearchTimeout carries them when it stopped early."""
-    status, found, st = _run_kernel(prob, node_budget, UNIT_MAX_RESULTS)
+def _search(unit, label_prefix, node_budget, stats) -> list:
+    """Build and search the unit (dims, dual, max_mult), as ``_check_unit``
+    returns it, and return up to ``UNIT_MAX_RESULTS`` rings, up to
+    isomorphism; SearchTimeout carries them when it stopped early."""
+    dims, dual, _ = unit
+    status, found, st = _run_kernel(unit, node_budget, UNIT_MAX_RESULTS)
     if stats is not None:
         stats.merge(st)
-    out = _collect(found, prob["group"], dual, label_prefix)
+    out = _collect(found, _unit_group(_pattern(dims, len(dual)), dual)[0], dual, label_prefix)
     if status == 1:
         raise SearchTimeout(f"node budget {node_budget} exhausted", partial=out)
     if status == 2:
@@ -1167,9 +1278,8 @@ def rank5_three_selfadjoint_family(
     general, so no dimension knapsack applies).  Results are up to
     equivalence.
     """
-    dual = list(RANK5_TEMPLATE_DUAL)
-    prob = _build_problem(None, dual, max_mult=max_multiplicity)
-    return _search(prob, dual, "r5sa", node_budget, stats)
+    unit = _check_unit(None, RANK5_TEMPLATE_DUAL, max_multiplicity)
+    return _search(unit, "r5sa", node_budget, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -94,10 +96,14 @@ class TestEnumerateTypes:
         dict(fpdim=(50, 250), rank=(3, 7), require_perfect=True, growth_cap=True),
         dict(fpdim=(1, 1200), rank=(1, 8), **PAPER_FLAGS),
         dict(fpdim=7224, rank=7, **PAPER_FLAGS),
+        dict(fpdim=(1, 1500), rank=(1, 7), **PAPER_FLAGS),
+        dict(fpdim=(1, 120), rank=(1, 6)),
+        dict(fpdim=(1, 300), rank=(2, 7), require_divisibility=True, min_d2=2),
     ])
     def test_matches_leaf_filtering(self, constraints):
-        """Pruning by rank and growth cap inside the recursion gives the
-        types that filtering complete types gives, in the same order."""
+        """Pruning by rank and growth cap inside the recursion, and taking
+        only the divisors of FPdim as dimensions under divisibility, gives
+        the types that filtering complete types gives, in the same order."""
         c = SearchConstraints(**constraints)
         got = enumerate_types(c)
         assert got and got == reference_enumerate_types(c)
@@ -272,15 +278,16 @@ class TestBuildProblem:
 
     def test_greedy_order_cached_per_involution(self):
         """The greedy order is the reference order for every involution of
-        ranks 2 to 6, read-only, and computed once per involution."""
+        ranks 2 to 6, read-only, kept with its data address, and computed
+        once per involution."""
         from fusionforge.search import _build_problem, _greedy_assoc_order
 
         for m in range(2, 7):
             for inv in enumerate_involutions(TypeSignature(((1, m),), True)):
-                order = _greedy_assoc_order(tuple(inv))
+                order, address = _greedy_assoc_order(tuple(inv))
                 assert order.tolist() == reference_greedy_assoc_order(
                     m, *reference_orbits(list(inv))), inv
-                assert not order.flags.writeable
+                assert not order.flags.writeable and address == order.ctypes.data
         _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), 4)
         before = _greedy_assoc_order.cache_info()
         _build_problem(None, list(search.RANK5_TEMPLATE_DUAL), 4)
@@ -288,23 +295,39 @@ class TestBuildProblem:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_involution_tables_cached_once_per_involution(self):
-        """The 30 units of the census rows FPdim 60-360 share 13 involutions:
-        the per-involution tables miss once for each, and every array they
-        and the cached groups and group actions hold is read-only."""
+        """The 30 units of the census rows FPdim 60-360 share 13 involutions
+        and 28 (dimension-class pattern, involution) pairs: the Python build
+        and, where it loads, the C build miss the per-involution tables once
+        for each involution and the groups once for each pair, and every
+        array they hold is read-only.  Each tables record keeps the data
+        addresses of the tables the C build reads, and each group record the
+        address of its action."""
         from fusionforge.search import _build_problem, _involution_tables, _unit_group
 
         rows = [u for f, r in CENSUS_ROWS[:4] for u in
                 units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
         assert len(rows) == 30
-        _involution_tables.cache_clear()
-        for sig, inv in rows:
-            _build_problem(list(sig.dims), list(inv))
-        assert _involution_tables.cache_info().misses == len({inv for _, inv in rows}) == 13
+        builds = {"python": _build_problem}
+        if "c" in kernel_backends():
+            kernel = search._load_c_kernel()
+            builds["c"] = lambda *unit: kernel.build(*search._check_unit(*unit))
+        for name, build in builds.items():
+            _involution_tables.cache_clear()
+            _unit_group.cache_clear()
+            for sig, inv in rows:
+                build(list(sig.dims), list(inv), None)
+            assert _involution_tables.cache_info().misses == len({inv for _, inv in rows}) == 13
+            pairs = {(search._pattern(sig.dims, sig.rank), inv) for sig, inv in rows}
+            assert _unit_group.cache_info().misses == len(pairs) == 28, name
         for sig, inv in rows:
             tab = _involution_tables(tuple(inv))
-            arrays = [v for k, v in vars(tab).items() if k != "norb"]
-            arrays += _unit_group(tuple(map(sig.dims.index, sig.dims)), tuple(inv))
-            assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+            group, moves, address = _unit_group(search._pattern(sig.dims, sig.rank), tuple(inv))
+            arrays = [v for k, v in vars(tab).items() if k not in ("norb", "address")]
+            assert all(isinstance(a, np.ndarray) and not a.flags.writeable
+                       for a in arrays + [group, moves])
+            assert tab.addresses.tolist() == [getattr(tab, k).ctypes.data
+                                              for k in search._C_TABLES]
+            assert (tab.address, address) == (tab.addresses.ctypes.data, moves.ctypes.data)
 
     def test_cached_group_is_the_dedup_group(self):
         """The group cached per dimension-class pattern is ``_dedup_group`` of
@@ -344,6 +367,39 @@ class TestBuildProblem:
             outs.append(json.loads(stdout))
         assert len(outs[0]) == len(cases) and outs[0] == outs[1]
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_c_build_matches(self):
+        """The C build writes the arrays of ``_build_problem`` byte for byte,
+        and the C kernel gives the same status, counts and solutions, in
+        order, on the unit it builds as on the problem built in Python: on
+        every unit of the census rows FPdim 60/168/210/360 and of FPdim 660
+        at rank 2-8 with the paper flags, of FPdim 1-60 at rank 1-6 at
+        ``max_mult`` None and 2, and of the rank-5 template at 1, 2 and 4."""
+        from fusionforge.search import _block_lengths, _build_problem, _check_unit
+
+        kernel = search._load_c_kernel()
+        rows = [u for f, r in CENSUS_ROWS[:4] + [(660, (2, 8))] for u in
+                units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
+        cases = [(list(sig.dims), list(inv), None) for sig, inv in rows]
+        cases += [(list(sig.dims), list(inv), mult) for mult in (None, 2)
+                  for sig, inv in units(SearchConstraints(fpdim=(1, 60), rank=(1, 6)))]
+        cases += [(None, list(search.RANK5_TEMPLATE_DUAL), mult) for mult in (1, 2, 4)]
+        searched = 0
+        for dims, dual, max_mult in cases:
+            where = (dims, dual, max_mult)
+            want = _build_problem(dims, dual, max_mult)
+            unit = _check_unit(dims, dual, max_mult)
+            block, _, sizes = kernel.build(*unit)
+            got = np.split(block, np.cumsum(_block_lengths(*sizes))[:-1])
+            for key, part in zip(search._KERNEL_ARRAYS, got):
+                assert want[key].dtype == np.int64, (key, *where)
+                assert part.tobytes() == want[key].tobytes(), (key, *where)
+            if want["norb"]:
+                new, old = kernel(unit, 10**9, 10**6), kernel(want, 10**9, 10**6)
+                assert new[:5] == old[:5] and np.array_equal(new[5], old[5]), where
+                searched += 1
+        assert searched == len(cases) - 2  # the rank-1 unit, at both caps, has no orbit
+
     def test_dimensions_or_cap_required(self):
         from fusionforge.search import _build_problem
 
@@ -351,6 +407,41 @@ class TestBuildProblem:
             _build_problem(None, [0, 2, 1])
         with pytest.raises(ValueError, match="must be nonnegative"):
             _build_problem([1, 1, 1], [0, 2, 1], max_mult=-1)
+        with pytest.raises(ValueError, match="must be below 2\\^63"):
+            _build_problem(None, [0, 2, 1], max_mult=2**63)
+
+    def test_dimensions_checked(self):
+        """Dimensions are m positive integers small enough that no sum the C
+        build or kernel forms overflows: m max(d)^2 < 2^63."""
+        from fusionforge.search import _build_problem
+
+        _build_problem([1, 2**30, 2**30], [0, 2, 1])
+        for dims in ([1, 0, 1], [1, 1], [1, 1, 1, 1], [1, 2**31, 2**31]):
+            with pytest.raises(ValueError, match="positive dimensions"):
+                _build_problem(dims, [0, 2, 1])
+
+    def test_tables_checked(self):
+        """The tables that the C build reads through are checked when their
+        record is made: an orbit or row id out of bounds, an orbit size,
+        pair count or row end that does not match the ids, and a table of
+        the wrong length, shape or dtype are refused."""
+        from fusionforge.search import _check_tables, _involution_tables
+
+        tab = _involution_tables(search.RANK5_TEMPLATE_DUAL)
+        good = {k: v for k, v in vars(tab).items() if k not in ("addresses", "address")}
+        _check_tables(5, good)
+        edits = [("orbit", tab.norb), ("orbit", -1), ("pair_orbit", tab.norb), ("pair_row", 16)]
+        edits += [(k, getattr(tab, k)[-1] + 1) for k in ("orbit_size", "orbit_rows", "row_last")]
+        bad = [dict(good, **{key: np.append(good[key][:-1], value)}) for key, value in edits]
+        bad.append(dict(good, inst_orbits=np.where(tab.inst_orbits == 0, tab.norb,
+                                                   tab.inst_orbits)))
+        bad += [dict(good, unit_row=tab.unit_row[:-1].copy()),
+                dict(good, init_tensor=tab.init_tensor.astype(np.int32)),
+                dict(good, pair_cols=tab.pair_cols[:, :-1].copy())]
+        assert len(bad) == 11
+        for tables in bad:
+            with pytest.raises(ValueError, match="malformed involution tables"):
+                _check_tables(5, tables)
 
 
 def test_is_simple_matches_subring_lattice(corpus_entries, dims112):
@@ -444,6 +535,41 @@ def test_schur_filter_reads_the_kept_tables(monkeypatch):
     assert sorted(map(id, calls)) == sorted(map(id, report.all_rings))
 
 
+def malformed_problems(prob) -> list:
+    """(condition, copy of ``prob`` that breaks it) for every condition the
+    C kernel relies on: a non-int64 or non-contiguous array, no orbit, an
+    array of the wrong length or shape; a pointer array that does not
+    start at 0, decreases or does not end at its array's length; a cell,
+    row, instance index or ``sym`` entry out of bounds, a repeated ``sym``
+    entry, a zero row weight and a negative row residual."""
+    m, norb, nrows = prob["m"], prob["norb"], len(prob["row_target"])
+    out = [("int32 caps", dict(prob, caps=prob["caps"].astype(np.int32))),
+           ("strided cell_idx", dict(prob, cell_idx=np.repeat(prob["cell_idx"], 2)[::2])),
+           ("no orbit", dict(prob, norb=0)),
+           ("short caps", dict(prob, caps=prob["caps"][:-1].copy())),
+           ("long init_tensor", dict(prob, init_tensor=np.append(prob["init_tensor"], 0))),
+           ("short orb_row_rest", dict(prob, orb_row_rest=prob["orb_row_rest"][:-1].copy())),
+           ("long orb_row_rest", dict(prob, orb_row_rest=np.append(prob["orb_row_rest"], 0))),
+           ("flat eq_data", dict(prob, eq_data=prob["eq_data"].reshape(-1))),
+           ("eq_data pairs", dict(prob, eq_data=prob["eq_data"].reshape(-1, 2))),
+           ("short sym rows", dict(prob, sym=prob["sym"][:, :-1].copy())),
+           ("flat sym", dict(prob, sym=prob["sym"].reshape(-1)))]
+    out += [(f"{key} of length {len(prob[key]) + 1}", dict(prob, **{key: np.append(prob[key], 0)}))
+            for key in ("orb_ptr", "orb_row_ptr", "eq_ptr")]
+    edits = [("sym", -1, norb), ("sym", -1, -1), ("sym", -1, prob["sym"][0, 0]),
+             ("cell_idx", -1, m**3), ("cell_idx", -1, -1), ("orb_row", -1, nrows),
+             ("orb_row", -1, -1), ("orb_row_wt", -1, 0), ("row_target", -1, -1),
+             ("eq_data", -1, m), ("eq_data", -1, -1)]
+    for key in ("orb_ptr", "orb_row_ptr", "eq_ptr"):
+        end = prob[key][-1]
+        edits += [(key, 0, 1), (key, 1, end + 1), (key, -1, end - 1)]
+    for key, at, value in edits:
+        bad = dict(prob, **{key: prob[key].copy()})
+        bad[key].reshape(-1)[at] = value
+        out.append((f"{key}[{at}] = {value}", bad))
+    return out
+
+
 def kernel_backends() -> dict:
     """Every kernel backend that loads here, the Python reference first."""
     found = {"python": search._dfs_kernel}
@@ -531,32 +657,29 @@ class TestKernelFallback:
                 symmetric += old[4] > 0
         assert symmetric > 0
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_malformed_rows_rejected(self):
-        """The C kernel divides by each orbit row's weight and
-        indexes the row state by its row id and the values by the search
-        positions in ``sym``, whose rows its lex-leader test takes for
-        permutations, and REST by the orbit row; the checks refuse a zero
-        weight, a row id past the last row, a position outside 0..norb-1,
-        a repeated position, a ``sym`` whose rows are not norb long and a
-        REST array one entry short or one entry long."""
-        from fusionforge.search import _build_problem, _check_kernel_args
+        """The C kernel refuses, before it searches, every problem that
+        breaks what it relies on (``malformed_problems``): the layout, dtype,
+        length and shape cases in Python, and the pointer, bounds, sign and
+        ``sym`` cases in C, which the packing lets through."""
+        from fusionforge.search import _build_problem, _pack
 
+        kernel = search._load_c_kernel()
         prob = _build_problem([1, 3, 3, 4, 5], list(range(5)))
-        _check_kernel_args(prob)
-        assert prob["sym"].shape == (1, prob["norb"])
-        for key, value in (("orb_row_wt", 0), ("orb_row", len(prob["row_target"])),
-                           ("sym", prob["norb"]),
-                           ("sym", -1), ("sym", prob["sym"][0, 0])):
-            bad = dict(prob, **{key: prob[key].copy()})
-            bad[key].reshape(-1)[-1] = value
+        assert kernel(prob, 10**9, 10**6)[0] == 0
+        cases = malformed_problems(prob)
+        assert len(cases) == 34
+        in_c = 0
+        for _, bad in cases:
+            try:
+                _pack(bad)
+                in_c += 1
+            except ValueError:
+                pass
             with pytest.raises(ValueError, match="malformed search problem"):
-                _check_kernel_args(bad)
-        rest = prob["orb_row_rest"]
-        for key, value in (("sym", prob["sym"][:, :-1].copy()), ("sym", prob["sym"].reshape(-1)),
-                           ("orb_row_rest", rest[:-1].copy()),
-                           ("orb_row_rest", np.append(rest, 0))):
-            with pytest.raises(ValueError, match="malformed search problem"):
-                _check_kernel_args(dict(prob, **{key: value}))
+                kernel(bad, 10**9, 10**6)
+        assert in_c == 20
 
     def test_max_results_is_exact(self):
         """A cap of n returns exactly n solutions, with status 2 only when
@@ -884,15 +1007,34 @@ class TestLexLeader:
 
 
 def test_c_kernel_parameters_match_kernel_arrays():
-    """ctypes passes each problem array to ``ff_dfs_kernel`` as a bare
-    address, so a parameter reordered or dropped in ``_kernel.c`` would
-    bind the wrong array without any error: the parameter names must be
-    the scalars, ``_KERNEL_ARRAYS`` in order, then the limits and outputs."""
+    """ctypes passes the C build and kernel their arguments by position and
+    each array as a bare address, so ``_kernel.c`` must take them in the
+    order ``search._CKernel`` declares; its enums must list the tables in
+    the order of ``_C_TABLES`` and the kernel arrays in the order of
+    ``_KERNEL_ARRAYS``; and its ``layout`` must give each array the length
+    ``_block_lengths`` gives, as the Python packing and splitting assume."""
     with open(search._C_SOURCE) as f:
-        params = re.search(r"\bi64 ff_dfs_kernel\(([^)]*)\)", f.read()).group(1)
-    names = [re.search(r"(\w+)\s*$", p).group(1) for p in params.split(",")]
-    assert names == ["m", "norb", "nrows", "nsym", *search._KERNEL_ARRAYS,
-                     "node_budget", "max_results", "counts", "results"]
+        src = f.read()
+
+    def params(name):
+        text = re.search(rf"\b{name}\(([^)]*)\)", src).group(1)
+        return [re.search(r"(\w+)\s*$", p).group(1) for p in text.split(",")]
+
+    sizes = ["m", "norb", "nrows", "nsym", "ncell", "nent", "neq"]
+    assert params("i64 ff_build_problem") == [
+        "m", "norb", "npairs", "ninst", "nsym", "tables", "order", "moves", "dims", "max_mult",
+        "block"]
+    assert params("i64 ff_dfs_kernel") == [*sizes, "block", "node_budget", "max_results",
+                                           "counts", "results"]
+    assert params("static void layout") == [*sizes, "block", "a"]
+    assert list(inspect.signature(search._block_lengths).parameters) == sizes
+    tables, arrays = (re.findall(r"\w+", body) for body in re.findall(r"enum \{([^}]*)\}", src))
+    assert tables == ["T_" + k.upper() for k in search._C_TABLES] + ["NTABLES"]
+    assert arrays == [k.upper() for k in search._KERNEL_ARRAYS] + ["NARRAYS"]
+    lengths = re.search(r"len\[NARRAYS\] = \{([^}]*)\}", src).group(1).split(",")
+    for values in [(5, 16, 16, 1, 64, 40, 93), (2, 1, 1, 0, 1, 0, 0), (8, 99, 49, 23, 343, 7, 1)]:
+        env = dict(zip(sizes, values))
+        assert [eval(x.strip(), {}, env) for x in lengths] == list(search._block_lengths(*values))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -903,10 +1045,15 @@ def test_kernel_source_compiles_without_warnings():
 
 
 def test_c_kernel_clean_under_sanitizers(tmp_path):
-    """The C kernel built with AddressSanitizer and UBSan, in a child that
-    preloads the ASan runtime, runs every unit of the census rows up to
-    FPdim 660 and the rank-5 family at multiplicities 1, 2 and 4 with no
-    report, and gives the status, counts and solutions of the normal build."""
+    """The C build and kernel built with AddressSanitizer and UBSan, in a
+    child that preloads the ASan runtime, build and search every unit of
+    the census rows up to FPdim 660 and the rank-5 family at
+    multiplicities 1, 2 and 4 with no report, and give the arrays of
+    ``_build_problem`` and the status, counts and solutions of the normal
+    build; and they refuse every case of ``malformed_problems``, with no
+    report either."""
+    from fusionforge.search import _KERNEL_ARRAYS, _build_problem
+
     try:
         libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
@@ -918,22 +1065,36 @@ def test_c_kernel_clean_under_sanitizers(tmp_path):
                 for sig, inv in units(SearchConstraints(fpdim=f, rank=r, **PAPER_FLAGS))]
     problems += [(None, list(search.RANK5_TEMPLATE_DUAL), mult) for mult in (1, 2, 4)]
     script = (
-        "import json, sys; from fusionforge import search; "
+        "import hashlib, json, sys; from fusionforge import search; "
         "search._C_CACHE_DIR = sys.argv[1]; "
         "search._C_COMMAND += ('-fsanitize=address,undefined', '-fno-sanitize-recover=all'); "
         "kernel = search._load_c_kernel(); "
-        "runs = [kernel(search._build_problem(*p), 10**9, 10**6) "
-        "        for p in json.loads(sys.argv[2])]; "
-        "print(json.dumps([[*r[:5], r[5].tolist()] for r in runs]))"
+        "units = [search._check_unit(*p) for p in json.loads(sys.argv[2])]; "
+        "built = [hashlib.sha256(kernel.build(*u)[0].tobytes()).hexdigest() for u in units]; "
+        "runs = [kernel(u, 10**9, 10**6) for u in units]; "
+        "sys.path.insert(0, sys.argv[3]); from test_search import malformed_problems; "
+        "refused = []\n"
+        "for _, prob in malformed_problems(search._build_problem([1, 3, 3, 4, 5], range(5))):\n"
+        "    try:\n"
+        "        kernel(prob, 10**9, 10**6)\n"
+        "        refused.append(False)\n"
+        "    except ValueError:\n"
+        "        refused.append(True)\n"
+        "print(json.dumps([built, [[*r[:5], r[5].tolist()] for r in runs], refused]))"
     )
-    proc = run_python(script, str(tmp_path), json.dumps(problems), LD_PRELOAD=libasan,
-                      ASAN_OPTIONS="detect_leaks=0")
+    proc = run_python(script, str(tmp_path), json.dumps(problems), os.path.dirname(__file__),
+                      LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
     out, err = proc.communicate(timeout=600)
     assert proc.returncode == 0, err
+    built, runs, refused = json.loads(out)
     kernel = search._load_c_kernel()
-    want = [[*r[:5], r[5].tolist()] for r in
-            (kernel(search._build_problem(*p), 10**9, 10**6) for p in problems)]
-    assert len(want) == 66 and json.loads(out) == want
+    probs = [_build_problem(*p) for p in problems]
+    assert built == [hashlib.sha256(np.concatenate([prob[k] for k in _KERNEL_ARRAYS],
+                                                   axis=None).tobytes()).hexdigest()
+                     for prob in probs]
+    want = [[*r[:5], r[5].tolist()] for r in (kernel(prob, 10**9, 10**6) for prob in probs)]
+    assert len(want) == 66 and runs == want
+    assert len(refused) == 34 and all(refused)
 
 
 class TestCensusRows:
